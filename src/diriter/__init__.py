@@ -35,7 +35,6 @@ from .errors import (
     MissingNorm,
     NoConvergence,
     NotConforming,
-    SingularSystem,
     SpacingTooCoarse,
 )
 from .iteration import (
@@ -92,7 +91,6 @@ __all__ = [
     "NormConfig",
     "NotConforming",
     "PoissonSolver",
-    "SingularSystem",
     "SpacingTooCoarse",
     "VectorField",
     "admissible_K_threshold",

@@ -155,10 +155,6 @@ def h1_inner(u: GridField, v: GridField) -> float:
     return float((sx + sy) * h * h)
 
 
-def h1semi_face(u: GridField) -> float:
-    return math.sqrt(max(h1_inner(u, u), 0.0))
-
-
 # ---------------------------------------------------------------------------
 # Hölder estimators
 # ---------------------------------------------------------------------------
@@ -188,27 +184,31 @@ def _sample_pairs(grid: Grid, budget: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, 0], pairs[:, 1]
 
 
-def _pair_ratio_max(values: np.ndarray, grid: Grid, alpha: float, pair_budget: int) -> float:
-    flat = values.ravel()
+_PairGeometry = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _pair_geometry(grid: Grid, alpha: float, pair_budget: int) -> _PairGeometry:
+    """Node pairs (a, b) of the Hölder maxima and |x_a - x_b|**alpha: every pair
+    on small grids when pair_budget is 0, else the deterministic sample."""
+    n = grid.nx * grid.ny
+    if pair_budget == 0 and n <= _EXHAUSTIVE_NODE_LIMIT:
+        a, b = np.triu_indices(n, k=1)
+    else:
+        a, b = _sample_pairs(grid, pair_budget if pair_budget > 0 else _DEFAULT_PAIR_BUDGET)
     X, Y = grid.meshgrid()
     px, py = X.ravel(), Y.ravel()
-    n = flat.size
-    exhaustive = pair_budget == 0 and n <= _EXHAUSTIVE_NODE_LIMIT
-    if exhaustive:
-        du = np.abs(flat[:, None] - flat[None, :])
-        dist = np.hypot(px[:, None] - px[None, :], py[:, None] - py[None, :])
-        iu = np.triu_indices(n, k=1)
-        return float(np.max(du[iu] / dist[iu] ** alpha)) if iu[0].size else 0.0
-    budget = pair_budget if pair_budget > 0 else _DEFAULT_PAIR_BUDGET
-    a, b = _sample_pairs(grid, budget)
-    du = np.abs(flat[a] - flat[b])
-    dist = np.hypot(px[a] - px[b], py[a] - py[b])
-    return float(np.max(du / dist**alpha)) if a.size else 0.0
+    return a, b, np.hypot(px[a] - px[b], py[a] - py[b]) ** alpha
+
+
+def _pair_ratio_max(values: np.ndarray, geometry: _PairGeometry) -> float:
+    a, b, dist_alpha = geometry
+    flat = values.ravel()
+    return float(np.max(np.abs(flat[a] - flat[b]) / dist_alpha)) if a.size else 0.0
 
 
 def holder_seminorm(u: GridField, cfg: NormConfig) -> float:
     """max over node pairs of |u(x) - u(y)| / |x - y|^alpha (a lower bound)."""
-    return _pair_ratio_max(u.values, u.grid, cfg.alpha, cfg.pair_budget)
+    return _pair_ratio_max(u.values, _pair_geometry(u.grid, cfg.alpha, cfg.pair_budget))
 
 
 def holder_norm(u: GridField, cfg: NormConfig) -> float:
@@ -229,9 +229,10 @@ def c2alpha_estimate(u: GridField, cfg: NormConfig) -> float:
     uxy = _d_axis(ux, h, 1)
     total = float(np.max(np.abs(u.values)))
     total += float(np.max(np.abs(ux))) + float(np.max(np.abs(uy)))
+    geometry = _pair_geometry(g, cfg.alpha, cfg.pair_budget)
     for d2 in (uxx, uxy, uyy):
         total += float(np.max(np.abs(d2)))
-        total += _pair_ratio_max(d2, g, cfg.alpha, cfg.pair_budget)
+        total += _pair_ratio_max(d2, geometry)
     return total
 
 

@@ -217,9 +217,6 @@ class GridField:
         target = 0.0 if bc is None or bc.kind == HOMOGENEOUS else bc.phi.values[self.grid.boundary_mask()]
         return bool(np.max(np.abs(self.boundary_values() - target)) <= tol)
 
-    def with_values(self, values) -> "GridField":
-        return self.grid.field(values)
-
 
 @dataclass(frozen=True)
 class VectorField:

@@ -25,10 +25,6 @@ class NoConvergence(DiriterError):
         self.residual = residual
 
 
-class SingularSystem(DiriterError):
-    """Linear system factorization failed; internal error for the Dirichlet Laplacian."""
-
-
 class MissingNorm(DiriterError):
     """A data norm required by the selected nonlinearity is absent."""
 

@@ -53,6 +53,8 @@ class IterationConfig:
             raise ValueError("max_iters must be >= 1")
         if self.start not in (START_ZERO, START_LIFT):
             raise ValueError(f"unknown start mode {self.start!r}")
+        if self.kappa_kind not in ("min", "volumetric", "slab"):
+            raise ValueError(f"unknown kappa_kind {self.kappa_kind!r}")
 
 
 @dataclass(frozen=True)

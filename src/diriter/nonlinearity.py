@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import NormConfig, _d_axis, holder_norm, norm_sup
+from .calculus import NormConfig, gradient, holder_norm, norm_sup
 from .domain import Domain, GridField, VectorField, domain_constants
 from .errors import BracketNotFound, MissingNorm
 
@@ -122,9 +122,8 @@ def curvature_coupling(u: GridField, grad_u: VectorField) -> np.ndarray:
     div(grad u / sqrt(1 + |grad u|^2)) by the quotient rule produces the half
     factor, and only with it does the iterate satisfy the divergence form.
     """
-    h = u.grid.h
-    w = grad_u.vx**2 + grad_u.vy**2
-    return grad_u.vx * _d_axis(w, h, 0) + grad_u.vy * _d_axis(w, h, 1)
+    grad_w = gradient(u.grid.field(grad_u.vx**2 + grad_u.vy**2))
+    return grad_u.vx * grad_w.vx + grad_u.vy * grad_w.vy
 
 
 def evaluate_rhs(spec: RhsSpec, u: GridField, grad_u: VectorField) -> GridField:

@@ -110,6 +110,11 @@ def test_mce_blowup_diverges(unit_grid_32):
     assert exc_info.value.last_iterate is not None
 
 
+def test_rejects_unknown_kappa_kind():
+    with pytest.raises(ValueError, match="kappa_kind"):
+        IterationConfig(kappa_kind="bogus")
+
+
 def test_rejects_nonconforming_start(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=2.0)
     with pytest.raises(NotConforming):

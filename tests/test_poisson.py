@@ -63,9 +63,47 @@ def test_deterministic_bitwise(unit_grid_16, rng):
     u1 = solver.solve(f)
     u2 = solver.solve(f)
     assert np.array_equal(u1.values, u2.values)
-    # a fresh solver factorizes identically
+    # a fresh solver rebuilds the same eigenvalue table and gives the same bits
     u3 = PoissonSolver(unit_grid_16).solve(f)
     assert np.array_equal(u1.values, u3.values)
+
+
+def dense_reference(grid, f, bc):
+    """Interior nodes of the 5-point Dirichlet solution from a dense solve (x-major)."""
+    mx, my = grid.nx - 2, grid.ny - 2
+
+    def second_difference(m):
+        return 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+
+    neg_lap = (
+        np.kron(second_difference(mx), np.eye(my)) + np.kron(np.eye(mx), second_difference(my))
+    ) / grid.h**2
+    # known boundary values move to the right-hand side
+    bvals = bc.values_on(grid)
+    contrib = (bvals[:-2, 1:-1] + bvals[2:, 1:-1] + bvals[1:-1, :-2] + bvals[1:-1, 2:]) / grid.h**2
+    rhs = -f.values[1:-1, 1:-1] + contrib
+    return np.linalg.solve(neg_lap, rhs.ravel()).reshape(mx, my)
+
+
+@pytest.mark.parametrize(
+    "domain, h, prescribed",
+    [
+        (Domain.rectangle(1.0, 1.0), 1.0 / 16, False),
+        (Domain.strip_truncation(d=1.0, n_trunc=2.0), 1.0 / 8, False),
+        (Domain.rectangle(1.0, 1.0), 1.0 / 16, True),
+        (Domain.strip_truncation(d=1.0, n_trunc=2.0), 1.0 / 8, True),
+    ],
+)
+def test_matches_dense_solve(domain, h, prescribed, rng):
+    grid = build_grid(domain, h)
+    f = random_smooth(grid, rng)
+    if prescribed:
+        bc = BoundarySpec.prescribed(grid.field_from(lambda x, y: np.cos(3 * x) + y + 2.0))
+    else:
+        bc = BoundarySpec.homogeneous()
+    ref = dense_reference(grid, f, bc)
+    u = solve_dirichlet(grid, f, bc)
+    assert np.max(np.abs(u.values[1:-1, 1:-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_maximum_principle(unit_grid_16, rng):
