@@ -186,10 +186,30 @@ def _sample_pairs(grid: Grid, budget: int) -> tuple[np.ndarray, np.ndarray]:
 
 _PairGeometry = tuple[np.ndarray, np.ndarray, np.ndarray]
 
+# The last geometry built, as (key, geometry). A command works on one grid at a
+# time, so one entry serves every Hölder maximum of that grid.
+_geometry_memo: tuple[tuple, _PairGeometry] | None = None
+
+
+def _read_only_copy(arr: np.ndarray) -> np.ndarray:
+    out = np.array(arr)
+    out.flags.writeable = False
+    return out
+
 
 def _pair_geometry(grid: Grid, alpha: float, pair_budget: int) -> _PairGeometry:
     """Node pairs (a, b) of the Hölder maxima and |x_a - x_b|**alpha: every pair
-    on small grids when pair_budget is 0, else the deterministic sample."""
+    on small grids when pair_budget is 0, else the deterministic sample.
+
+    The result is memoized for the last (grid, alpha, pair_budget) seen and is
+    read-only. The key holds the node coordinates themselves, not (h, shape):
+    the distances come from absolute coordinates, so the origin moves round-off.
+    """
+    global _geometry_memo
+    key = (grid.x.tobytes(), grid.y.tobytes(), alpha, pair_budget)
+    if _geometry_memo is not None and _geometry_memo[0] == key:
+        return _geometry_memo[1]
+    _geometry_memo = None  # free the old arrays before the new ones are built
     n = grid.nx * grid.ny
     if pair_budget == 0 and n <= _EXHAUSTIVE_NODE_LIMIT:
         a, b = np.triu_indices(n, k=1)
@@ -197,7 +217,11 @@ def _pair_geometry(grid: Grid, alpha: float, pair_budget: int) -> _PairGeometry:
         a, b = _sample_pairs(grid, pair_budget if pair_budget > 0 else _DEFAULT_PAIR_BUDGET)
     X, Y = grid.meshgrid()
     px, py = X.ravel(), Y.ravel()
-    return a, b, np.hypot(px[a] - px[b], py[a] - py[b]) ** alpha
+    dist_alpha = np.hypot(px[a] - px[b], py[a] - py[b]) ** alpha
+    # owned copies: the sampled a, b are views into a much larger pair array
+    geometry = (_read_only_copy(a), _read_only_copy(b), _read_only_copy(dist_alpha))
+    _geometry_memo = (key, geometry)
+    return geometry
 
 
 def _pair_ratio_max(values: np.ndarray, geometry: _PairGeometry) -> float:

@@ -23,6 +23,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .errors import (
     NotConforming,
 )
 from .expressions import ExpressionError, compile_expression
-from .iteration import IterationConfig, IterationReport, dirichlet_iterate
+from .iteration import IterationConfig, IterationReport, dirichlet_iterate, with_lambda
 from .mce import arc_solution
 from .nonlinearity import GammaG, GradLipschitz, MeanCurvature, RhsSpec
 from .slab import ExhaustionConfig, compact_values, exhaustion_solve, schauder_uniformity_probe
@@ -198,7 +199,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -256,10 +257,7 @@ def write_trace(path: Path, report: IterationReport) -> None:
 
 def write_solution(path: Path, u: GridField) -> None:
     X, Y = u.grid.meshgrid()
-    rows = [
-        [float(xv), float(yv), float(uv)]
-        for xv, yv, uv in zip(X.ravel(), Y.ravel(), u.values.ravel())
-    ]
+    rows = zip(X.ravel().tolist(), Y.ravel().tolist(), u.values.ravel().tolist())
     write_csv(path, ["x", "y", "u"], rows)
 
 
@@ -318,16 +316,27 @@ def run_sweep(
         raise ConfigError("sweep needs a nonempty ascending list of values")
     if sorted(values) != list(values):
         raise ConfigError("sweep values must be sorted ascending")
+    # every value shares the grid and the Λ settings, so Λ is estimated once;
+    # if that fails, each value reports the failure in its own row
+    lambda_error = None
+    try:
+        it_cfg = with_lambda(grid, it_cfg)
+    except DiriterError as exc:
+        lambda_error = exc
     rows = []
     outcomes = []
     for value in values:
         spec_v = _apply_sweep_value(spec, parameter, value)
-        try:
-            _, report = dirichlet_iterate(grid, spec_v, it_cfg)
-        except IterationFailure as exc:
-            report = exc.report
-        except DiriterError as exc:
-            rows.append([value, f"error: {exc}", 0, None, None])
+        error = lambda_error
+        if error is None:
+            try:
+                _, report = dirichlet_iterate(grid, spec_v, it_cfg)
+            except IterationFailure as exc:
+                report = exc.report
+            except DiriterError as exc:
+                error = exc
+        if error is not None:
+            rows.append([value, f"error: {error}", 0, None, None])
             outcomes.append("error")
             continue
         max_rho = max((r.rho_i for r in report.rows if r.rho_i is not None), default=None)

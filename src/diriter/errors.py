@@ -29,6 +29,14 @@ class MissingNorm(DiriterError):
     """A data norm required by the selected nonlinearity is absent."""
 
 
+class NonFiniteData(DiriterError):
+    """A data field of the right-hand side holds NaN or inf."""
+
+
+class FixedPointInconsistent(DiriterError):
+    """The computed fixed point of the growth majorant fails its self-consistency check."""
+
+
 class BracketNotFound(DiriterError):
     """Fixed-point search exhausted its interval while the gap was still shrinking."""
 

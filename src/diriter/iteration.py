@@ -8,6 +8,7 @@ differences and their ratios, and the nonlinear residual.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,13 +81,25 @@ class IterationReport:
         return self.theory.C
 
 
-def residual_field(u: GridField, spec: RhsSpec) -> GridField:
-    """laplacian(u) - f(x, u, grad u) at interior nodes, 0 on the boundary."""
+def residual_field(u: GridField, spec: RhsSpec, f: GridField | None = None) -> GridField:
+    """laplacian(u) - f(x, u, grad u) at interior nodes, 0 on the boundary.
+
+    ``f`` is the already evaluated right-hand side at ``u``, if the caller has it.
+    """
     lap = laplacian_apply(u)
-    f = evaluate_rhs(spec, u, gradient(u))
+    if f is None:
+        f = evaluate_rhs(spec, u, gradient(u))
     out = np.zeros(u.grid.shape)
     out[1:-1, 1:-1] = lap.values[1:-1, 1:-1] - f.values[1:-1, 1:-1]
     return u.grid.field(out)
+
+
+def with_lambda(grid: Grid, cfg: IterationConfig) -> IterationConfig:
+    """``cfg`` with ``lambda_value`` set, estimating Λ on ``grid`` when it is absent."""
+    if cfg.lambda_value is not None:
+        return cfg
+    lam = estimate_schauder_constant(grid, cfg.norm_cfg, cfg.lambda_trials, cfg.lambda_seed)
+    return dataclasses.replace(cfg, lambda_value=lam)
 
 
 def _start_field(grid: Grid, spec: RhsSpec, cfg: IterationConfig, solver: PoissonSolver) -> GridField:
@@ -111,10 +124,8 @@ def dirichlet_iterate(
     solver = PoissonSolver(grid, cfg.linear)
 
     norms = data_norms(spec, cfg.norm_cfg)
-    lam = cfg.lambda_value
-    if lam is None:
-        lam = estimate_schauder_constant(grid, cfg.norm_cfg, cfg.lambda_trials, cfg.lambda_seed)
-    theory = analyze(spec, grid.domain, norms, lam, cfg.kappa_kind)
+    cfg = with_lambda(grid, cfg)
+    theory = analyze(spec, grid.domain, norms, cfg.lambda_value, cfg.kappa_kind)
 
     if u0 is not None:
         if not u0.is_conforming(cfg.boundary, tol=1e-12 * (1.0 + norm_sup(u0))):
@@ -133,14 +144,17 @@ def dirichlet_iterate(
             rows=tuple(rows), outcome=outcome, C_empirical=c_emp, theory=theory, norms=norms
         )
 
+    # f at the newest iterate feeds both its residual and the next solve; one
+    # name is rebound, so only one right-hand-side field is kept.
+    f = evaluate_rhs(spec, u_prev, gradient(u_prev))
     for i in range(1, cfg.max_iters + 1):
-        f_i = evaluate_rhs(spec, u_prev, gradient(u_prev))
-        u_next = solver.solve(f_i, cfg.boundary)
+        u_next = solver.solve(f, cfg.boundary)
+        f = evaluate_rhs(spec, u_next, gradient(u_next))
 
         diff = grid.field(u_next.values - u_prev.values)
         h1_diff = norm_h1semi(diff)
         rho = h1_diff / prev_h1 if (prev_h1 is not None and prev_h1 > 0) else None
-        res_sup = float(np.max(np.abs(residual_field(u_next, spec).values)))
+        res_sup = float(np.max(np.abs(residual_field(u_next, spec, f=f).values)))
         rows.append(
             IterationRow(
                 i=i,
@@ -155,7 +169,8 @@ def dirichlet_iterate(
         if h1_diff <= cfg.h1_tol:
             return u_next, report("converged")
 
-        if rows[-1].sup_u > cfg.blowup_sup:
+        # written so that a NaN sup norm counts as a blow-up
+        if not rows[-1].sup_u <= cfg.blowup_sup:
             raise IterationDiverged(
                 f"sup blow-up at iteration {i}: {rows[-1].sup_u:.3e}",
                 report=report("diverged"),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .calculus import NormConfig, gradient, holder_norm, norm_sup
 from .domain import Domain, GridField, VectorField, domain_constants
-from .errors import BracketNotFound, MissingNorm
+from .errors import BracketNotFound, FixedPointInconsistent, MissingNorm, NonFiniteData
 
 _LIP_SAMPLES = np.linspace(0.0, 4.0, 41)
 _REL_TOL = 1e-9
@@ -143,14 +143,23 @@ def evaluate_rhs(spec: RhsSpec, u: GridField, grad_u: VectorField) -> GridField:
 
 
 def data_norms(spec: RhsSpec, cfg: NormConfig) -> dict:
-    """Hölder norms of the data fields the majorant psi needs."""
+    """Hölder norms of the data fields the majorant psi needs.
+
+    Raises NonFiniteData when a data field holds NaN or inf: its norm would be
+    NaN, and every bound derived from it meaningless.
+    """
     if isinstance(spec, GradLipschitz):
-        return {"h_alpha": holder_norm(spec.h, cfg)}
-    if isinstance(spec, GammaG):
-        return {"h_alpha": holder_norm(spec.h, cfg), "gamma_alpha": holder_norm(spec.gamma, cfg)}
-    if isinstance(spec, MeanCurvature):
-        return {"H_alpha": holder_norm(spec.H, cfg)}
-    raise TypeError(f"unknown rhs spec {type(spec).__name__}")
+        fields = {"h_alpha": spec.h}
+    elif isinstance(spec, GammaG):
+        fields = {"h_alpha": spec.h, "gamma_alpha": spec.gamma}
+    elif isinstance(spec, MeanCurvature):
+        fields = {"H_alpha": spec.H}
+    else:
+        raise TypeError(f"unknown rhs spec {type(spec).__name__}")
+    for key, data in fields.items():
+        if not np.all(np.isfinite(data.values)):
+            raise NonFiniteData(f"data field {key.removesuffix('_alpha')!r} holds NaN or inf")
+    return {key: holder_norm(data, cfg) for key, data in fields.items()}
 
 
 def _require(norms: dict, key: str) -> float:
@@ -384,7 +393,9 @@ def analyze(
     if c_star is not None:
         fp_gap = abs(lam * psi(spec, domain, norms, c_star) - c_star)
         if fp_gap > 1e-10 * max(1.0, abs(c_star)):
-            raise ArithmeticError(f"fixed point failed its self-consistency check: gap {fp_gap:g}")
+            raise FixedPointInconsistent(
+                f"fixed point failed its self-consistency check: gap {fp_gap:g}"
+            )
         rho = contraction_bound(spec, c_star, kappa)
         if isinstance(spec, GradLipschitz) and c_star > 0:
             k0 = k_zero(spec, domain, norms, lam)

@@ -23,6 +23,7 @@ from diriter import (
     norm_sup,
     verify_poincare,
 )
+from diriter import calculus
 from diriter.calculus import poincare_suite, schauder_ratio
 
 from conftest import random_conforming, random_smooth
@@ -196,6 +197,47 @@ def test_holder_sampled_close_to_exhaustive(unit_grid_16, rng):
     sampled = holder_seminorm(u, NormConfig(alpha=0.5, pair_budget=40_000))
     assert sampled <= full * (1 + 1e-12)
     assert sampled >= 0.7 * full
+
+
+def _fresh_pair_geometry(grid, alpha, pair_budget):
+    """The pair geometry as built before it was memoized: the reference."""
+    n = grid.nx * grid.ny
+    if pair_budget == 0 and n <= 33 * 33:
+        a, b = np.triu_indices(n, k=1)
+    else:
+        a, b = calculus._sample_pairs(grid, pair_budget or 200_000)
+    X, Y = grid.meshgrid()
+    px, py = X.ravel(), Y.ravel()
+    return a, b, np.hypot(px[a] - px[b], py[a] - py[b]) ** alpha
+
+
+@pytest.mark.parametrize(
+    "extent, h, budget",
+    [((1, 1), 1 / 16, 0), ((1, 1), 1 / 64, 0), ((1, 1), 1 / 64, 20_000), ((4, 1), 0.125, 0)],
+)
+def test_pair_geometry_memo_matches_fresh_build(monkeypatch, extent, h, budget):
+    monkeypatch.setattr(calculus, "_geometry_memo", None)
+    grid = build_grid(Domain.rectangle(*extent), h)
+    first = calculus._pair_geometry(grid, 0.5, budget)
+    again = calculus._pair_geometry(grid, 0.5, budget)
+    assert again is first
+    for got, ref in zip(first, _fresh_pair_geometry(grid, 0.5, budget)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert got.flags.owndata and not got.flags.writeable
+
+
+def test_pair_geometry_memo_holds_one_entry(monkeypatch):
+    monkeypatch.setattr(calculus, "_geometry_memo", None)
+    grid = build_grid(Domain.rectangle(1, 1), 1 / 16)
+    # same shape and spacing, shifted origin: a different grid for the key
+    shifted = build_grid(Domain.strip_truncation(1, 0.5), 1 / 16)
+    assert shifted.shape == grid.shape and shifted.h == grid.h
+    first = calculus._pair_geometry(grid, 0.5, 0)
+    other = calculus._pair_geometry(shifted, 0.5, 0)
+    assert other is not first
+    assert calculus._geometry_memo[1] is other
+    assert calculus._pair_geometry(grid, 0.5, 0) is not first
+    assert calculus._pair_geometry(grid, 0.25, 0) is not calculus._pair_geometry(grid, 0.5, 0)
 
 
 def test_c2alpha_zero_and_linear(unit_grid_16):

@@ -3,8 +3,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+import pytest
 
-from diriter.cli import main
+from diriter import Domain, build_grid, iteration, nonlinearity
+from diriter.cli import main, write_csv, write_solution
 
 BASE = """
 [domain]
@@ -94,6 +97,40 @@ def test_report_roundtrip_and_determinism(tmp_path):
     assert math.isclose(float(last[5]), report["final"]["residual_sup"], rel_tol=0)
 
 
+def _list_write_solution(path, u):
+    """The solution writer as it was, one list of row lists: the reference."""
+    X, Y = u.grid.meshgrid()
+    rows = [
+        [float(xv), float(yv), float(uv)]
+        for xv, yv, uv in zip(X.ravel(), Y.ravel(), u.values.ravel())
+    ]
+    write_csv(path, ["x", "y", "u"], rows)
+
+
+def test_streamed_solution_bytes_match_list_writer(tmp_path):
+    grid = build_grid(Domain.strip_truncation(1.0, 2.0), 1.0 / 8)
+    u = grid.field_from(lambda x, y: np.sin(3.0 * x) * np.exp(y) / 7.0 - 1e-300 * x)
+    write_solution(tmp_path / "streamed.csv", u)
+    _list_write_solution(tmp_path / "listed.csv", u)
+    streamed = (tmp_path / "streamed.csv").read_bytes()
+    assert streamed == (tmp_path / "listed.csv").read_bytes()
+    assert streamed.count(b"\r\n") == 1 + grid.nx * grid.ny
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_non_finite_data_is_usage_error(tmp_path):
+    cfg = write_cfg(tmp_path, BASE.replace("h = 1\nK = 0", "h = 1/x\nK = 0"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert not (out / "report.json").exists()
+
+
+def test_inconsistent_fixed_point_is_usage_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(nonlinearity, "psi", lambda spec, domain, norms, t: 1.0 if t < 0.5 else 0.0)
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
 def test_missing_config_usage_error(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 1
 
@@ -114,6 +151,36 @@ def test_sweep_k_rows_and_threshold(tmp_path):
     assert all(r[1] == "converged" for r in rows[1:])
     report = json.loads((out / "report.json").read_text())
     assert report["threshold"] is None  # no flip below the admissible bound
+
+
+def test_sweep_estimates_lambda_once(tmp_path, monkeypatch):
+    calls = []
+    estimate = iteration.estimate_schauder_constant
+
+    def counted(*args):
+        calls.append(args)
+        return estimate(*args)
+
+    monkeypatch.setattr(iteration, "estimate_schauder_constant", counted)
+    text = BASE.replace("lambda = 2.0", "lambda = estimate\nlambda_trials = 1")
+    cfg = write_cfg(tmp_path, text + "\n[sweep]\nparameter = K\nvalues = 0.0, 0.02, 0.05\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert [r[1] for r in read_csv(out / "sweep.csv")[1:]] == ["converged"] * 3
+
+
+def test_sweep_lambda_failure_is_one_error_row_per_value(tmp_path):
+    # 4 x 4 nodes: too coarse for the C^{2,alpha} estimate inside the Λ estimate
+    text = BASE.replace("h = 0.0625", "h = 0.3333333333333333").replace(
+        "lambda = 2.0", "lambda = estimate"
+    )
+    cfg = write_cfg(tmp_path, text + "\n[sweep]\nparameter = K\nvalues = 0.0, 0.02, 0.05\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out / "sweep.csv")[1:]
+    assert [float(r[0]) for r in rows] == [0.0, 0.02, 0.05]
+    assert all(r[1].startswith("error: ") and "5 nodes" in r[1] and r[2] == "0" for r in rows)
 
 
 def test_sweep_empty_values_is_usage_error(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from diriter import (
     BoundarySpec,
+    GammaG,
     GradLipschitz,
     IterationConfig,
     IterationDiverged,
@@ -110,6 +111,25 @@ def test_mce_blowup_diverges(unit_grid_32):
     assert exc_info.value.last_iterate is not None
 
 
+def test_nan_iterate_diverges(unit_grid_16):
+    # finite data; g is NaN off [0, 2] and the first iterate is negative inside,
+    # so f and every later iterate are NaN
+    def g(s):
+        s = np.asarray(s, dtype=float)
+        return np.where((s >= 0.0) & (s <= 2.0), 0.5 * s * s, np.nan)
+
+    def gprime(s):
+        s = np.asarray(s, dtype=float)
+        return np.where((s >= 0.0) & (s <= 2.0), s, np.nan)
+
+    spec = GammaG(gamma=unit_grid_16.constant(1.0), h=unit_grid_16.constant(1.0), g=g, gprime=gprime)
+    with pytest.raises(IterationDiverged) as exc_info:
+        dirichlet_iterate(unit_grid_16, spec, base_cfg(max_iters=20))
+    rows = exc_info.value.report.rows
+    assert exc_info.value.report.outcome == "diverged"
+    assert len(rows) == 2 and math.isfinite(rows[0].sup_u) and math.isnan(rows[1].sup_u)
+
+
 def test_rejects_unknown_kappa_kind():
     with pytest.raises(ValueError, match="kappa_kind"):
         IterationConfig(kappa_kind="bogus")
@@ -149,6 +169,14 @@ def test_residual_of_converged_iterate(unit_grid_32):
     u, rep = dirichlet_iterate(unit_grid_32, spec, cfg)
     f_sup = 1.0 + 0.05 * np.max(gradient(u).magnitude() ** 2)
     assert rep.rows[-1].residual_sup <= 10 * cfg.h1_tol * (1.0 + f_sup)
+
+
+def test_reported_residual_matches_unfused_residual(unit_grid_16):
+    spec = GradLipschitz(h=unit_grid_16.field_from(lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x)), K=0.2)
+    u, rep = dirichlet_iterate(unit_grid_16, spec, base_cfg())
+    assert rep.outcome == "converged" and len(rep.rows) > 3
+    # the loop reuses the f of the next solve; recomputed from u alone it is the same bits
+    assert rep.rows[-1].residual_sup == float(np.max(np.abs(residual_field(u, spec).values)))
 
 
 def test_residual_truncation_order(unit_square):

@@ -5,11 +5,14 @@ import pytest
 
 from diriter import (
     BracketNotFound,
+    DiriterError,
     Domain,
+    FixedPointInconsistent,
     GammaG,
     GradLipschitz,
     MeanCurvature,
     MissingNorm,
+    NonFiniteData,
     NormConfig,
     admissible_K_threshold,
     analyze,
@@ -21,6 +24,7 @@ from diriter import (
     psi,
     smallest_fixed_point,
 )
+from diriter import nonlinearity
 from diriter.nonlinearity import curvature_coupling, gamma_g_combination, is_partial_bound
 
 from conftest import random_smooth
@@ -316,3 +320,30 @@ def test_analyze_mce_partial_flag(unit_grid_16):
     norms = data_norms(spec, NormConfig(alpha=0.5))
     an = analyze(spec, DOM, norms, lam=1.0)
     assert an.partial
+
+
+def test_analyze_inconsistent_fixed_point_is_package_error(unit_grid_16, monkeypatch):
+    # a majorant with a jump: bisection lands on the jump at t = 0.5, where
+    # lam * psi(t) - t is -0.5, not 0
+    monkeypatch.setattr(nonlinearity, "psi", lambda spec, domain, norms, t: 1.0 if t < 0.5 else 0.0)
+    spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=2.0)
+    with pytest.raises(FixedPointInconsistent) as exc_info:
+        analyze(spec, DOM, {"h_alpha": 1.0}, lam=1.0)
+    assert isinstance(exc_info.value, DiriterError)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_data_norms_reject_non_finite_fields(unit_grid_16, bad):
+    cfg = NormConfig(alpha=0.5)
+    values = np.ones(unit_grid_16.shape)
+    values[3, 4] = bad
+    broken = unit_grid_16.field(values)
+    one = unit_grid_16.constant(1.0)
+    for spec in (
+        GradLipschitz(h=broken, K=0.1),
+        GammaG(gamma=broken, h=one),
+        GammaG(gamma=one, h=broken),
+        MeanCurvature(H=broken),
+    ):
+        with pytest.raises(NonFiniteData):
+            data_norms(spec, cfg)
