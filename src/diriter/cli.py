@@ -191,11 +191,14 @@ def build_iteration_config(
 # ---------------------------------------------------------------------------
 
 
+_FLOAT_SPEC = ".17g"  # 17 significant digits: every float64 reads back exactly
+
+
 def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return f"{v:.17g}"
+        return format(v, _FLOAT_SPEC)
     return str(v)
 
 
@@ -256,9 +259,18 @@ def write_trace(path: Path, report: IterationReport) -> None:
 
 
 def write_solution(path: Path, u: GridField) -> None:
-    X, Y = u.grid.meshgrid()
-    rows = zip(X.ravel().tolist(), Y.ravel().tolist(), u.values.ravel().tolist())
-    write_csv(path, ["x", "y", "u"], rows)
+    """Write the ``x,y,u`` rows, x-major, with CRLF line ends: the bytes ``write_csv``
+    gives for the same rows, but each grid coordinate is formatted once and each
+    x-line goes out in one write."""
+    grid = u.grid
+    ys = [format(y, _FLOAT_SPEC) + "," for y in grid.y.tolist()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("x,y,u\r\n")
+        for xv, line in zip(grid.x.tolist(), u.values):
+            x = format(xv, _FLOAT_SPEC) + ","
+            fh.write("".join(
+                [f"{x}{y}{format(v, _FLOAT_SPEC)}\r\n" for y, v in zip(ys, line.tolist())]
+            ))
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,28 @@ failures; the discrete inequalities they check are exact up to floating-point
 reassociation, so any failure is a real defect.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 
 from diriter import (
+    DiriterError,
     Domain,
+    IterationConfig,
+    NonFiniteData,
     NormConfig,
     build_grid,
+    dirichlet_iterate,
     gradient,
     h1_inner,
     holder_norm,
     laplacian_apply,
     norm_sup,
 )
-from diriter.nonlinearity import curvature_coupling
+from diriter.cli import report_payload
+from diriter.errors import IterationFailure
+from diriter.nonlinearity import GammaG, GradLipschitz, MeanCurvature, curvature_coupling
 
 CFG = NormConfig(alpha=0.5, pair_budget=0)  # exhaustive on the small suite grids
 
@@ -154,6 +163,60 @@ def suite_sqrt_half_lipschitz(cases: int, seed: int = 6) -> int:
     return failures
 
 
+# the data fields of each family, as data_norms checks them
+_DATA_FIELDS = {GradLipschitz: ("h",), GammaG: ("gamma", "h"), MeanCurvature: ("H",)}
+
+
+def _random_spec(grid, rng):
+    """One of the three RHS families with smooth data fields of random size."""
+    amp = 10.0 ** rng.uniform(-2.0, 1.0)
+    family = rng.integers(3)
+    if family == 0:
+        return GradLipschitz(h=grid.field(amp * _smooth(grid, rng).values), K=rng.uniform(0.0, 3.0))
+    if family == 1:
+        return GammaG(gamma=_smooth(grid, rng), h=grid.field(amp * _smooth(grid, rng).values))
+    return MeanCurvature(H=grid.field(amp * _smooth(grid, rng).values))
+
+
+def _all_finite(payload) -> bool:
+    if isinstance(payload, dict):
+        return all(_all_finite(v) for v in payload.values())
+    return not isinstance(payload, float) or math.isfinite(payload)
+
+
+def suite_no_false_certificate(cases: int, seed: int = 7) -> int:
+    """Finite data yields a report without NaN or inf, whatever the outcome;
+    a NaN or infinite entry in any data field raises NonFiniteData."""
+    rng = np.random.default_rng(seed)
+    failures = 0
+    for _ in range(cases):
+        grid = _grid(rng)
+        cfg = IterationConfig(max_iters=12, h1_tol=1e-10, norm_cfg=CFG,
+                              lambda_value=rng.uniform(0.5, 3.0))
+        spec = _random_spec(grid, rng)
+        try:
+            _, report = dirichlet_iterate(grid, spec, cfg)
+        except IterationFailure as exc:
+            report = exc.report
+        except DiriterError:
+            report = None
+        if report is not None and not _all_finite(report_payload(report)):
+            failures += 1
+
+        name = str(rng.choice(_DATA_FIELDS[type(spec)]))
+        values = getattr(spec, name).values.copy()
+        values[rng.integers(grid.nx), rng.integers(grid.ny)] = rng.choice([np.nan, np.inf, -np.inf])
+        bad = dataclasses.replace(spec, **{name: grid.field(values)})
+        try:
+            dirichlet_iterate(grid, bad, cfg)
+        except NonFiniteData:
+            continue
+        except DiriterError:
+            pass
+        failures += 1
+    return failures
+
+
 ALL_SUITES = {
     "integration_by_parts": suite_integration_by_parts,
     "mean_value_bound": suite_mean_value_bound,
@@ -162,4 +225,5 @@ ALL_SUITES = {
     "sup_gradient_bound": suite_sup_gradient_bound,
     "coupling_cubic": suite_coupling_cubic,
     "sqrt_half_lipschitz": suite_sqrt_half_lipschitz,
+    "no_false_certificate": suite_no_false_certificate,
 }

@@ -107,14 +107,27 @@ def _list_write_solution(path, u):
     write_csv(path, ["x", "y", "u"], rows)
 
 
+# floats whose .17g spelling is special: signed zero, the non-finite values,
+# the smallest subnormal and the largest finite double
+_SPECIAL_VALUES = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]
+
+
 def test_streamed_solution_bytes_match_list_writer(tmp_path):
-    grid = build_grid(Domain.strip_truncation(1.0, 2.0), 1.0 / 8)
-    u = grid.field_from(lambda x, y: np.sin(3.0 * x) * np.exp(y) / 7.0 - 1e-300 * x)
-    write_solution(tmp_path / "streamed.csv", u)
-    _list_write_solution(tmp_path / "listed.csv", u)
-    streamed = (tmp_path / "streamed.csv").read_bytes()
-    assert streamed == (tmp_path / "listed.csv").read_bytes()
-    assert streamed.count(b"\r\n") == 1 + grid.nx * grid.ny
+    # a rectangle grid, and a strip grid with negative coordinates on both axes
+    for domain in (Domain.rectangle(1.0, 0.75), Domain.strip_truncation(1.0, 2.0)):
+        grid = build_grid(domain, 1.0 / 8)
+        u = grid.field_from(lambda x, y: np.sin(3.0 * x) * np.exp(y) / 7.0 - 1e-300 * x)
+        values = u.values.copy()
+        values[1, : len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
+        values[-2, -len(_SPECIAL_VALUES) :] = _SPECIAL_VALUES[::-1]
+        u = grid.field(values)
+        write_solution(tmp_path / "streamed.csv", u)
+        _list_write_solution(tmp_path / "listed.csv", u)
+        streamed = (tmp_path / "streamed.csv").read_bytes()
+        assert streamed == (tmp_path / "listed.csv").read_bytes()
+        assert streamed.count(b"\r\n") == 1 + grid.nx * grid.ny
+        for token in (b",-0\r\n", b",nan\r\n", b",inf\r\n", b",-inf\r\n"):
+            assert token in streamed
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
