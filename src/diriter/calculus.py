@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # used by the Λ estimate; loaded with the package, not mid-command
 
 from .domain import Domain, Grid, GridField, VectorField, domain_constants
 from .errors import GridTooCoarse, NotConforming
@@ -239,15 +240,19 @@ def holder_norm(u: GridField, cfg: NormConfig) -> float:
     return norm_sup(u) + holder_seminorm(u, cfg)
 
 
-def c2alpha_estimate(u: GridField, cfg: NormConfig) -> float:
+def c2alpha_estimate(u: GridField, cfg: NormConfig, grad: VectorField | None = None) -> float:
     """Discrete C^{2,alpha} surrogate: sup norms of u and its difference
-    derivatives up to order two, plus the Hölder seminorms of the second ones."""
+    derivatives up to order two, plus the Hölder seminorms of the second ones.
+
+    ``grad`` is ``gradient(u)`` when the caller already holds it.
+    """
     g = u.grid
     if min(g.shape) < 5:
         raise GridTooCoarse("c2alpha_estimate needs at least 5 nodes per axis")
     h = g.h
-    ux = _d_axis(u.values, h, 0)
-    uy = _d_axis(u.values, h, 1)
+    if grad is None:
+        grad = gradient(u)
+    ux, uy = grad.vx, grad.vy
     uxx = _d2_axis(u.values, h, 0)
     uyy = _d2_axis(u.values, h, 1)
     uxy = _d_axis(ux, h, 1)

@@ -149,7 +149,8 @@ def dirichlet_iterate(
     f = evaluate_rhs(spec, u_prev, gradient(u_prev))
     for i in range(1, cfg.max_iters + 1):
         u_next = solver.solve(f, cfg.boundary)
-        f = evaluate_rhs(spec, u_next, gradient(u_next))
+        grad = gradient(u_next)
+        f = evaluate_rhs(spec, u_next, grad)
 
         diff = grid.field(u_next.values - u_prev.values)
         h1_diff = norm_h1semi(diff)
@@ -159,7 +160,7 @@ def dirichlet_iterate(
             IterationRow(
                 i=i,
                 sup_u=norm_sup(u_next),
-                c2alpha_est=c2alpha_estimate(u_next, cfg.norm_cfg),
+                c2alpha_est=c2alpha_estimate(u_next, cfg.norm_cfg, grad),
                 h1_diff=h1_diff,
                 rho_i=rho,
                 residual_sup=res_sup,

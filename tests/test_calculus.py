@@ -240,6 +240,14 @@ def test_pair_geometry_memo_holds_one_entry(monkeypatch):
     assert calculus._pair_geometry(grid, 0.25, 0) is not calculus._pair_geometry(grid, 0.5, 0)
 
 
+def test_c2alpha_with_given_gradient_is_bitwise_equal(unit_square, rng):
+    for h, budget in ((1 / 16, 0), (1 / 64, 20_000)):
+        grid = build_grid(unit_square, h)
+        cfg = NormConfig(alpha=0.5, pair_budget=budget)
+        u = random_smooth(grid, rng)
+        assert c2alpha_estimate(u, cfg, gradient(u)) == c2alpha_estimate(u, cfg)
+
+
 def test_c2alpha_zero_and_linear(unit_grid_16):
     assert c2alpha_estimate(unit_grid_16.zeros(), CFG) == 0.0
     u = unit_grid_16.field_from(lambda x, y: x)

@@ -173,10 +173,13 @@ def test_residual_of_converged_iterate(unit_grid_32):
 
 def test_reported_residual_matches_unfused_residual(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.field_from(lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x)), K=0.2)
-    u, rep = dirichlet_iterate(unit_grid_16, spec, base_cfg())
+    cfg = base_cfg()
+    u, rep = dirichlet_iterate(unit_grid_16, spec, cfg)
     assert rep.outcome == "converged" and len(rep.rows) > 3
     # the loop reuses the f of the next solve; recomputed from u alone it is the same bits
     assert rep.rows[-1].residual_sup == float(np.max(np.abs(residual_field(u, spec).values)))
+    # likewise the gradient it hands to the C^{2,alpha} estimate
+    assert rep.rows[-1].c2alpha_est == c2alpha_estimate(u, cfg.norm_cfg)
 
 
 def test_residual_truncation_order(unit_square):

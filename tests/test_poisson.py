@@ -68,6 +68,45 @@ def test_deterministic_bitwise(unit_grid_16, rng):
     assert np.array_equal(u1.values, u3.values)
 
 
+def scipy_reference(grid, f, bc):
+    """The solve as it was on scipy.fft's DST-I: the bitwise reference."""
+    scipy_fft = pytest.importorskip("scipy.fft")
+
+    def eigenvalues(m):
+        k = np.arange(1, m + 1)
+        return (2.0 - 2.0 * np.cos(np.pi * k / (m + 1))) / (grid.h * grid.h)
+
+    eig = eigenvalues(grid.nx - 2)[:, None] + eigenvalues(grid.ny - 2)[None, :]
+    bvals = bc.values_on(grid)
+    contrib = (
+        bvals[:-2, 1:-1] + bvals[2:, 1:-1] + bvals[1:-1, :-2] + bvals[1:-1, 2:]
+    ) / (grid.h * grid.h)
+    rhs = -f.values[1:-1, 1:-1] + contrib
+    out = bvals.copy()
+    out[1:-1, 1:-1] = scipy_fft.idstn(scipy_fft.dstn(rhs, type=1) / eig, type=1)
+    return out
+
+
+# Interiors (m0, m1): degenerate lanes, lengths 2(m + 1) that are no power of two,
+# one with a large prime factor (2 * 101), and 68x66, whose inverse scale
+# 1/18492 rounds differently through long double than in double arithmetic.
+@pytest.mark.parametrize(
+    "interior", [(1, 1), (1, 5), (6, 1), (2, 7), (9, 19), (29, 13), (17, 4), (100, 37), (68, 66)]
+)
+@pytest.mark.parametrize("prescribed", [False, True])
+def test_bitwise_equal_to_scipy_dst(interior, prescribed, rng):
+    h = 0.125
+    grid = build_grid(Domain.rectangle((interior[0] + 1) * h, (interior[1] + 1) * h), h)
+    assert (grid.nx - 2, grid.ny - 2) == interior
+    f = random_smooth(grid, rng)
+    if prescribed:
+        bc = BoundarySpec.prescribed(grid.field_from(lambda x, y: np.cos(3 * x) + y + 2.0))
+    else:
+        bc = BoundarySpec.homogeneous()
+    u = PoissonSolver(grid).solve(f, bc)
+    assert np.array_equal(u.values, scipy_reference(grid, f, bc))
+
+
 def dense_reference(grid, f, bc):
     """Interior nodes of the 5-point Dirichlet solution from a dense solve (x-major)."""
     mx, my = grid.nx - 2, grid.ny - 2
