@@ -3,8 +3,10 @@
 Gradients are second-order (central inside, one-sided at the boundary);
 integrals use the trapezoidal nodal rule, whose weights make the discrete
 integration-by-parts identity with the 5-point Laplacian exact (see
-``h1_inner``). Hölder-type quantities are estimated over node pairs and are
-lower bounds on their continuum counterparts.
+``h1_inner``). Hölder-type quantities are maxima over the node pairs of a
+fixed set of displacements, each taken on a sub-lattice of bounded size, so
+they are lower bounds on the maxima over all node pairs and on their
+continuum counterparts.
 """
 
 from __future__ import annotations
@@ -18,23 +20,15 @@ import numpy.random  # used by the Λ estimate; loaded with the package, not mid
 from .domain import Domain, Grid, GridField, VectorField, domain_constants
 from .errors import GridTooCoarse, NotConforming
 
-# exhaustive pair enumeration beyond this many nodes is replaced by sampling
-_EXHAUSTIVE_NODE_LIMIT = 33 * 33
-_DEFAULT_PAIR_BUDGET = 200_000
-
-
 @dataclass(frozen=True)
 class NormConfig:
-    """Hölder exponent and pair-sampling budget (0 = exhaustive on small grids)."""
+    """Hölder exponent of the C^alpha and C^{2,alpha} estimates."""
 
     alpha: float = 0.5
-    pair_budget: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.pair_budget < 0:
-            raise ValueError("pair_budget must be >= 0")
 
 
 def _d_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -160,80 +154,63 @@ def h1_inner(u: GridField, v: GridField) -> float:
 # Hölder estimators
 # ---------------------------------------------------------------------------
 
-_PLASTIC = 1.3247179572447460260  # real root of t^3 = t + 1
+# Hölder maxima run over node displacements 2**k * e, k >= 0: every e with
+# |e|_inf <= 2 at k = 0 and 1 < |e|_inf <= 2 above, one of each pair +-e, plus
+# the full-extent axis and diagonal displacements, which make linear fields
+# along an axis or a diagonal exact. Each displacement is evaluated on a
+# sub-lattice of at most _MAX_PAIRS node pairs, so a field costs O(log n) slices.
+_BASE_STEPS = tuple((i, j) for i in range(3) for j in range(-2, 3) if i > 0 or j > 0)
+_RING_STEPS = tuple(e for e in _BASE_STEPS if max(abs(e[0]), abs(e[1])) == 2)
+_MAX_PAIRS = 1 << 12
 
 
-def _sample_pairs(grid: Grid, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic stratified pair sample: all axis-adjacent pairs plus a
-    low-discrepancy spread of long-range pairs, truncated to the budget."""
-    nx, ny = grid.shape
-    n = nx * ny
-    idx = np.arange(n).reshape(nx, ny)
-    adj = [
-        np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1),
-        np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1),
-    ]
-    adjacent = np.concatenate(adj, axis=0)
-    m = max(budget - adjacent.shape[0], budget // 2)
-    t = np.arange(1, m + 1, dtype=float)
-    a = np.floor(((t / _PLASTIC) % 1.0) * n).astype(np.int64)
-    b = np.floor(((t / _PLASTIC**2) % 1.0) * n).astype(np.int64)
-    keep = a != b
-    pairs = np.concatenate([adjacent, np.stack([a[keep], b[keep]], axis=1)], axis=0)
-    if pairs.shape[0] > budget:
-        pairs = pairs[:budget]
-    return pairs[:, 0], pairs[:, 1]
+def _displacements(nx: int, ny: int) -> list[tuple[int, int]]:
+    """The displacement set of an nx-by-ny node grid (first entry >= 0)."""
+    out = {(nx - 1, 0), (0, ny - 1), (nx - 1, ny - 1), (nx - 1, 1 - ny)}
+    steps, scale = _BASE_STEPS, 1
+    while True:
+        fit = [(scale * i, scale * j) for i, j in steps if scale * i < nx and scale * abs(j) < ny]
+        if not fit:
+            return sorted(out)
+        out.update(fit)
+        steps, scale = _RING_STEPS, 2 * scale
 
 
-_PairGeometry = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-# The last geometry built, as (key, geometry). A command works on one grid at a
-# time, so one entry serves every Hölder maximum of that grid.
-_geometry_memo: tuple[tuple, _PairGeometry] | None = None
-
-
-def _read_only_copy(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr)
-    out.flags.writeable = False
-    return out
+def _stride(mx: int, my: int) -> int:
+    """Smallest stride s with ceil(mx / s) * ceil(my / s) <= _MAX_PAIRS."""
+    s = max(1, math.isqrt(mx * my // _MAX_PAIRS))
+    while -(-mx // s) * -(-my // s) > _MAX_PAIRS:
+        s += 1
+    return s
 
 
-def _pair_geometry(grid: Grid, alpha: float, pair_budget: int) -> _PairGeometry:
-    """Node pairs (a, b) of the Hölder maxima and |x_a - x_b|**alpha: every pair
-    on small grids when pair_budget is 0, else the deterministic sample.
+def _pair_slices(n: int, d: int, s: int) -> tuple[slice, slice]:
+    """Along one axis of n nodes: the nodes i + d and i of the pairs, stride s."""
+    return (slice(d, n, s), slice(0, n - d, s)) if d >= 0 else (slice(0, n + d, s), slice(-d, n, s))
 
-    The result is memoized for the last (grid, alpha, pair_budget) seen and is
-    read-only. The key holds the node coordinates themselves, not (h, shape):
-    the distances come from absolute coordinates, so the origin moves round-off.
+
+def _holder_max(values: np.ndarray, h: float, alpha: float) -> float:
+    """max |v(a) - v(b)| / |a - b|**alpha over the node pairs of the displacement set.
+
+    Each displacement's largest difference is divided once by its distance;
+    rounding is monotone, so that is the maximum of the pairwise quotients.
     """
-    global _geometry_memo
-    key = (grid.x.tobytes(), grid.y.tobytes(), alpha, pair_budget)
-    if _geometry_memo is not None and _geometry_memo[0] == key:
-        return _geometry_memo[1]
-    _geometry_memo = None  # free the old arrays before the new ones are built
-    n = grid.nx * grid.ny
-    if pair_budget == 0 and n <= _EXHAUSTIVE_NODE_LIMIT:
-        a, b = np.triu_indices(n, k=1)
-    else:
-        a, b = _sample_pairs(grid, pair_budget if pair_budget > 0 else _DEFAULT_PAIR_BUDGET)
-    X, Y = grid.meshgrid()
-    px, py = X.ravel(), Y.ravel()
-    dist_alpha = np.hypot(px[a] - px[b], py[a] - py[b]) ** alpha
-    # owned copies: the sampled a, b are views into a much larger pair array
-    geometry = (_read_only_copy(a), _read_only_copy(b), _read_only_copy(dist_alpha))
-    _geometry_memo = (key, geometry)
-    return geometry
-
-
-def _pair_ratio_max(values: np.ndarray, geometry: _PairGeometry) -> float:
-    a, b, dist_alpha = geometry
-    flat = values.ravel()
-    return float(np.max(np.abs(flat[a] - flat[b]) / dist_alpha)) if a.size else 0.0
+    nx, ny = values.shape
+    disps = _displacements(nx, ny)
+    diffs = np.empty(len(disps))
+    for k, (di, dj) in enumerate(disps):
+        s = _stride(nx - di, ny - abs(dj))
+        xa, xb = _pair_slices(nx, di, s)
+        ya, yb = _pair_slices(ny, dj, s)
+        diffs[k] = np.max(np.abs(values[xa, ya] - values[xb, yb]))
+    dist = h * np.hypot(*np.array(disps, dtype=float).T)
+    return float(np.max(diffs / dist**alpha))
 
 
 def holder_seminorm(u: GridField, cfg: NormConfig) -> float:
-    """max over node pairs of |u(x) - u(y)| / |x - y|^alpha (a lower bound)."""
-    return _pair_ratio_max(u.values, _pair_geometry(u.grid, cfg.alpha, cfg.pair_budget))
+    """Hölder seminorm [u]_alpha, maximised over the node pairs of a displacement
+    set (see ``_holder_max``): a lower bound on the maximum over all node pairs."""
+    return _holder_max(u.values, u.grid.h, cfg.alpha)
 
 
 def holder_norm(u: GridField, cfg: NormConfig) -> float:
@@ -258,10 +235,9 @@ def c2alpha_estimate(u: GridField, cfg: NormConfig, grad: VectorField | None = N
     uxy = _d_axis(ux, h, 1)
     total = float(np.max(np.abs(u.values)))
     total += float(np.max(np.abs(ux))) + float(np.max(np.abs(uy)))
-    geometry = _pair_geometry(g, cfg.alpha, cfg.pair_budget)
     for d2 in (uxx, uxy, uyy):
         total += float(np.max(np.abs(d2)))
-        total += _pair_ratio_max(d2, geometry)
+        total += _holder_max(d2, h, cfg.alpha)
     return total
 
 

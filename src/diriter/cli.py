@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import json
@@ -107,34 +108,50 @@ def _field_from_expr(sec, key: str, grid: Grid, default: str | None = None) -> G
     return grid.field_from(fn)
 
 
+@contextlib.contextmanager
+def _rejected_values(section: str):
+    """Report a configured value that a constructor rejects as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def build_domain(cfg: configparser.ConfigParser) -> Domain:
     sec = _section(cfg, "domain")
     kind = sec.get("kind", "rectangle").strip()
-    if kind == "rectangle":
-        return Domain.rectangle(_get_float(sec, "a"), _get_float(sec, "b"))
-    if kind in ("strip", "strip-truncation"):
-        return Domain.strip_truncation(_get_float(sec, "d"), _get_float(sec, "n_trunc"))
+    with _rejected_values("domain"):
+        if kind == "rectangle":
+            return Domain.rectangle(_get_float(sec, "a"), _get_float(sec, "b"))
+        if kind in ("strip", "strip-truncation"):
+            return Domain.strip_truncation(_get_float(sec, "d"), _get_float(sec, "n_trunc"))
     raise ConfigError(f"[domain] unknown kind {kind!r}")
+
+
+def _build_grid(domain: Domain, h: float) -> Grid:
+    with _rejected_values("grid"):
+        return build_grid(domain, h)
 
 
 def build_rhs(cfg: configparser.ConfigParser, grid: Grid) -> RhsSpec:
     sec = _section(cfg, "rhs")
     variant = sec.get("variant", "").strip()
-    if variant == "grad_lipschitz":
-        return GradLipschitz(
-            h=_field_from_expr(sec, "h", grid, default="0"),
-            K=_get_float(sec, "K", 0.0),
-            m=_get_float(sec, "m", 2.0),
-        )
-    if variant == "gamma_g":
-        return GammaG(
-            gamma=_field_from_expr(sec, "gamma", grid),
-            h=_field_from_expr(sec, "h", grid, default="0"),
-            m=_get_float(sec, "m", 2.0),
-            k=_get_float(sec, "k", 1.0),
-        )
-    if variant == "mean_curvature":
-        return MeanCurvature(H=_field_from_expr(sec, "H", grid), n=_get_int(sec, "n", 2))
+    with _rejected_values("rhs"):
+        if variant == "grad_lipschitz":
+            return GradLipschitz(
+                h=_field_from_expr(sec, "h", grid, default="0"),
+                K=_get_float(sec, "K", 0.0),
+                m=_get_float(sec, "m", 2.0),
+            )
+        if variant == "gamma_g":
+            return GammaG(
+                gamma=_field_from_expr(sec, "gamma", grid),
+                h=_field_from_expr(sec, "h", grid, default="0"),
+                m=_get_float(sec, "m", 2.0),
+                k=_get_float(sec, "k", 1.0),
+            )
+        if variant == "mean_curvature":
+            return MeanCurvature(H=_field_from_expr(sec, "H", grid), n=_get_int(sec, "n", 2))
     raise ConfigError(f"[rhs] unknown variant {variant!r} "
                       "(expected grad_lipschitz | gamma_g | mean_curvature)")
 
@@ -156,12 +173,11 @@ def build_iteration_config(
         if "phi" in it:
             boundary = BoundarySpec.prescribed(_field_from_expr(it, "phi", grid))
 
-    alpha, budget = 0.5, 0
+    alpha = 0.5
     lam_value: float | None = None
     lam_trials, lam_seed = 3, 0
     if an:
         alpha = _get_float(an, "alpha", 0.5)
-        budget = _get_int(an, "pair_budget", 0)
         lam_text = an.get("lambda", "estimate").strip()
         if lam_text != "estimate":
             try:
@@ -173,17 +189,20 @@ def build_iteration_config(
     if seed_override is not None:
         lam_seed = seed_override
 
-    return IterationConfig(
-        max_iters=max_iters,
-        h1_tol=h1_tol,
-        blowup_sup=blowup,
-        boundary=boundary,
-        start=start,
-        norm_cfg=NormConfig(alpha=alpha, pair_budget=budget),
-        lambda_value=lam_value,
-        lambda_trials=lam_trials,
-        lambda_seed=lam_seed,
-    )
+    with _rejected_values("analysis"):
+        norm_cfg = NormConfig(alpha=alpha)
+    with _rejected_values("iteration"):
+        return IterationConfig(
+            max_iters=max_iters,
+            h1_tol=h1_tol,
+            blowup_sup=blowup,
+            boundary=boundary,
+            start=start,
+            norm_cfg=norm_cfg,
+            lambda_value=lam_value,
+            lambda_trials=lam_trials,
+            lambda_seed=lam_seed,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +299,7 @@ def write_solution(path: Path, u: GridField) -> None:
 
 def cmd_solve(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
     domain = build_domain(cfg)
-    grid = build_grid(domain, _get_float(_section(cfg, "grid"), "h"))
+    grid = _build_grid(domain, _get_float(_section(cfg, "grid"), "h"))
     spec = build_rhs(cfg, grid)
     it_cfg = build_iteration_config(cfg, grid, seed)
 
@@ -366,7 +385,7 @@ def run_sweep(
 
 def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
     domain = build_domain(cfg)
-    grid = build_grid(domain, _get_float(_section(cfg, "grid"), "h"))
+    grid = _build_grid(domain, _get_float(_section(cfg, "grid"), "h"))
     spec = build_rhs(cfg, grid)
     it_cfg = build_iteration_config(cfg, grid, seed)
     sw = _section(cfg, "sweep")
@@ -390,7 +409,7 @@ def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> in
 
 def cmd_poincare(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
     domain = build_domain(cfg)
-    grid = build_grid(domain, _get_float(_section(cfg, "grid"), "h"))
+    grid = _build_grid(domain, _get_float(_section(cfg, "grid"), "h"))
     if cfg.has_section("iteration") and "phi" in cfg["iteration"]:
         phi = _field_from_expr(cfg["iteration"], "phi", grid)
         if np.max(np.abs(phi.values[grid.boundary_mask()])) > 0:
@@ -422,17 +441,20 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
     compact_tol = _get_float(ex, "compact_tol", 1e-6)
     h = _get_float(_section(cfg, "grid"), "h")
 
-    big = build_grid(Domain.strip_truncation(d, n_max), h)
+    with _rejected_values("exhaustion"):
+        big_domain = Domain.strip_truncation(d, n_max)
+    big = _build_grid(big_domain, h)
     spec = build_rhs(cfg, big)
     it_cfg = build_iteration_config(cfg, big, seed)
-    ex_cfg = ExhaustionConfig(
-        d=d,
-        n_start=n_start,
-        n_max=n_max,
-        compact_halfwidth=halfwidth,
-        compact_tol=compact_tol,
-        iteration=it_cfg,
-    )
+    with _rejected_values("exhaustion"):
+        ex_cfg = ExhaustionConfig(
+            d=d,
+            n_start=n_start,
+            n_max=n_max,
+            compact_halfwidth=halfwidth,
+            compact_tol=compact_tol,
+            iteration=it_cfg,
+        )
     try:
         result = exhaustion_solve(spec, ex_cfg, h)
     except IterationFailure as exc:
@@ -470,20 +492,20 @@ def cmd_schauder(cfg: configparser.ConfigParser, out: Path, seed: int | None) ->
         base_seed = seed
     an = cfg["analysis"] if cfg.has_section("analysis") else {}
     alpha = _get_float(an, "alpha", 0.5) if an else 0.5
-    budget = _get_int(an, "pair_budget", 0) if an else 0
-    norm_cfg = NormConfig(alpha=alpha, pair_budget=budget)
+    with _rejected_values("analysis"):
+        norm_cfg = NormConfig(alpha=alpha)
     h = _get_float(_section(cfg, "grid"), "h")
 
     rows = []
     if sc and "n_list" in sc:
         d = _get_float(sc, "d")
-        n_list = [int(tok) for tok in sc.get("n_list").replace(",", " ").split()]
+        with _rejected_values("schauder"):
+            n_list = [int(tok) for tok in sc.get("n_list").replace(",", " ").split()]
         probe = schauder_uniformity_probe(d, n_list, norm_cfg, trials, base_seed, h)
         rows = [[n, est] for n, est in zip(probe["n_list"], probe["estimates"])]
         summary = {"max": probe["max"], "ratio_max_min": probe["max"] / min(probe["estimates"])}
     else:
-        domain = build_domain(cfg)
-        grid = build_grid(domain, h)
+        grid = _build_grid(build_domain(cfg), h)
         est = estimate_schauder_constant(grid, norm_cfg, trials, base_seed)
         rows = [["domain", est]]
         summary = {"max": est}

@@ -170,10 +170,11 @@ def dirichlet_iterate(
         if h1_diff <= cfg.h1_tol:
             return u_next, report("converged")
 
-        # written so that a NaN sup norm counts as a blow-up
-        if not rows[-1].sup_u <= cfg.blowup_sup:
+        # written so that a NaN sup norm counts as a blow-up; a non-finite
+        # residual means f(u_next) is not finite, which the next solve cannot take
+        if not (rows[-1].sup_u <= cfg.blowup_sup and np.isfinite(res_sup)):
             raise IterationDiverged(
-                f"sup blow-up at iteration {i}: {rows[-1].sup_u:.3e}",
+                f"blow-up at iteration {i}: sup|u| {rows[-1].sup_u:.3e}, residual {res_sup:.3e}",
                 report=report("diverged"),
                 last_iterate=u_next,
             )

@@ -120,7 +120,7 @@ class PoissonSolver:
         if tol is None:
             tol = 1e-10 * (1.0 + float(np.max(np.abs(f.values))))
         res = float(np.max(np.abs(laplacian_apply(u).values[1:-1, 1:-1] - f.values[1:-1, 1:-1])))
-        if res > tol:
+        if not res <= tol:  # a NaN residual fails too
             raise NoConvergence(
                 f"direct solve residual {res:.3e} exceeds tolerance {tol:.3e}", residual=res
             )

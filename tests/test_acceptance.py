@@ -18,7 +18,6 @@ from diriter import (
     GradLipschitz,
     IterationConfig,
     MeanCurvature,
-    NormConfig,
     arc_solution,
     build_grid,
     dirichlet_iterate,
@@ -35,7 +34,6 @@ from diriter.errors import IterationFailure
 
 from property_suites import ALL_SUITES
 
-FAST = NormConfig(alpha=0.5, pair_budget=20_000)
 UNIT = Domain.rectangle(1.0, 1.0)
 
 
@@ -111,7 +109,7 @@ def test_criterion_3_fixed_point_closed_form():
 def criterion_4_run():
     grid = build_grid(UNIT, 1.0 / 64)
     spec = GradLipschitz(h=grid.constant(1.0), K=0.05, m=2.0)
-    cfg = IterationConfig(h1_tol=1e-12, max_iters=80, lambda_value=2.0, norm_cfg=FAST)
+    cfg = IterationConfig(h1_tol=1e-12, max_iters=80, lambda_value=2.0)
     u, rep = dirichlet_iterate(grid, spec, cfg)
     return grid, spec, cfg, u, rep
 
@@ -132,7 +130,7 @@ def test_criterion_4_contraction_realized():
 def test_criterion_5_gamma_g_run_and_threshold():
     grid = build_grid(UNIT, 1.0 / 32)
     spec = GammaG(gamma=grid.constant(0.1), h=grid.constant(1.0), m=2.0, k=1.0)
-    cfg = IterationConfig(h1_tol=1e-12, max_iters=60, lambda_value=2.0, norm_cfg=FAST)
+    cfg = IterationConfig(h1_tol=1e-12, max_iters=60, lambda_value=2.0)
     _, rep = dirichlet_iterate(grid, spec, cfg)
     assert rep.outcome == "converged"
     rhos = [r.rho_i for r in rep.rows if r.rho_i is not None]
@@ -166,7 +164,7 @@ def test_criterion_6_mce_arc_benchmark():
 
     grid = build_grid(Domain.strip_truncation(d, 4.0), 1.0 / 64)
     spec = MeanCurvature(H=grid.constant(H), n=2)
-    cfg = IterationConfig(h1_tol=1e-12, max_iters=80, lambda_value=2.0, norm_cfg=FAST)
+    cfg = IterationConfig(h1_tol=1e-12, max_iters=80, lambda_value=2.0)
     u, rep = dirichlet_iterate(grid, spec, cfg)
     assert rep.outcome == "converged"
     cols = np.abs(grid.x) <= 4.0 / 3.0 + 1e-12
@@ -181,7 +179,7 @@ def test_criterion_6_mce_arc_benchmark():
 def _mce_threshold(domain):
     grid = build_grid(domain, 1.0 / 32)
     spec = MeanCurvature(H=grid.constant(1.0), n=2)
-    cfg = IterationConfig(h1_tol=1e-12, max_iters=60, lambda_value=2.0, norm_cfg=FAST)
+    cfg = IterationConfig(h1_tol=1e-12, max_iters=60, lambda_value=2.0)
     values = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
     sweep = run_sweep(grid, spec, cfg, "H_amplitude", values)
     return sweep["threshold"], [row[1] for row in sweep["rows"]]
@@ -202,7 +200,7 @@ def test_criterion_8_exhaustion_tails():
     d, h = 1.0, 1.0 / 16
     cfg = ExhaustionConfig(
         d=d, n_start=3, n_max=8, compact_halfwidth=2.0, compact_tol=1e-6,
-        iteration=IterationConfig(h1_tol=1e-12, max_iters=40, lambda_value=2.0, norm_cfg=FAST),
+        iteration=IterationConfig(h1_tol=1e-12, max_iters=40, lambda_value=2.0),
     )
     big = build_grid(Domain.strip_truncation(d, cfg.n_max), h)
     spec = GradLipschitz(h=big.constant(1.0), K=0.0, m=2.0)

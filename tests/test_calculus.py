@@ -179,8 +179,15 @@ def test_holder_linear_slice():
     # attained at the full-width axis pair (brute force over all pairs)
     grid = build_grid(Domain.rectangle(1, 1), 0.125)
     u = grid.field_from(lambda x, y: x)
-    val = holder_seminorm(u, NormConfig(alpha=0.5, pair_budget=0))
+    val = holder_seminorm(u, CFG)
     assert math.isclose(val, 1.0, rel_tol=1e-12)
+
+
+def test_holder_linear_on_long_extent():
+    # the full-extent pair (0, y)-(3, y) gives 3 / sqrt(3) on any extent
+    grid = build_grid(Domain.rectangle(3, 1), 0.125)
+    u = grid.field_from(lambda x, y: x)
+    assert math.isclose(holder_seminorm(u, CFG), math.sqrt(3.0), rel_tol=1e-12)
 
 
 def test_holder_homogeneous(unit_grid_16, rng):
@@ -191,61 +198,53 @@ def test_holder_homogeneous(unit_grid_16, rng):
     )
 
 
-def test_holder_sampled_close_to_exhaustive(unit_grid_16, rng):
-    u = random_smooth(unit_grid_16, rng)
-    full = holder_seminorm(u, NormConfig(alpha=0.5, pair_budget=0))
-    sampled = holder_seminorm(u, NormConfig(alpha=0.5, pair_budget=40_000))
-    assert sampled <= full * (1 + 1e-12)
-    assert sampled >= 0.7 * full
-
-
-def _fresh_pair_geometry(grid, alpha, pair_budget):
-    """The pair geometry as built before it was memoized: the reference."""
-    n = grid.nx * grid.ny
-    if pair_budget == 0 and n <= 33 * 33:
-        a, b = np.triu_indices(n, k=1)
-    else:
-        a, b = calculus._sample_pairs(grid, pair_budget or 200_000)
+def _all_pairs_holder(grid, values, alpha):
+    """max |v(p) - v(q)| / |p - q|**alpha over every pair of nodes: the reference."""
     X, Y = grid.meshgrid()
-    px, py = X.ravel(), Y.ravel()
-    return a, b, np.hypot(px[a] - px[b], py[a] - py[b]) ** alpha
+    x, y, v = X.ravel(), Y.ravel(), values.ravel()
+    best = 0.0
+    for k in range(v.size - 1):
+        dist = np.hypot(x[k + 1 :] - x[k], y[k + 1 :] - y[k])
+        best = max(best, float(np.max(np.abs(v[k + 1 :] - v[k]) / dist**alpha)))
+    return best
 
 
-@pytest.mark.parametrize(
-    "extent, h, budget",
-    [((1, 1), 1 / 16, 0), ((1, 1), 1 / 64, 0), ((1, 1), 1 / 64, 20_000), ((4, 1), 0.125, 0)],
-)
-def test_pair_geometry_memo_matches_fresh_build(monkeypatch, extent, h, budget):
-    monkeypatch.setattr(calculus, "_geometry_memo", None)
-    grid = build_grid(Domain.rectangle(*extent), h)
-    first = calculus._pair_geometry(grid, 0.5, budget)
-    again = calculus._pair_geometry(grid, 0.5, budget)
-    assert again is first
-    for got, ref in zip(first, _fresh_pair_geometry(grid, 0.5, budget)):
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        assert got.flags.owndata and not got.flags.writeable
+def test_holder_sampled_close_to_exhaustive(rng):
+    # the displacement set is a subset of all pairs: never above the all-pairs
+    # maximum, and close to it on smooth fields
+    for extent, h in (((1, 1), 1 / 8), ((1, 1), 1 / 16), ((1, 1), 1 / 32), ((3, 1), 1 / 8)):
+        grid = build_grid(Domain.rectangle(*extent), h)
+        for _ in range(3):
+            u = random_smooth(grid, rng)
+            ref = _all_pairs_holder(grid, u.values, 0.5)
+            assert 0.9 * ref <= holder_seminorm(u, CFG) <= ref * (1 + 1e-12)
+            uxx = calculus._d2_axis(u.values, h, 0)
+            uxy = calculus._d_axis(gradient(u).vx, h, 1)
+            noise = rng.standard_normal(grid.shape)
+            for v in (uxx, uxy, noise):
+                ref = _all_pairs_holder(grid, v, 0.5)
+                assert holder_seminorm(grid.field(v), CFG) <= ref * (1 + 1e-12)
 
 
-def test_pair_geometry_memo_holds_one_entry(monkeypatch):
-    monkeypatch.setattr(calculus, "_geometry_memo", None)
-    grid = build_grid(Domain.rectangle(1, 1), 1 / 16)
-    # same shape and spacing, shifted origin: a different grid for the key
-    shifted = build_grid(Domain.strip_truncation(1, 0.5), 1 / 16)
-    assert shifted.shape == grid.shape and shifted.h == grid.h
-    first = calculus._pair_geometry(grid, 0.5, 0)
-    other = calculus._pair_geometry(shifted, 0.5, 0)
-    assert other is not first
-    assert calculus._geometry_memo[1] is other
-    assert calculus._pair_geometry(grid, 0.5, 0) is not first
-    assert calculus._pair_geometry(grid, 0.25, 0) is not calculus._pair_geometry(grid, 0.5, 0)
+def test_holder_on_strip_sees_pairs_across_the_strip():
+    # on the long strip grid a field that varies only in y must be measured
+    # along y; the reference is every pair of one column
+    grid = build_grid(Domain.strip_truncation(1, 4), 1 / 256)
+    assert grid.shape == (2049, 257)
+    u = grid.field_from(lambda x, y: np.sin(np.pi * (y + 0.5)))
+    y, v = grid.y, u.values[0]
+    ref = max(
+        float(np.max(np.abs(v[k + 1 :] - v[k]) / (y[k + 1 :] - y[k]) ** 0.5))
+        for k in range(v.size - 1)
+    )
+    assert 0.9 * ref <= holder_seminorm(u, CFG) <= ref * (1 + 1e-12)
 
 
 def test_c2alpha_with_given_gradient_is_bitwise_equal(unit_square, rng):
-    for h, budget in ((1 / 16, 0), (1 / 64, 20_000)):
+    for h in (1 / 16, 1 / 64):
         grid = build_grid(unit_square, h)
-        cfg = NormConfig(alpha=0.5, pair_budget=budget)
         u = random_smooth(grid, rng)
-        assert c2alpha_estimate(u, cfg, gradient(u)) == c2alpha_estimate(u, cfg)
+        assert c2alpha_estimate(u, CFG, gradient(u)) == c2alpha_estimate(u, CFG)
 
 
 def test_c2alpha_zero_and_linear(unit_grid_16):

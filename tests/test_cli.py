@@ -30,7 +30,6 @@ h1_tol = 1e-12
 
 [analysis]
 alpha = 0.5
-pair_budget = 20000
 lambda = 2.0
 """
 
@@ -153,6 +152,25 @@ def test_bad_expression_reports_usage_error(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("solve", "alpha = 0.5", "alpha = 2"),
+        ("solve", "h = 0.0625", "h = -1"),
+        ("solve", "K = 0\n", "K = -1\n"),
+        ("solve", "max_iters = 60", "max_iters = 0"),
+        ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\nd = 1\nn_list = 2 x\n"),
+    ],
+    ids=["alpha", "h", "K", "max_iters", "n_list"],
+)
+def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old, new):
+    assert BASE.count(old) == 1
+    cfg = write_cfg(tmp_path, BASE.replace(old, new))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_sweep_k_rows_and_threshold(tmp_path):
     text = BASE + "\n[sweep]\nparameter = K\nvalues = 0.0, 0.02, 0.05\n"
     cfg = write_cfg(tmp_path, text)
@@ -263,7 +281,6 @@ h1_tol = 1e-12
 
 [analysis]
 alpha = 0.5
-pair_budget = 20000
 lambda = 2.0
 
 [exhaustion]
@@ -303,7 +320,6 @@ K = 0
 
 [analysis]
 lambda = 2.0
-pair_budget = 20000
 
 [exhaustion]
 d = 1

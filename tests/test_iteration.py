@@ -11,7 +11,6 @@ from diriter import (
     IterationDiverged,
     IterationMaxIters,
     MeanCurvature,
-    NormConfig,
     NotConforming,
     build_grid,
     c2alpha_estimate,
@@ -26,11 +25,10 @@ from diriter import (
 from diriter.calculus import random_trig_polynomial
 from diriter.errors import IterationFailure
 
-FAST = NormConfig(alpha=0.5, pair_budget=20_000)
 
 
 def base_cfg(**kw):
-    defaults = dict(h1_tol=1e-12, max_iters=80, lambda_value=2.0, norm_cfg=FAST)
+    defaults = dict(h1_tol=1e-12, max_iters=80, lambda_value=2.0)
     defaults.update(kw)
     return IterationConfig(**defaults)
 
@@ -113,7 +111,7 @@ def test_mce_blowup_diverges(unit_grid_32):
 
 def test_nan_iterate_diverges(unit_grid_16):
     # finite data; g is NaN off [0, 2] and the first iterate is negative inside,
-    # so f and every later iterate are NaN
+    # so f at the first iterate is NaN and the loop stops before solving with it
     def g(s):
         s = np.asarray(s, dtype=float)
         return np.where((s >= 0.0) & (s <= 2.0), 0.5 * s * s, np.nan)
@@ -127,7 +125,7 @@ def test_nan_iterate_diverges(unit_grid_16):
         dirichlet_iterate(unit_grid_16, spec, base_cfg(max_iters=20))
     rows = exc_info.value.report.rows
     assert exc_info.value.report.outcome == "diverged"
-    assert len(rows) == 2 and math.isfinite(rows[0].sup_u) and math.isnan(rows[1].sup_u)
+    assert len(rows) == 1 and math.isfinite(rows[0].sup_u) and math.isnan(rows[0].residual_sup)
 
 
 def test_rejects_unknown_kappa_kind():

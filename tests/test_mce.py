@@ -10,7 +10,6 @@ from diriter import (
     InvalidArc,
     IterationConfig,
     MeanCurvature,
-    NormConfig,
     arc_solution,
     build_grid,
     dirichlet_iterate,
@@ -18,7 +17,6 @@ from diriter import (
     residual_field,
 )
 
-FAST = NormConfig(alpha=0.5, pair_budget=20_000)
 
 
 def bvp_oracle(d, H, n_nodes=400):
@@ -130,7 +128,7 @@ def test_iterated_solution_matches_arc_middle_third():
     for n_trunc in (3.0, 4.0, 5.0):
         grid = build_grid(Domain.strip_truncation(d, n_trunc), 1.0 / 32)
         spec = MeanCurvature(H=grid.constant(H), n=2)
-        cfg = IterationConfig(h1_tol=1e-12, max_iters=60, lambda_value=2.0, norm_cfg=FAST)
+        cfg = IterationConfig(h1_tol=1e-12, max_iters=60, lambda_value=2.0)
         u, rep = dirichlet_iterate(grid, spec, cfg)
         assert rep.outcome == "converged"
         cols = np.abs(grid.x) <= n_trunc / 3.0 + 1e-12
@@ -144,7 +142,7 @@ def test_iterated_solution_matches_arc_middle_third():
 def test_converged_iterate_divergence_residual():
     grid = build_grid(Domain.strip_truncation(1.0, 3.0), 1.0 / 32)
     spec = MeanCurvature(H=grid.constant(0.2), n=2)
-    cfg = IterationConfig(h1_tol=1e-12, max_iters=60, lambda_value=2.0, norm_cfg=FAST)
+    cfg = IterationConfig(h1_tol=1e-12, max_iters=60, lambda_value=2.0)
     u, _ = dirichlet_iterate(grid, spec, cfg)
     res = np.max(np.abs(mc_divergence_residual(u, spec.H, 2).values))
     assert res <= 5 * grid.h**2

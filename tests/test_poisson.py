@@ -7,6 +7,7 @@ from diriter import (
     BoundarySpec,
     Domain,
     LinearSolveConfig,
+    NoConvergence,
     PoissonSolver,
     build_grid,
     lift_boundary,
@@ -188,6 +189,14 @@ def test_residual_tolerance_enforced(unit_grid_16):
         - 4 * u.values[1:-1, 1:-1]
     ) / h2
     assert np.max(np.abs(lap - f.values[1:-1, 1:-1])) <= 1e-8
+
+
+def test_nan_rhs_raises(unit_grid_16):
+    f, _ = manufactured(unit_grid_16)
+    values = f.values.copy()
+    values[5, 7] = np.nan
+    with pytest.raises(NoConvergence):
+        solve_dirichlet(unit_grid_16, unit_grid_16.field(values))
 
 
 # --- boundary lift ----------------------------------------------------------

@@ -14,7 +14,6 @@ from diriter import (
 )
 from diriter.slab import compact_values, exhaustion_solve, restrict_field
 
-FAST = NormConfig(alpha=0.5, pair_budget=20_000)
 H_GRID = 1.0 / 16
 
 
@@ -24,7 +23,7 @@ def y_only_spec(d, n_max, h):
 
 
 def iteration_cfg():
-    return IterationConfig(h1_tol=1e-12, max_iters=60, lambda_value=2.0, norm_cfg=FAST)
+    return IterationConfig(h1_tol=1e-12, max_iters=60, lambda_value=2.0)
 
 
 def test_restrict_field_slices_nodewise():
@@ -118,7 +117,7 @@ def test_exhaustion_config_validation():
 def test_probe_singleton_matches_direct():
     from diriter import estimate_schauder_constant
 
-    cfg = NormConfig(alpha=0.5, pair_budget=20_000)
+    cfg = NormConfig(alpha=0.5)
     probe = schauder_uniformity_probe(1.0, [2], cfg, trials=2, seed=9, h=H_GRID)
     grid = build_grid(Domain.strip_truncation(1.0, 2), H_GRID)
     direct = estimate_schauder_constant(grid, cfg, 2, 9)
@@ -127,7 +126,7 @@ def test_probe_singleton_matches_direct():
 
 
 def test_probe_deterministic_and_finite():
-    cfg = NormConfig(alpha=0.5, pair_budget=20_000)
+    cfg = NormConfig(alpha=0.5)
     a = schauder_uniformity_probe(1.0, [2, 4], cfg, trials=2, seed=1, h=H_GRID)
     b = schauder_uniformity_probe(1.0, [2, 4], cfg, trials=2, seed=1, h=H_GRID)
     assert a["estimates"] == b["estimates"]
