@@ -6,7 +6,12 @@ integration-by-parts identity with the 5-point Laplacian exact (see
 ``h1_inner``). Hölder-type quantities are maxima over the node pairs of a
 fixed set of displacements, each taken on a sub-lattice of bounded size, so
 they are lower bounds on the maxima over all node pairs and on their
-continuum counterparts.
+continuum counterparts. Sup norms are ``max(max v, -min v)`` (``sup_abs``):
+two reads of the array and no ``|v|`` temporary, equal to ``max |v|`` to the
+bit, NaN and signed zeros included.
+
+Operators return fields that own fresh read-only arrays (``Grid._own``), so
+no result is copied on its way out.
 """
 
 from __future__ import annotations
@@ -31,42 +36,100 @@ class NormConfig:
             raise ValueError("alpha must lie in (0, 1)")
 
 
-def _d_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second-order first derivative along one axis."""
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+# The difference operators below run their interior stencil on the flattened
+# (C-order) node array: a neighbour along axis 0 sits ny entries away, one
+# along axis 1 a single entry away, so each term is one contiguous pass
+# instead of one pass per grid row. Along axis 1 the flat range also covers
+# the boundary columns, where the stencil wraps into the next row; those
+# entries are overwritten by the one-sided formulas.
 
 
-def _d2_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second-order second derivative along one axis (needs >= 4 nodes)."""
+def _d_axis(values: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Second-order first derivative along one axis, written into ``out``
+    (C-contiguous; a fresh array by default), which is returned."""
+    if out is None:
+        out = np.empty(values.shape)
+    k = values.shape[1] if axis == 0 else 1  # flat offset of one node step
+    v = values.reshape(-1)
+    inner = out.reshape(-1)[k:-k]
+    np.subtract(v[2 * k :], v[: -2 * k], out=inner)
+    inner /= 2.0 * h
     v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
+    o = np.moveaxis(out, axis, 0)
+    o[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    o[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return out
+
+
+def _d2_axis(values: np.ndarray, h: float, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Second-order second derivative along one axis (needs >= 4 nodes), written
+    into ``out`` (C-contiguous; a fresh array by default), which is returned."""
+    if out is None:
+        out = np.empty(values.shape)
     h2 = h * h
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
-    return np.moveaxis(out, 0, axis)
+    k = values.shape[1] if axis == 0 else 1  # flat offset of one node step
+    v = values.reshape(-1)
+    inner = out.reshape(-1)[k:-k]
+    np.multiply(v[k:-k], 2.0, out=inner)
+    np.subtract(v[2 * k :], inner, out=inner)
+    inner += v[: -2 * k]
+    inner /= h2
+    v = np.moveaxis(values, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    o[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
+    o[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
+    return out
 
 
 def gradient(u: GridField) -> VectorField:
     """Nodal gradient: central differences inside, one-sided at the boundary."""
     g = u.grid
-    return g.vector_field(_d_axis(u.values, g.h, 0), _d_axis(u.values, g.h, 1))
+    return g._own_vector(_d_axis(u.values, g.h, 0), _d_axis(u.values, g.h, 1))
 
 
-def laplacian_apply(u: GridField) -> GridField:
-    """5-point Laplacian at interior nodes; boundary entries are 0."""
+def dot_gradient(v: VectorField, w: np.ndarray) -> np.ndarray:
+    """``v . gradient(w)`` at every node, as a fresh array (``w`` holds node values)."""
+    h = v.grid.h
+    out = _d_axis(w, h, 0)
+    out *= v.vx
+    wy = _d_axis(w, h, 1)
+    wy *= v.vy
+    out += wy
+    return out
+
+
+def laplacian_apply(u: GridField, out: np.ndarray | None = None) -> GridField:
+    """5-point Laplacian at interior nodes; boundary entries are 0.
+
+    With ``out``, a writable C-contiguous float64 array of the grid's shape,
+    the values are written there and the result is a read-only view of
+    ``out``: it changes when the caller next writes ``out``.
+    """
     g = u.grid
-    v = u.values
-    out = np.zeros(g.shape)
-    out[1:-1, 1:-1] = (
-        v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2] - 4.0 * v[1:-1, 1:-1]
-    ) / (g.h * g.h)
-    return g.field(out)
+    ny = g.ny
+    if out is None:
+        lap = np.empty(g.shape)
+    elif out.shape == g.shape and out.dtype == np.float64 and out.flags.c_contiguous:
+        lap = out
+    else:
+        raise ValueError("out must be a C-contiguous float64 array of the grid's shape")
+    # flat range from the first interior node to the last (see _d_axis);
+    # the boundary columns inside it are zeroed below
+    v = u.values.reshape(-1)
+    a, b = ny + 1, v.size - ny - 1
+    inner = lap.reshape(-1)[a:b]
+    np.add(v[a + ny : b + ny], v[a - ny : b - ny], out=inner)
+    inner += v[a + 1 : b + 1]
+    inner += v[a - 1 : b - 1]
+    inner -= 4.0 * v[a:b]
+    inner /= g.h * g.h
+    lap[0] = lap[-1] = 0.0
+    lap[:, 0] = lap[:, -1] = 0.0
+    if out is None:
+        return g._own(lap)
+    view = lap.view()
+    view.flags.writeable = False
+    return GridField(g, view)
 
 
 def divergence(v: VectorField) -> GridField:
@@ -119,18 +182,29 @@ def norm_l2(u: GridField) -> float:
     return math.sqrt(float(np.sum(u.grid.quad_weights() * u.values**2)))
 
 
+def sup_abs(values: np.ndarray) -> float:
+    """``max |values|`` without forming ``|values|``: bitwise equal to
+    ``np.max(np.abs(values))``; NaN anywhere gives NaN, and -0.0 counts as 0.0."""
+    return abs(float(max(values.max(), -values.min())))
+
+
 def norm_sup(u: GridField) -> float:
-    return float(np.max(np.abs(u.values)))
-
-
-def norm_l2_vector(v: VectorField) -> float:
-    w = v.grid.quad_weights()
-    return math.sqrt(float(np.sum(w * (v.vx**2 + v.vy**2))))
+    return sup_abs(u.values)
 
 
 def norm_h1semi(u: GridField) -> float:
-    """L2 norm of the nodal gradient (the H1_0 seminorm used throughout)."""
-    return norm_l2_vector(gradient(u))
+    """L2 norm of the nodal gradient (the H1_0 seminorm used throughout):
+    sqrt(sum(w * (ux**2 + uy**2))) with the trapezoidal weights w, the squares
+    formed in place in the derivative arrays."""
+    h = u.grid.h
+    s = _d_axis(u.values, h, 0)
+    s *= s
+    sy = _d_axis(u.values, h, 1)
+    sy *= sy
+    s += sy
+    del sy  # freed before the weights are allocated
+    s *= u.grid.quad_weights()
+    return math.sqrt(float(np.sum(s)))
 
 
 def h1_inner(u: GridField, v: GridField) -> float:
@@ -202,7 +276,7 @@ def _holder_max(values: np.ndarray, h: float, alpha: float) -> float:
         s = _stride(nx - di, ny - abs(dj))
         xa, xb = _pair_slices(nx, di, s)
         ya, yb = _pair_slices(ny, dj, s)
-        diffs[k] = np.max(np.abs(values[xa, ya] - values[xb, yb]))
+        diffs[k] = sup_abs(values[xa, ya] - values[xb, yb])
     dist = h * np.hypot(*np.array(disps, dtype=float).T)
     return float(np.max(diffs / dist**alpha))
 
@@ -230,13 +304,12 @@ def c2alpha_estimate(u: GridField, cfg: NormConfig, grad: VectorField | None = N
     if grad is None:
         grad = gradient(u)
     ux, uy = grad.vx, grad.vy
-    uxx = _d2_axis(u.values, h, 0)
-    uyy = _d2_axis(u.values, h, 1)
-    uxy = _d_axis(ux, h, 1)
-    total = float(np.max(np.abs(u.values)))
-    total += float(np.max(np.abs(ux))) + float(np.max(np.abs(uy)))
-    for d2 in (uxx, uxy, uyy):
-        total += float(np.max(np.abs(d2)))
+    total = sup_abs(u.values)
+    total += sup_abs(ux) + sup_abs(uy)
+    work = np.empty(g.shape)  # holds uxx, uxy and uyy in turn
+    for diff, src, axis in ((_d2_axis, u.values, 0), (_d_axis, ux, 1), (_d2_axis, u.values, 1)):
+        d2 = diff(src, h, axis, work)
+        total += sup_abs(d2)
         total += _holder_max(d2, h, cfg.alpha)
     return total
 

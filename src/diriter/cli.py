@@ -189,16 +189,15 @@ def build_iteration_config(
     if seed_override is not None:
         lam_seed = seed_override
 
-    with _rejected_values("analysis"):
-        norm_cfg = NormConfig(alpha=alpha)
     with _rejected_values("iteration"):
-        return IterationConfig(
-            max_iters=max_iters,
-            h1_tol=h1_tol,
-            blowup_sup=blowup,
-            boundary=boundary,
-            start=start,
-            norm_cfg=norm_cfg,
+        it_cfg = IterationConfig(
+            max_iters=max_iters, h1_tol=h1_tol, blowup_sup=blowup, boundary=boundary, start=start
+        )
+    # replace() checks every field again; only the [analysis] ones can fail now
+    with _rejected_values("analysis"):
+        return dataclasses.replace(
+            it_cfg,
+            norm_cfg=NormConfig(alpha=alpha),
             lambda_value=lam_value,
             lambda_trials=lam_trials,
             lambda_seed=lam_seed,
@@ -496,11 +495,20 @@ def cmd_schauder(cfg: configparser.ConfigParser, out: Path, seed: int | None) ->
         norm_cfg = NormConfig(alpha=alpha)
     h = _get_float(_section(cfg, "grid"), "h")
 
-    rows = []
-    if sc and "n_list" in sc:
-        d = _get_float(sc, "d")
-        with _rejected_values("schauder"):
+    n_list = None
+    with _rejected_values("schauder"):
+        if trials < 1:
+            raise ValueError(f"trials = {trials} must be >= 1")
+        if sc and "n_list" in sc:
+            d = _get_float(sc, "d")
             n_list = [int(tok) for tok in sc.get("n_list").replace(",", " ").split()]
+            if not n_list:
+                raise ValueError("n_list must be nonempty")
+            for n in n_list:  # rejects d, n and h before any solve
+                _build_grid(Domain.strip_truncation(d, n), h)
+
+    rows = []
+    if n_list is not None:
         probe = schauder_uniformity_probe(d, n_list, norm_cfg, trials, base_seed, h)
         rows = [[n, est] for n, est in zip(probe["n_list"], probe["estimates"])]
         summary = {"max": probe["max"], "ratio_max_min": probe["max"] / min(probe["estimates"])}

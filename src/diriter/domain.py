@@ -162,6 +162,29 @@ class Grid:
             raise ValueError(f"values shape {values.shape} does not match grid {self.shape}")
         return GridField(self, _readonly(values.copy()))
 
+    def _own(self, values: np.ndarray) -> "GridField":
+        """Wrap ``values`` without a copy, marking the array itself read-only.
+
+        Only for an array just computed by the caller: float64, C-contiguous,
+        of the grid's shape, and neither a view of another array nor held by
+        anything else, so that no later write can reach the field.
+        """
+        self._check_owned(values)
+        return GridField(self, values)
+
+    def _own_vector(self, vx: np.ndarray, vy: np.ndarray) -> "VectorField":
+        """``_own`` for the two components of a vector field."""
+        self._check_owned(vx)
+        self._check_owned(vy)
+        return VectorField(self, vx, vy)
+
+    def _check_owned(self, a: np.ndarray) -> None:
+        if (a.shape != self.shape or a.dtype != np.float64 or not a.flags.c_contiguous
+                or a.base is not None):
+            raise ValueError("an owned field must be a fresh C-contiguous float64 array "
+                             "of the grid's shape")
+        a.flags.writeable = False
+
     def field_from(self, fn) -> "GridField":
         """Sample fn(x, y) at the nodes (fn must accept numpy arrays)."""
         X, Y = self.meshgrid()

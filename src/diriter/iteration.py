@@ -52,6 +52,8 @@ class IterationConfig:
             raise ValueError("h1_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.lambda_trials < 1:
+            raise ValueError("lambda_trials must be >= 1")
         if self.start not in (START_ZERO, START_LIFT):
             raise ValueError(f"unknown start mode {self.start!r}")
         if self.kappa_kind not in ("min", "volumetric", "slab"):
@@ -81,17 +83,24 @@ class IterationReport:
         return self.theory.C
 
 
-def residual_field(u: GridField, spec: RhsSpec, f: GridField | None = None) -> GridField:
+def residual_field(
+    u: GridField, spec: RhsSpec, f: GridField | None = None, lap: np.ndarray | None = None
+) -> GridField:
     """laplacian(u) - f(x, u, grad u) at interior nodes, 0 on the boundary.
 
-    ``f`` is the already evaluated right-hand side at ``u``, if the caller has it.
+    ``f`` is the already evaluated right-hand side at ``u``, and ``lap`` the
+    values of ``laplacian_apply(u)`` (as ``PoissonSolver.solve`` leaves them
+    in ``lap_out``), if the caller has them; neither is modified.
     """
-    lap = laplacian_apply(u)
+    if lap is None:
+        lap = laplacian_apply(u).values
     if f is None:
         f = evaluate_rhs(spec, u, gradient(u))
-    out = np.zeros(u.grid.shape)
-    out[1:-1, 1:-1] = lap.values[1:-1, 1:-1] - f.values[1:-1, 1:-1]
-    return u.grid.field(out)
+    out = np.empty(u.grid.shape)
+    out[0] = out[-1] = 0.0
+    out[:, 0] = out[:, -1] = 0.0
+    np.subtract(lap[1:-1, 1:-1], f.values[1:-1, 1:-1], out=out[1:-1, 1:-1])
+    return u.grid._own(out)
 
 
 def with_lambda(grid: Grid, cfg: IterationConfig) -> IterationConfig:
@@ -145,17 +154,19 @@ def dirichlet_iterate(
         )
 
     # f at the newest iterate feeds both its residual and the next solve; one
-    # name is rebound, so only one right-hand-side field is kept.
+    # name is rebound, so only one right-hand-side field is kept. The solve
+    # leaves laplacian(u_next) in lap, which the residual reuses.
     f = evaluate_rhs(spec, u_prev, gradient(u_prev))
     for i in range(1, cfg.max_iters + 1):
-        u_next = solver.solve(f, cfg.boundary)
+        lap = np.empty(grid.shape)
+        u_next = solver.solve(f, cfg.boundary, lap_out=lap)
         grad = gradient(u_next)
         f = evaluate_rhs(spec, u_next, grad)
 
-        diff = grid.field(u_next.values - u_prev.values)
+        diff = grid._own(u_next.values - u_prev.values)
         h1_diff = norm_h1semi(diff)
         rho = h1_diff / prev_h1 if (prev_h1 is not None and prev_h1 > 0) else None
-        res_sup = float(np.max(np.abs(residual_field(u_next, spec, f=f).values)))
+        res_sup = norm_sup(residual_field(u_next, spec, f=f, lap=lap))
         rows.append(
             IterationRow(
                 i=i,

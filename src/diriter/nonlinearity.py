@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import NormConfig, gradient, holder_norm, norm_sup
+from .calculus import NormConfig, dot_gradient, holder_norm, norm_sup
 from .domain import Domain, GridField, VectorField, domain_constants
 from .errors import BracketNotFound, FixedPointInconsistent, MissingNorm, NonFiniteData
 
@@ -113,7 +113,7 @@ class MeanCurvature:
 RhsSpec = GradLipschitz | GammaG | MeanCurvature
 
 
-def curvature_coupling(u: GridField, grad_u: VectorField) -> np.ndarray:
+def curvature_coupling(u: GridField, grad_u: VectorField, w: np.ndarray | None = None) -> np.ndarray:
     """G_u = 2 * du^mu du^nu d_{mu nu} u, assembled as <grad u, grad |grad u|^2>.
 
     Differencing |grad u|^2 once instead of forming the three second
@@ -121,9 +121,11 @@ def curvature_coupling(u: GridField, grad_u: VectorField) -> np.ndarray:
     The expanded graph equation uses G_u / (2 * (1 + |grad u|^2)): expanding
     div(grad u / sqrt(1 + |grad u|^2)) by the quotient rule produces the half
     factor, and only with it does the iterate satisfy the divergence form.
+    ``w`` holds |grad u|^2 at the nodes, when the caller already has it.
     """
-    grad_w = gradient(u.grid.field(grad_u.vx**2 + grad_u.vy**2))
-    return grad_u.vx * grad_w.vx + grad_u.vy * grad_w.vy
+    if w is None:
+        w = grad_u.vx**2 + grad_u.vy**2
+    return dot_gradient(grad_u, w)
 
 
 def evaluate_rhs(spec: RhsSpec, u: GridField, grad_u: VectorField) -> GridField:
@@ -131,14 +133,23 @@ def evaluate_rhs(spec: RhsSpec, u: GridField, grad_u: VectorField) -> GridField:
     grid = u.grid
     if isinstance(spec, GradLipschitz):
         s = grad_u.magnitude() ** spec.m
-        return grid.field(spec.h.values + np.asarray(spec.F(s), dtype=float))
+        return grid._own(spec.h.values + np.asarray(spec.F(s), dtype=float))
     if isinstance(spec, GammaG):
         s = grad_u.magnitude() ** spec.m
-        return grid.field(spec.gamma.values * np.asarray(spec.g(u.values), dtype=float) * s + spec.h.values)
+        return grid._own(spec.gamma.values * np.asarray(spec.g(u.values), dtype=float) * s + spec.h.values)
     if isinstance(spec, MeanCurvature):
+        # n * sqrt(1 + w) * H + G_u / (2 * (1 + w)) with w = |grad u|^2, each
+        # product and quotient in the order of that expression, done in place
         w = grad_u.vx**2 + grad_u.vy**2
-        g_term = curvature_coupling(u, grad_u)
-        return grid.field(spec.n * np.sqrt(1.0 + w) * spec.H.values + g_term / (2.0 * (1.0 + w)))
+        g_term = curvature_coupling(u, grad_u, w)
+        w += 1.0
+        out = np.sqrt(w)
+        out *= spec.n
+        out *= spec.H.values
+        w *= 2.0
+        g_term /= w
+        out += g_term
+        return grid._own(out)
     raise TypeError(f"unknown rhs spec {type(spec).__name__}")
 
 

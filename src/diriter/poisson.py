@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft
 
-from .calculus import laplacian_apply
-from .domain import BoundarySpec, Grid, GridField
+from .calculus import laplacian_apply, sup_abs
+from .domain import HOMOGENEOUS, BoundarySpec, Grid, GridField
 from .errors import NoConvergence
 
 
@@ -91,22 +91,41 @@ class PoissonSolver:
             else:
                 np.multiply(dst, scale, out=out[j : j + k])
 
-    def solve(self, f: GridField, bc: BoundarySpec | None = None) -> GridField:
-        """u with laplacian(u) = f inside and u = bc on the boundary."""
+    def solve(
+        self, f: GridField, bc: BoundarySpec | None = None, lap_out: np.ndarray | None = None
+    ) -> GridField:
+        """u with laplacian(u) = f inside and u = bc on the boundary.
+
+        The solve is checked by applying the 5-point Laplacian to u and
+        requiring max |laplacian(u) - f| over the interior to be at most
+        ``residual_tol`` (NaN fails); otherwise NoConvergence is raised.
+        ``lap_out``, a writable C-contiguous float64 array of the grid's
+        shape, receives that Laplacian (``laplacian_apply(u)``, boundary
+        entries 0), so a caller that needs it too does not apply the stencil
+        again; the check is the same with or without it.
+        """
         grid = self.grid
         if f.grid.shape != grid.shape:
             raise ValueError("right-hand side lives on a different grid")
-        bc = bc or BoundarySpec.homogeneous()
-        bvals = bc.values_on(grid)
-        h2 = grid.h * grid.h
+        f_in = f.values[1:-1, 1:-1]
 
-        # boundary neighbours of each interior node enter the right-hand side
-        contrib = (
-            bvals[:-2, 1:-1] + bvals[2:, 1:-1] + bvals[1:-1, :-2] + bvals[1:-1, 2:]
-        ) / h2
-        rhs = -f.values[1:-1, 1:-1] + contrib
+        # rhs = -f + (boundary neighbours of each interior node) / h^2, written
+        # as contrib - f, which is the same sum to the bit; it goes into the
+        # coefficient buffer, which the first transform pass reads
+        rhs = self._coef
+        if bc is None or bc.kind == HOMOGENEOUS:
+            np.subtract(0.0, f_in, out=rhs)
+            out = np.empty(grid.shape)
+            out[0] = out[-1] = 0.0
+            out[:, 0] = out[:, -1] = 0.0
+        else:
+            out = bc.values_on(grid)  # fresh; its interior is overwritten below
+            np.add(out[:-2, 1:-1], out[2:, 1:-1], out=rhs)
+            rhs += out[1:-1, :-2]
+            rhs += out[1:-1, 2:]
+            rhs /= grid.h * grid.h
+            rhs -= f_in
 
-        out = bvals.copy()
         # forward then inverse DST-I, axis 0 then axis 1 each (two transposed
         # passes per transform restore the orientation)
         self._dst1_t(rhs, self._coef_t)
@@ -114,12 +133,13 @@ class PoissonSolver:
         self._coef /= self._eig
         self._dst1_t(self._coef, self._coef_t, self._inv_scale)
         self._dst1_t(self._coef_t, out[1:-1, 1:-1])
-        u = grid.field(out)
+        u = grid._own(out)
 
         tol = self.cfg.residual_tol
         if tol is None:
-            tol = 1e-10 * (1.0 + float(np.max(np.abs(f.values))))
-        res = float(np.max(np.abs(laplacian_apply(u).values[1:-1, 1:-1] - f.values[1:-1, 1:-1])))
+            tol = 1e-10 * (1.0 + sup_abs(f.values))
+        lap = laplacian_apply(u, out=lap_out).values
+        res = sup_abs(np.subtract(lap[1:-1, 1:-1], f_in, out=self._coef))
         if not res <= tol:  # a NaN residual fails too
             raise NoConvergence(
                 f"direct solve residual {res:.3e} exceeds tolerance {tol:.3e}", residual=res

@@ -353,3 +353,23 @@ def test_schauder_estimate_deterministic(unit_grid_16):
     a = estimate_schauder_constant(unit_grid_16, CFG, trials=3, seed=7)
     b = estimate_schauder_constant(unit_grid_16, CFG, trials=3, seed=7)
     assert a == b
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def test_sup_abs_is_bitwise_max_abs(rng):
+    base = rng.standard_normal((37, 23)) * 10.0 ** rng.integers(-300, 300, size=(37, 23))
+    cases = [base, base[::3, 1::2], base.T, -np.abs(base), np.full((4, 5), -0.0),
+             np.array([[0.0, -0.0], [-0.0, -0.0]])]
+    for value in (np.nan, np.inf, -np.inf):
+        for pos in [(0, 0), (36, 22), (17, 5)]:
+            a = base.copy()
+            a[pos] = value
+            cases += [a, a[::2, ::3]]
+    both = base.copy()
+    both[3, 4], both[9, 1] = np.inf, -np.inf
+    cases.append(both)
+    for a in cases:
+        assert _bits(calculus.sup_abs(a)) == _bits(np.max(np.abs(a)))

@@ -160,8 +160,13 @@ def test_bad_expression_reports_usage_error(tmp_path):
         ("solve", "K = 0\n", "K = -1\n"),
         ("solve", "max_iters = 60", "max_iters = 0"),
         ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\nd = 1\nn_list = 2 x\n"),
+        ("solve", "lambda = 2.0\n", "lambda = estimate\nlambda_trials = 0\n"),
+        ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\ntrials = 0\n"),
+        ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\nd = -1\nn_list = 2 4\n"),
+        ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\nd = 1\nn_list =\n"),
     ],
-    ids=["alpha", "h", "K", "max_iters", "n_list"],
+    ids=["alpha", "h", "K", "max_iters", "n_list", "lambda_trials", "schauder_trials",
+         "schauder_d", "empty_n_list"],
 )
 def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old, new):
     assert BASE.count(old) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from diriter import (
     BoundarySpec,
+    Domain,
     GammaG,
     GradLipschitz,
     IterationConfig,
@@ -12,17 +13,21 @@ from diriter import (
     IterationMaxIters,
     MeanCurvature,
     NotConforming,
+    PoissonSolver,
     build_grid,
     c2alpha_estimate,
     dirichlet_iterate,
     domain_constants,
+    evaluate_rhs,
     gradient,
+    laplacian_apply,
     norm_h1semi,
     residual_field,
     solve_dirichlet,
     uniform_bound_check,
 )
-from diriter.calculus import random_trig_polynomial
+from diriter import iteration, poisson
+from diriter.calculus import _holder_max, random_trig_polynomial
 from diriter.errors import IterationFailure
 
 
@@ -237,3 +242,209 @@ def test_rows_well_formed(unit_grid_16):
     assert [r.i for r in rep.rows] == list(range(1, len(rep.rows) + 1))
     assert rep.rows[0].rho_i is None
     assert all(r.rho_i is not None for r in rep.rows[1:])
+
+
+# --- bitwise guard for the loop ------------------------------------------------
+#
+# _reference_iterate is the loop as it was written before the operators wrote
+# into their outputs in place: every operator below builds its result from
+# whole-array expressions, copies it into a field with grid.field, and sup
+# norms are np.max(np.abs(...)); the guard Laplacian of the solve and the one
+# of the residual are separate. The Poisson transform itself is checked
+# against scipy in test_poisson.
+
+
+def _ref_d(values, h, axis):
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_d2(values, h, axis):
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    h2 = h * h
+    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
+    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
+    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_gradient(u):
+    g = u.grid
+    return g.vector_field(_ref_d(u.values, g.h, 0), _ref_d(u.values, g.h, 1))
+
+
+def _ref_laplacian(u):
+    g, v = u.grid, u.values
+    out = np.zeros(g.shape)
+    out[1:-1, 1:-1] = (
+        v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2] - 4.0 * v[1:-1, 1:-1]
+    ) / (g.h * g.h)
+    return g.field(out)
+
+
+def _ref_rhs(spec, u, grad):
+    grid = u.grid
+    if isinstance(spec, GradLipschitz):
+        s = grad.magnitude() ** spec.m
+        return grid.field(spec.h.values + np.asarray(spec.F(s), dtype=float))
+    if isinstance(spec, GammaG):
+        s = grad.magnitude() ** spec.m
+        return grid.field(spec.gamma.values * np.asarray(spec.g(u.values), dtype=float) * s + spec.h.values)
+    w = grad.vx**2 + grad.vy**2
+    grad_w = _ref_gradient(grid.field(grad.vx**2 + grad.vy**2))
+    g_term = grad.vx * grad_w.vx + grad.vy * grad_w.vy
+    return grid.field(spec.n * np.sqrt(1.0 + w) * spec.H.values + g_term / (2.0 * (1.0 + w)))
+
+
+def _ref_h1semi(u):
+    g = _ref_gradient(u)
+    return math.sqrt(float(np.sum(u.grid.quad_weights() * (g.vx**2 + g.vy**2))))
+
+
+def _ref_c2alpha(u, cfg, grad):
+    h = u.grid.h
+    ux, uy = grad.vx, grad.vy
+    uxx, uyy, uxy = _ref_d2(u.values, h, 0), _ref_d2(u.values, h, 1), _ref_d(ux, h, 1)
+    total = float(np.max(np.abs(u.values)))
+    total += float(np.max(np.abs(ux))) + float(np.max(np.abs(uy)))
+    for d2 in (uxx, uxy, uyy):
+        total += float(np.max(np.abs(d2)))
+        total += _holder_max(d2, h, cfg.alpha)
+    return total
+
+
+def _reference_iterate(grid, spec, cfg):
+    """(rows, outcome, last iterate) of the loop, written without fusion."""
+    solver = PoissonSolver(grid, cfg.linear)
+    u_prev = grid.zeros()
+    rows, prev_h1, expanding = [], None, 0
+    f = _ref_rhs(spec, u_prev, _ref_gradient(u_prev))
+    for i in range(1, cfg.max_iters + 1):
+        u_next = solver.solve(f, cfg.boundary)
+        grad = _ref_gradient(u_next)
+        f = _ref_rhs(spec, u_next, grad)
+        h1_diff = _ref_h1semi(grid.field(u_next.values - u_prev.values))
+        rho = h1_diff / prev_h1 if (prev_h1 is not None and prev_h1 > 0) else None
+        lap = _ref_laplacian(u_next)
+        res = np.zeros(grid.shape)
+        res[1:-1, 1:-1] = lap.values[1:-1, 1:-1] - f.values[1:-1, 1:-1]
+        res_sup = float(np.max(np.abs(grid.field(res).values)))
+        sup_u = float(np.max(np.abs(u_next.values)))
+        rows.append((i, sup_u, _ref_c2alpha(u_next, cfg.norm_cfg, grad), h1_diff, rho, res_sup))
+        if h1_diff <= cfg.h1_tol:
+            return rows, "converged", u_next
+        if not (sup_u <= cfg.blowup_sup and np.isfinite(res_sup)):
+            return rows, "diverged", u_next
+        expanding = expanding + 1 if (rho is not None and rho > 1.0) else 0
+        if expanding >= 10 and h1_diff > cfg.h1_tol * 1e3:
+            return rows, "diverged", u_next
+        u_prev, prev_h1 = u_next, h1_diff
+    return rows, "max_iters", u_prev
+
+
+def _hex_rows(rows):
+    return [tuple(v if isinstance(v, int) or v is None else float.hex(v) for v in row) for row in rows]
+
+
+def _strip_mean_curvature():
+    grid = build_grid(Domain.strip_truncation(1.0, 2.0), 1.0 / 32)
+    return grid, MeanCurvature(H=grid.constant(0.4), n=2), base_cfg(h1_tol=1e-10)
+
+
+def _rectangle_gamma_g_prescribed():
+    grid = build_grid(Domain.rectangle(1.0, 0.75), 1.0 / 16)
+    phi = grid.field_from(lambda x, y: 0.1 * np.cos(2 * x) + 0.05 * y)
+    spec = GammaG(
+        gamma=grid.field_from(lambda x, y: 0.2 + 0.1 * x * y),
+        h=grid.field_from(lambda x, y: 1.0 + 0.2 * np.sin(np.pi * x)),
+    )
+    return grid, spec, base_cfg(boundary=BoundarySpec.prescribed(phi), h1_tol=1e-11)
+
+
+def _divergent_grad_lipschitz():
+    grid = build_grid(Domain.rectangle(1.0, 1.0), 1.0 / 16)
+    return grid, GradLipschitz(h=grid.constant(1.0), K=40.0, m=2.0), base_cfg()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_strip_mean_curvature, _rectangle_gamma_g_prescribed, _divergent_grad_lipschitz],
+    ids=["strip_mean_curvature", "rectangle_gamma_g_prescribed", "divergent_grad_lipschitz"],
+)
+def test_loop_is_bitwise_equal_to_unfused_reference(case):
+    grid, spec, cfg = case()
+    ref_rows, ref_outcome, ref_u = _reference_iterate(grid, spec, cfg)
+    try:
+        u, rep = dirichlet_iterate(grid, spec, cfg)
+    except IterationFailure as exc:
+        u, rep = exc.last_iterate, exc.report
+    assert rep.outcome == ref_outcome
+    assert len(ref_rows) > 3
+    rows = [(r.i, r.sup_u, r.c2alpha_est, r.h1_diff, r.rho_i, r.residual_sup) for r in rep.rows]
+    assert _hex_rows(rows) == _hex_rows(ref_rows)
+    assert np.array_equal(u.values.view(np.int64), ref_u.values.view(np.int64))
+
+
+# --- fields own read-only arrays; one stencil per iterate ------------------------
+
+
+def _assert_owned(a):
+    assert not a.flags.writeable and a.flags.c_contiguous
+
+
+def test_returned_fields_are_read_only_and_contiguous():
+    grid, spec, _ = _strip_mean_curvature()
+    u = PoissonSolver(grid).solve(grid.constant(1.0))
+    _assert_owned(u.values)
+    grad = gradient(u)
+    _assert_owned(grad.vx)
+    _assert_owned(grad.vy)
+    _assert_owned(laplacian_apply(u).values)
+    _assert_owned(laplacian_apply(u, out=np.empty(grid.shape)).values)
+    for rhs_spec in (spec, GradLipschitz(h=grid.constant(1.0), K=0.1),
+                     GammaG(gamma=grid.constant(0.2), h=grid.constant(1.0))):
+        _assert_owned(evaluate_rhs(rhs_spec, u, grad).values)
+        _assert_owned(residual_field(u, rhs_spec).values)
+    bc = BoundarySpec.prescribed(grid.field_from(lambda x, y: x + y))
+    _assert_owned(PoissonSolver(grid).solve(grid.constant(1.0), bc).values)
+
+
+def test_residual_with_given_laplacian_is_bitwise_equal():
+    grid, spec, _ = _strip_mean_curvature()
+    u = grid.field_from(lambda x, y: 0.1 * np.cos(x) * (y * y - 0.25))
+    f = evaluate_rhs(spec, u, gradient(u))
+    lap = np.empty(grid.shape)
+    laplacian_apply(u, out=lap)
+    fused = residual_field(u, spec, f, lap)
+    assert np.array_equal(fused.values.view(np.int64), residual_field(u, spec).values.view(np.int64))
+    assert np.array_equal(lap.view(np.int64), laplacian_apply(u).values.view(np.int64))
+
+
+def test_solve_hands_its_guard_laplacian_on():
+    grid, _, _ = _strip_mean_curvature()
+    f = grid.field_from(lambda x, y: np.cos(x) + y)
+    lap = np.full(grid.shape, np.nan)
+    u = PoissonSolver(grid).solve(f, lap_out=lap)
+    assert np.array_equal(lap.view(np.int64), laplacian_apply(u).values.view(np.int64))
+    assert np.array_equal(u.values, PoissonSolver(grid).solve(f).values)
+
+
+def test_one_laplacian_per_iterate(monkeypatch):
+    calls = []
+    for module in (iteration, poisson):
+        original = module.laplacian_apply
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "laplacian_apply", counted)
+    grid, spec, cfg = _strip_mean_curvature()
+    _, rep = dirichlet_iterate(grid, spec, cfg)
+    assert rep.outcome == "converged" and len(rep.rows) > 3
+    assert len(calls) == len(rep.rows)
