@@ -341,7 +341,11 @@ def _apply_sweep_value(spec: RhsSpec, parameter: str, value: float) -> RhsSpec:
 def run_sweep(
     grid: Grid, spec: RhsSpec, it_cfg: IterationConfig, parameter: str, values: list[float]
 ) -> dict:
-    """One iteration run per value; rows plus the empirical threshold midpoint."""
+    """One iteration run per value; rows plus the empirical threshold midpoint.
+
+    The rows read no C^{2,alpha} estimate, so ``it_cfg.c2alpha`` changes only
+    the run time (``cmd_sweep`` turns it off).
+    """
     if not values:
         raise ConfigError("sweep needs a nonempty ascending list of values")
     if sorted(values) != list(values):
@@ -386,7 +390,8 @@ def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> in
     domain = build_domain(cfg)
     grid = _build_grid(domain, _get_float(_section(cfg, "grid"), "h"))
     spec = build_rhs(cfg, grid)
-    it_cfg = build_iteration_config(cfg, grid, seed)
+    # sweep.csv reads no C^{2,alpha} estimate
+    it_cfg = dataclasses.replace(build_iteration_config(cfg, grid, seed), c2alpha=False)
     sw = _section(cfg, "sweep")
     parameter = sw.get("parameter", "").strip()
     try:
@@ -444,7 +449,8 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
         big_domain = Domain.strip_truncation(d, n_max)
     big = _build_grid(big_domain, h)
     spec = build_rhs(cfg, big)
-    it_cfg = build_iteration_config(cfg, big, seed)
+    # tail.csv reads no C^{2,alpha} estimate
+    it_cfg = dataclasses.replace(build_iteration_config(cfg, big, seed), c2alpha=False)
     with _rejected_values("exhaustion"):
         ex_cfg = ExhaustionConfig(
             d=d,

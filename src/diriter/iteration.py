@@ -2,8 +2,9 @@
 
 Each pass solves laplacian(u_{i+1}) = f(x, u_i, grad u_i) with the fixed
 boundary data and records the quantities the convergence analysis controls:
-sup norms, discrete C^{2,alpha} estimates, H1 seminorms of consecutive
-differences and their ratios, and the nonlinear residual.
+sup norms, discrete C^{2,alpha} estimates (unless switched off), H1
+seminorms of consecutive differences and their ratios, and the nonlinear
+residual.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .calculus import (
 from .domain import BoundarySpec, Grid, GridField
 from .errors import IterationDiverged, IterationMaxIters, NotConforming
 from .nonlinearity import ContractionAnalysis, RhsSpec, analyze, data_norms, evaluate_rhs
-from .poisson import LinearSolveConfig, PoissonSolver, lift_boundary
+from .poisson import LinearSolveConfig, PoissonSolver
 
 START_ZERO = "zero"
 START_LIFT = "boundary-lift"
@@ -35,6 +36,14 @@ _STALL_WINDOW = 10  # consecutive expanding ratios that count as divergence
 
 @dataclass(frozen=True)
 class IterationConfig:
+    """Settings of one ``dirichlet_iterate`` run.
+
+    ``c2alpha``: estimate the C^{2,alpha} surrogate of every iterate. Callers
+    that never read ``IterationRow.c2alpha_est`` or
+    ``IterationReport.C_empirical`` (the CLI's ``sweep`` and ``exhaust``) turn
+    it off and skip the largest per-iterate cost; the iterates are the same.
+    """
+
     max_iters: int = 200
     h1_tol: float = 1e-12
     blowup_sup: float = 1e6
@@ -46,6 +55,7 @@ class IterationConfig:
     lambda_seed: int = 0
     kappa_kind: str = "min"
     linear: LinearSolveConfig = field(default_factory=LinearSolveConfig)
+    c2alpha: bool = True
 
     def __post_init__(self):
         if self.h1_tol <= 0:
@@ -62,9 +72,12 @@ class IterationConfig:
 
 @dataclass(frozen=True)
 class IterationRow:
+    """One iterate's diagnostics; ``c2alpha_est`` is None when the run's
+    ``IterationConfig.c2alpha`` is off."""
+
     i: int
     sup_u: float
-    c2alpha_est: float
+    c2alpha_est: float | None
     h1_diff: float
     rho_i: float | None
     residual_sup: float
@@ -72,9 +85,12 @@ class IterationRow:
 
 @dataclass(frozen=True)
 class IterationReport:
+    """A run's rows, outcome and theory; ``C_empirical``, the largest
+    ``c2alpha_est`` of the rows, is None when ``IterationConfig.c2alpha`` is off."""
+
     rows: tuple[IterationRow, ...]
     outcome: str  # converged | diverged | max_iters
-    C_empirical: float
+    C_empirical: float | None
     theory: ContractionAnalysis
     norms: dict
 
@@ -114,8 +130,9 @@ def with_lambda(grid: Grid, cfg: IterationConfig) -> IterationConfig:
 def _start_field(grid: Grid, spec: RhsSpec, cfg: IterationConfig, solver: PoissonSolver) -> GridField:
     if cfg.start == START_ZERO:
         return grid.zeros()
+    # the loop's own solver: lift_boundary would build a second one on this grid
     h_rhs = spec.h if hasattr(spec, "h") else grid.zeros()
-    return lift_boundary(grid, cfg.boundary, h_rhs, solver.cfg)
+    return solver.solve(h_rhs, cfg.boundary)
 
 
 def dirichlet_iterate(
@@ -128,7 +145,9 @@ def dirichlet_iterate(
 
     Raises IterationDiverged / IterationMaxIters with the partial report and
     last iterate attached. ``u0`` overrides the configured start (it must
-    already carry the boundary values).
+    already carry the boundary values). With ``cfg.c2alpha`` off no iterate's
+    C^{2,alpha} estimate is computed: the rows carry None and
+    ``C_empirical`` is None, and every other value is the same.
     """
     solver = PoissonSolver(grid, cfg.linear)
 
@@ -148,7 +167,7 @@ def dirichlet_iterate(
     expanding = 0
 
     def report(outcome: str) -> IterationReport:
-        c_emp = max((r.c2alpha_est for r in rows), default=0.0)
+        c_emp = max((r.c2alpha_est for r in rows), default=0.0) if cfg.c2alpha else None
         return IterationReport(
             rows=tuple(rows), outcome=outcome, C_empirical=c_emp, theory=theory, norms=norms
         )
@@ -171,7 +190,7 @@ def dirichlet_iterate(
             IterationRow(
                 i=i,
                 sup_u=norm_sup(u_next),
-                c2alpha_est=c2alpha_estimate(u_next, cfg.norm_cfg, grad),
+                c2alpha_est=c2alpha_estimate(u_next, cfg.norm_cfg, grad) if cfg.c2alpha else None,
                 h1_diff=h1_diff,
                 rho_i=rho,
                 residual_sup=res_sup,
@@ -211,5 +230,7 @@ def uniform_bound_check(report: IterationReport, C_theory: float) -> dict:
     """Did every iterate's C^{2,alpha} estimate stay below the theoretical bound?"""
     if not report.rows:
         raise ValueError("report has no rows")
+    if report.C_empirical is None:
+        raise ValueError("report carries no C^{2,alpha} estimates")
     worst = max(r.c2alpha_est for r in report.rows)
     return {"holds": worst <= C_theory * 1.1, "margin": C_theory - worst}

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -6,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diriter import Domain, build_grid, iteration, nonlinearity
-from diriter.cli import main, write_csv, write_solution
+from diriter import Domain, IterationConfig, build_grid, iteration, nonlinearity
+from diriter.cli import main, run_sweep, write_csv, write_solution
 
 BASE = """
 [domain]
@@ -219,6 +220,41 @@ def test_sweep_lambda_failure_is_one_error_row_per_value(tmp_path):
     assert all(r[1].startswith("error: ") and "5 nodes" in r[1] and r[2] == "0" for r in rows)
 
 
+def test_sweep_on_four_by_four_nodes_iterates_with_given_lambda(tmp_path, capsys):
+    # too coarse for the C^{2,alpha} estimate, which sweep does not compute;
+    # solve writes it, so solve still rejects the grid
+    text = BASE.replace("h = 0.0625", "h = 0.3333333333333333")
+    cfg = write_cfg(tmp_path, text + "\n[sweep]\nparameter = K\nvalues = 0.0, 0.02, 40\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out / "sweep.csv")[1:]
+    assert [r[1] for r in rows] == ["converged", "converged", "diverged"]
+    assert all(int(r[2]) > 0 for r in rows)
+    assert json.loads((out / "report.json").read_text())["threshold"] == 20.01
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 1
+    assert "c2alpha_estimate needs at least 5 nodes per axis" in capsys.readouterr().err
+
+
+def test_run_sweep_rows_do_not_depend_on_the_estimate():
+    grid = build_grid(Domain.rectangle(1.0, 0.75), 1.0 / 16)
+    spec = nonlinearity.GradLipschitz(
+        h=grid.field_from(lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x)), K=0.0, m=2.0
+    )
+    base = IterationConfig(max_iters=60, lambda_value=2.0)
+    values = [0.0, 0.5, 1.0, 40.0]
+    results = [
+        run_sweep(grid, spec, dataclasses.replace(base, c2alpha=c2alpha), "K", values)
+        for c2alpha in (True, False)
+    ]
+    on, off = [
+        [[float.hex(v) if isinstance(v, float) else v for v in row] for row in r["rows"]]
+        for r in results
+    ]
+    assert off == on
+    assert [row[1] for row in on] == ["converged"] * 3 + ["diverged"]
+    assert results[1]["threshold"] == results[0]["threshold"] == 20.5
+
+
 def test_sweep_empty_values_is_usage_error(tmp_path):
     text = BASE + "\n[sweep]\nparameter = K\nvalues =\n"
     cfg = write_cfg(tmp_path, text)
@@ -264,8 +300,7 @@ def test_poincare_suite_exit_zero(tmp_path):
     assert not zero_like  # suite fields are all nontrivial
 
 
-def test_exhaust_tails_below_tolerance(tmp_path):
-    text = """
+EXHAUST = """
 [domain]
 kind = strip
 d = 1
@@ -295,7 +330,10 @@ n_max = 8
 compact_halfwidth = 2
 compact_tol = 1e-6
 """
-    cfg = write_cfg(tmp_path, text)
+
+
+def test_exhaust_tails_below_tolerance(tmp_path):
+    cfg = write_cfg(tmp_path, EXHAUST)
     out = tmp_path / "out"
     assert main(["exhaust", "--config", cfg, "--out", str(out)]) == 0
     rows = read_csv(out / "tail.csv")
@@ -306,6 +344,38 @@ compact_tol = 1e-6
     assert diffs[-1] <= 1e-6
     report = json.loads((out / "report.json").read_text())
     assert report["tail_below_tol"] is True
+
+
+def test_exhaust_on_four_nodes_across_the_strip(tmp_path):
+    # d = 3h: too coarse for the C^{2,alpha} estimate, which exhaust does not compute
+    text = EXHAUST.replace("d = 1", "d = 0.1875").replace("K = 0", "K = 0.05")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["exhaust", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out / "tail.csv")[1:]
+    assert [r[0] for r in rows] == [str(n) for n in range(3, 9)]
+    assert all(r[3] == "converged" for r in rows)
+
+
+def test_sweep_and_exhaust_compute_no_c2alpha_estimate(tmp_path, monkeypatch):
+    calls = []
+    estimate = iteration.c2alpha_estimate
+
+    def counted(*args):
+        calls.append(1)
+        return estimate(*args)
+
+    monkeypatch.setattr(iteration, "c2alpha_estimate", counted)
+    sweep = write_cfg(tmp_path, BASE + "\n[sweep]\nparameter = K\nvalues = 0.0, 0.05, 40\n")
+    assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")]) == 0
+    exhaust = write_cfg(tmp_path, EXHAUST.replace("K = 0", "K = 0.05"), name="exhaust.ini")
+    assert main(["exhaust", "--config", exhaust, "--out", str(tmp_path / "exhaust")]) == 0
+    assert calls == []
+    # solve still estimates every iterate, and writes a finite estimate per row
+    assert main(["solve", "--config", sweep, "--out", str(tmp_path / "solve")]) == 0
+    trace = read_csv(tmp_path / "solve" / "trace.csv")[1:]
+    assert len(calls) == len(trace) > 1
+    assert all(math.isfinite(float(r[2])) for r in trace)
 
 
 def test_exhaust_single_truncation(tmp_path):

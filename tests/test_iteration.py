@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from diriter import (
     evaluate_rhs,
     gradient,
     laplacian_apply,
+    lift_boundary,
     norm_h1semi,
     residual_field,
     solve_dirichlet,
@@ -448,3 +450,72 @@ def test_one_laplacian_per_iterate(monkeypatch):
     _, rep = dirichlet_iterate(grid, spec, cfg)
     assert rep.outcome == "converged" and len(rep.rows) > 3
     assert len(calls) == len(rep.rows)
+
+
+# --- the C^{2,alpha} estimate is optional; one solver per run ------------------
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_strip_mean_curvature, _rectangle_gamma_g_prescribed, _divergent_grad_lipschitz],
+    ids=["strip_mean_curvature", "rectangle_gamma_g_prescribed", "divergent_grad_lipschitz"],
+)
+def test_skipping_the_estimate_changes_no_other_value(case, monkeypatch):
+    grid, spec, cfg = case()
+    runs = []
+    for c2alpha in (True, False):
+        calls = []
+        estimate = iteration.c2alpha_estimate
+
+        def counted(*args, _estimate=estimate):
+            calls.append(1)
+            return _estimate(*args)
+
+        monkeypatch.setattr(iteration, "c2alpha_estimate", counted)
+        try:
+            u, rep = dirichlet_iterate(grid, spec, dataclasses.replace(cfg, c2alpha=c2alpha))
+        except IterationFailure as exc:
+            u, rep = exc.last_iterate, exc.report
+        monkeypatch.undo()
+        runs.append((u, rep, len(calls)))
+    (u_on, on, calls_on), (u_off, off, calls_off) = runs
+    assert calls_on == len(on.rows) and calls_off == 0
+    assert all(r.c2alpha_est is not None for r in on.rows) and on.C_empirical is not None
+    assert all(r.c2alpha_est is None for r in off.rows) and off.C_empirical is None
+    assert off.outcome == on.outcome and off.theory == on.theory and off.norms == on.norms
+
+    def rest(rows):
+        return _hex_rows([(r.i, r.sup_u, r.h1_diff, r.rho_i, r.residual_sup) for r in rows])
+
+    assert rest(off.rows) == rest(on.rows)
+    assert np.array_equal(u_off.values.view(np.int64), u_on.values.view(np.int64))
+
+
+def test_uniform_bound_check_needs_estimates(unit_grid_16):
+    spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.05, m=2.0)
+    _, rep = dirichlet_iterate(unit_grid_16, spec, base_cfg(c2alpha=False))
+    with pytest.raises(ValueError, match=r"report carries no C\^\{2,alpha\} estimates"):
+        uniform_bound_check(rep, C_theory=1.0)
+
+
+def test_boundary_lift_reuses_the_loops_solver(unit_grid_16, monkeypatch):
+    phi = unit_grid_16.field_from(lambda x, y: 0.2 * x + 0.1 * np.cos(3.0 * y))
+    spec = GradLipschitz(h=unit_grid_16.field_from(lambda x, y: 1.0 + x * y), K=0.02, m=2.0)
+    cfg = base_cfg(boundary=BoundarySpec.prescribed(phi), start="boundary-lift")
+    built = []
+    init = poisson.PoissonSolver.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(poisson.PoissonSolver, "__init__", counted)
+    _, rep = dirichlet_iterate(unit_grid_16, spec, cfg)
+    assert rep.outcome == "converged"
+    assert len(built) == 1
+    monkeypatch.undo()
+
+    solver = PoissonSolver(unit_grid_16, cfg.linear)
+    start = iteration._start_field(unit_grid_16, spec, cfg, solver)
+    lifted = lift_boundary(unit_grid_16, cfg.boundary, spec.h, cfg.linear)
+    assert np.array_equal(start.values.view(np.int64), lifted.values.view(np.int64))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,27 @@ def test_exhaustion_mce_converges_to_arc():
     vals = compact_values(result.u_final, cfg.compact_halfwidth)
     ref = arc(result.u_final.grid.y)[None, :]
     assert np.max(np.abs(vals - ref)) <= 5 * h**2  # n_max = N + 3
+
+
+def test_exhaustion_does_not_depend_on_the_estimate():
+    d, h = 1.0, 1.0 / 16
+    grid = build_grid(Domain.strip_truncation(d, 5), h)
+    spec = MeanCurvature(H=grid.field_from(lambda x, y: 0.3 + 0.05 * np.cos(x)), n=2)
+    results = [
+        exhaustion_solve(spec, ExhaustionConfig(
+            d=d, n_start=3, n_max=5, compact_halfwidth=2.0,
+            iteration=dataclasses.replace(iteration_cfg(), c2alpha=c2alpha),
+        ), h)
+        for c2alpha in (True, False)
+    ]
+    on, off = results
+    assert [float.hex(t) for t in off.tail] == [float.hex(t) for t in on.tail]
+    assert [(len(r.rows), r.outcome) for r in off.reports] == [
+        (len(r.rows), r.outcome) for r in on.reports
+    ]
+    assert all(r.outcome == "converged" for r in on.reports)
+    assert all(r.C_empirical is None for r in off.reports)
+    assert np.array_equal(off.u_final.values.view(np.int64), on.u_final.values.view(np.int64))
 
 
 def test_compact_restriction_commutes_with_scaling():
