@@ -174,10 +174,6 @@ def flux_divergence(u: GridField, face_scale=None) -> GridField:
     return g.field(out)
 
 
-def integrate(u: GridField) -> float:
-    return float(np.sum(u.grid.quad_weights() * u.values))
-
-
 def norm_l2(u: GridField) -> float:
     return math.sqrt(float(np.sum(u.grid.quad_weights() * u.values**2)))
 
@@ -342,6 +338,8 @@ def verify_poincare(u: GridField, domain: Domain) -> dict:
 def poincare_suite(grid: Grid, count: int = 20, seed: int = 0) -> list[tuple[str, GridField]]:
     """Built-in H1_0-conforming test fields: Laplacian eigenfunctions, tensor
     products and random trigonometric bump superpositions."""
+    if count < 1:
+        raise ValueError(f"the Poincaré suite needs at least one field, not {count}")
     X, Y = grid.meshgrid()
     lx = max(grid.extent_x, np.finfo(float).tiny)
     ly = max(grid.extent_y, np.finfo(float).tiny)

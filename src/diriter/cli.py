@@ -40,7 +40,7 @@ from .errors import (
 )
 from .expressions import ExpressionError, compile_expression
 from .iteration import IterationConfig, IterationReport, dirichlet_iterate, with_lambda
-from .mce import arc_solution
+from .mce import ArcSolution
 from .nonlinearity import GammaG, GradLipschitz, MeanCurvature, RhsSpec
 from .slab import ExhaustionConfig, compact_values, exhaustion_solve, schauder_uniformity_probe
 
@@ -75,6 +75,11 @@ def _section(cfg: configparser.ConfigParser, name: str) -> configparser.SectionP
     return cfg[name]
 
 
+def _optional_section(cfg: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
+    """The ``[name]`` section, read as empty when the config has none."""
+    return cfg[name] if cfg.has_section(name) else configparser.SectionProxy(cfg, name)
+
+
 def _get_float(sec, key, default=None) -> float:
     if key not in sec:
         if default is None:
@@ -95,6 +100,16 @@ def _get_int(sec, key, default=None) -> int:
         return int(sec[key])
     except ValueError as exc:
         raise ConfigError(f"[{sec.name}] {key} = {sec[key]!r} is not an integer") from exc
+
+
+def _get_str(sec, key) -> str:
+    return sec[key].strip()
+
+
+def _given(sec, **readers) -> dict:
+    """``{key: read(sec, key)}`` for each key the section sets. A key it does
+    not set is left out, so the default of the callee is the only copy."""
+    return {key: read(sec, key) for key, read in readers.items() if key in sec}
 
 
 def _field_from_expr(sec, key: str, grid: Grid, default: str | None = None) -> GridField:
@@ -141,17 +156,16 @@ def build_rhs(cfg: configparser.ConfigParser, grid: Grid) -> RhsSpec:
             return GradLipschitz(
                 h=_field_from_expr(sec, "h", grid, default="0"),
                 K=_get_float(sec, "K", 0.0),
-                m=_get_float(sec, "m", 2.0),
+                **_given(sec, m=_get_float),
             )
         if variant == "gamma_g":
             return GammaG(
                 gamma=_field_from_expr(sec, "gamma", grid),
                 h=_field_from_expr(sec, "h", grid, default="0"),
-                m=_get_float(sec, "m", 2.0),
-                k=_get_float(sec, "k", 1.0),
+                **_given(sec, m=_get_float, k=_get_float),
             )
         if variant == "mean_curvature":
-            return MeanCurvature(H=_field_from_expr(sec, "H", grid), n=_get_int(sec, "n", 2))
+            return MeanCurvature(H=_field_from_expr(sec, "H", grid), **_given(sec, n=_get_int))
     raise ConfigError(f"[rhs] unknown variant {variant!r} "
                       "(expected grad_lipschitz | gamma_g | mean_curvature)")
 
@@ -159,48 +173,31 @@ def build_rhs(cfg: configparser.ConfigParser, grid: Grid) -> RhsSpec:
 def build_iteration_config(
     cfg: configparser.ConfigParser, grid: Grid, seed_override: int | None
 ) -> IterationConfig:
-    it = cfg["iteration"] if cfg.has_section("iteration") else {}
-    an = cfg["analysis"] if cfg.has_section("analysis") else {}
+    it = _optional_section(cfg, "iteration")
+    an = _optional_section(cfg, "analysis")
 
-    boundary = BoundarySpec.homogeneous()
-    start = "zero"
-    max_iters, h1_tol, blowup = 200, 1e-12, 1e6
-    if it:
-        max_iters = _get_int(it, "max_iters", 200)
-        h1_tol = _get_float(it, "h1_tol", 1e-12)
-        blowup = _get_float(it, "blowup_sup", 1e6)
-        start = it.get("start", "zero").strip()
-        if "phi" in it:
-            boundary = BoundarySpec.prescribed(_field_from_expr(it, "phi", grid))
+    iteration = _given(
+        it, max_iters=_get_int, h1_tol=_get_float, blowup_sup=_get_float, start=_get_str
+    )
+    if "phi" in it:
+        iteration["boundary"] = BoundarySpec.prescribed(_field_from_expr(it, "phi", grid))
 
-    alpha = 0.5
-    lam_value: float | None = None
-    lam_trials, lam_seed = 3, 0
-    if an:
-        alpha = _get_float(an, "alpha", 0.5)
-        lam_text = an.get("lambda", "estimate").strip()
-        if lam_text != "estimate":
-            try:
-                lam_value = float(lam_text)
-            except ValueError as exc:
-                raise ConfigError(f"[analysis] lambda = {lam_text!r} is not a number") from exc
-        lam_trials = _get_int(an, "lambda_trials", 3)
-        lam_seed = _get_int(an, "lambda_seed", 0)
+    analysis = _given(an, lambda_trials=_get_int, lambda_seed=_get_int)
+    lam_text = an.get("lambda", "estimate").strip()
+    if lam_text != "estimate":
+        try:
+            analysis["lambda_value"] = float(lam_text)
+        except ValueError as exc:
+            raise ConfigError(f"[analysis] lambda = {lam_text!r} is not a number") from exc
     if seed_override is not None:
-        lam_seed = seed_override
+        analysis["lambda_seed"] = seed_override
 
     with _rejected_values("iteration"):
-        it_cfg = IterationConfig(
-            max_iters=max_iters, h1_tol=h1_tol, blowup_sup=blowup, boundary=boundary, start=start
-        )
+        it_cfg = IterationConfig(**iteration)
     # replace() checks every field again; only the [analysis] ones can fail now
     with _rejected_values("analysis"):
         return dataclasses.replace(
-            it_cfg,
-            norm_cfg=NormConfig(alpha=alpha),
-            lambda_value=lam_value,
-            lambda_trials=lam_trials,
-            lambda_seed=lam_seed,
+            it_cfg, norm_cfg=NormConfig(**_given(an, alpha=_get_float)), **analysis
         )
 
 
@@ -414,15 +411,18 @@ def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> in
 def cmd_poincare(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
     domain = build_domain(cfg)
     grid = _build_grid(domain, _get_float(_section(cfg, "grid"), "h"))
-    if cfg.has_section("iteration") and "phi" in cfg["iteration"]:
-        phi = _field_from_expr(cfg["iteration"], "phi", grid)
+    it = _optional_section(cfg, "iteration")
+    if "phi" in it:
+        phi = _field_from_expr(it, "phi", grid)
         if np.max(np.abs(phi.values[grid.boundary_mask()])) > 0:
             raise NotConforming("the Poincaré suite needs zero boundary data, not a prescribed phi")
-    an = cfg["analysis"] if cfg.has_section("analysis") else {}
-    count = _get_int(an, "suite_size", 20) if an else 20
+    an = _optional_section(cfg, "analysis")
+    count = {"count": _get_int(an, "suite_size")} if "suite_size" in an else {}
+    with _rejected_values("analysis"):
+        suite = poincare_suite(grid, seed=seed or 0, **count)
     rows = []
     all_hold = True
-    for name, u in poincare_suite(grid, count=count, seed=seed or 0):
+    for name, u in suite:
         try:
             res = verify_poincare(u, domain)
         except NotConforming:
@@ -457,7 +457,6 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
             n_start=n_start,
             n_max=n_max,
             compact_halfwidth=halfwidth,
-            compact_tol=compact_tol,
             iteration=it_cfg,
         )
     try:
@@ -479,9 +478,9 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
         "truncations": list(result.truncations),
     }
     if isinstance(spec, MeanCurvature) and np.ptp(spec.H.values) == 0:
-        hval = float(spec.H.values[0, 0])
-        if abs(hval) * d < 1.0:
-            arc = arc_solution(d, hval)
+        # the equation solved is div(...) = n H: the arc of curvature n H
+        arc = ArcSolution(d=d, H=float(spec.H.values[0, 0]), n=spec.n)
+        if arc.valid:
             vals = compact_values(result.u_final, halfwidth)
             ref = arc(result.u_final.grid.y)[None, :]
             payload["compact_error_vs_arc"] = float(np.max(np.abs(vals - ref)))
@@ -490,22 +489,20 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
 
 
 def cmd_schauder(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
-    sc = cfg["schauder"] if cfg.has_section("schauder") else {}
-    trials = _get_int(sc, "trials", 5) if sc else 5
-    base_seed = _get_int(sc, "seed", 0) if sc else 0
+    sc = _optional_section(cfg, "schauder")
+    trials = _get_int(sc, "trials", 5)
+    base_seed = _get_int(sc, "seed", 0)
     if seed is not None:
         base_seed = seed
-    an = cfg["analysis"] if cfg.has_section("analysis") else {}
-    alpha = _get_float(an, "alpha", 0.5) if an else 0.5
     with _rejected_values("analysis"):
-        norm_cfg = NormConfig(alpha=alpha)
+        norm_cfg = NormConfig(**_given(_optional_section(cfg, "analysis"), alpha=_get_float))
     h = _get_float(_section(cfg, "grid"), "h")
 
     n_list = None
     with _rejected_values("schauder"):
         if trials < 1:
             raise ValueError(f"trials = {trials} must be >= 1")
-        if sc and "n_list" in sc:
+        if "n_list" in sc:
             d = _get_float(sc, "d")
             n_list = [int(tok) for tok in sc.get("n_list").replace(",", " ").split()]
             if not n_list:

@@ -121,21 +121,12 @@ class Grid:
         return (self.nx, self.ny)
 
     @property
-    def n_nodes(self) -> int:
-        return self.nx * self.ny
-
-    @property
     def extent_x(self) -> float:
         return (self.nx - 1) * self.h
 
     @property
     def extent_y(self) -> float:
         return (self.ny - 1) * self.h
-
-    @property
-    def area(self) -> float:
-        """Realized discrete domain measure."""
-        return self.extent_x * self.extent_y
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.x, self.y, indexing="ij")

@@ -10,6 +10,7 @@ residual.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .calculus import (
 from .domain import BoundarySpec, Grid, GridField
 from .errors import IterationDiverged, IterationMaxIters, NotConforming
 from .nonlinearity import ContractionAnalysis, RhsSpec, analyze, data_norms, evaluate_rhs
-from .poisson import LinearSolveConfig, PoissonSolver
+from .poisson import PoissonSolver
 
 START_ZERO = "zero"
 START_LIFT = "boundary-lift"
@@ -53,21 +54,22 @@ class IterationConfig:
     lambda_value: float | None = None
     lambda_trials: int = 3
     lambda_seed: int = 0
-    kappa_kind: str = "min"
-    linear: LinearSolveConfig = field(default_factory=LinearSolveConfig)
     c2alpha: bool = True
 
     def __post_init__(self):
-        if self.h1_tol <= 0:
-            raise ValueError("h1_tol must be positive")
+        # each check is written so that NaN fails it
+        if not 0.0 < self.h1_tol < math.inf:
+            raise ValueError(f"h1_tol = {self.h1_tol} must be positive and finite")
+        if not self.blowup_sup > 0.0:
+            raise ValueError(f"blowup_sup = {self.blowup_sup} must be positive")
+        if self.lambda_value is not None and not 0.0 < self.lambda_value < math.inf:
+            raise ValueError(f"lambda = {self.lambda_value} must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.lambda_trials < 1:
             raise ValueError("lambda_trials must be >= 1")
         if self.start not in (START_ZERO, START_LIFT):
             raise ValueError(f"unknown start mode {self.start!r}")
-        if self.kappa_kind not in ("min", "volumetric", "slab"):
-            raise ValueError(f"unknown kappa_kind {self.kappa_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def with_lambda(grid: Grid, cfg: IterationConfig) -> IterationConfig:
 def _start_field(grid: Grid, spec: RhsSpec, cfg: IterationConfig, solver: PoissonSolver) -> GridField:
     if cfg.start == START_ZERO:
         return grid.zeros()
-    # the loop's own solver: lift_boundary would build a second one on this grid
+    # the lift solves on the loop's own solver: laplacian(u0) = h, u0 = phi
     h_rhs = spec.h if hasattr(spec, "h") else grid.zeros()
     return solver.solve(h_rhs, cfg.boundary)
 
@@ -149,11 +151,11 @@ def dirichlet_iterate(
     C^{2,alpha} estimate is computed: the rows carry None and
     ``C_empirical`` is None, and every other value is the same.
     """
-    solver = PoissonSolver(grid, cfg.linear)
+    solver = PoissonSolver(grid)
 
     norms = data_norms(spec, cfg.norm_cfg)
     cfg = with_lambda(grid, cfg)
-    theory = analyze(spec, grid.domain, norms, cfg.lambda_value, cfg.kappa_kind)
+    theory = analyze(spec, grid.domain, norms, cfg.lambda_value)
 
     if u0 is not None:
         if not u0.is_conforming(cfg.boundary, tol=1e-12 * (1.0 + norm_sup(u0))):

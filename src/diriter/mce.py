@@ -1,9 +1,9 @@
 """Mean-curvature checks: divergence-form residual and the circular-arc profile.
 
-A graph of constant mean curvature H over a strip of width d (n = 2) is a
-circular arc of radius 1 / (2H); it exists only while the arc can span the
-strip, i.e. |H| * d < 1. The arc profile is the analytic benchmark for the
-iterated solver on strip truncations.
+Across a strip of width d, the graph solving div(grad u / sqrt(1 + |grad u|^2))
+= n H for constant H is a circular arc of radius 1 / (n H); it exists only
+while the arc can span the strip, i.e. n |H| d / 2 < 1. The arc profile is the
+analytic benchmark for the iterated solver on strip truncations.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def mc_divergence_residual(u: GridField, H: GridField, n: int = 2) -> GridField:
 
 @dataclass(frozen=True)
 class ArcSolution:
-    """Arc profile u(y) spanning y in [-d/2, d/2] with curvature datum H."""
+    """Arc profile u(y) spanning y in [-d/2, d/2]: (u' / sqrt(1 + u'^2))' = n H."""
 
     d: float
     H: float
@@ -53,16 +53,10 @@ class ArcSolution:
         y = np.asarray(y, dtype=float)
         if self.H == 0.0:
             return np.zeros_like(y)
-        hh = self.H
+        hh = self.n / 2 * self.H  # half the curvature n H; exactly H when n = 2
         return (np.sqrt(1.0 - hh * hh * self.d * self.d) - np.sqrt(1.0 - 4.0 * hh * hh * y * y)) / (
             2.0 * hh
         )
-
-    def slope(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.H == 0.0:
-            return np.zeros_like(y)
-        return 2.0 * self.H * y / np.sqrt(1.0 - 4.0 * self.H * self.H * y * y)
 
 
 def arc_solution(d: float, H: float) -> ArcSolution:

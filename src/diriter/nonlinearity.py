@@ -226,8 +226,8 @@ def smallest_fixed_point(
     and bisection finds it. Raises BracketNotFound when the gap is still
     decreasing at t_max (a fixed point may exist beyond the search window).
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:  # NaN fails
+        raise ValueError(f"lam = {lam} must be positive and finite")
     if t_max is None:
         t_max = default_t_max(spec, norms, lam)
 
@@ -403,7 +403,7 @@ def analyze(
     b_const = None
     if c_star is not None:
         fp_gap = abs(lam * psi(spec, domain, norms, c_star) - c_star)
-        if fp_gap > 1e-10 * max(1.0, abs(c_star)):
+        if not fp_gap <= 1e-10 * max(1.0, abs(c_star)):  # a NaN gap fails
             raise FixedPointInconsistent(
                 f"fixed point failed its self-consistency check: gap {fp_gap:g}"
             )

@@ -10,25 +10,12 @@ inputs give bitwise-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import numpy.fft
 
 from .calculus import laplacian_apply, sup_abs
 from .domain import HOMOGENEOUS, BoundarySpec, Grid, GridField
 from .errors import NoConvergence
-
-
-@dataclass(frozen=True)
-class LinearSolveConfig:
-    """residual_tol = None means the default 1e-10 * (1 + sup|f|)."""
-
-    residual_tol: float | None = None
-
-    def __post_init__(self):
-        if self.residual_tol is not None and self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
 
 
 def _dst_eigenvalues(m: int, h: float) -> np.ndarray:
@@ -46,9 +33,8 @@ class PoissonSolver:
     """Dirichlet solver bound to one grid: the eigenvalue table and the work
     buffers of the transform. Solves on one solver must not run concurrently."""
 
-    def __init__(self, grid: Grid, cfg: LinearSolveConfig | None = None):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.cfg = cfg or LinearSolveConfig()
         m0, m1 = grid.nx - 2, grid.ny - 2
         self._eig = _dst_eigenvalues(m0, grid.h)[:, None] + _dst_eigenvalues(m1, grid.h)[None, :]
         # the inverse DST-I scale 1/(2(m + 1)) per axis, rounded as pocketfft
@@ -98,7 +84,7 @@ class PoissonSolver:
 
         The solve is checked by applying the 5-point Laplacian to u and
         requiring max |laplacian(u) - f| over the interior to be at most
-        ``residual_tol`` (NaN fails); otherwise NoConvergence is raised.
+        1e-10 * (1 + sup|f|) (NaN fails); otherwise NoConvergence is raised.
         ``lap_out``, a writable C-contiguous float64 array of the grid's
         shape, receives that Laplacian (``laplacian_apply(u)``, boundary
         entries 0), so a caller that needs it too does not apply the stencil
@@ -135,9 +121,7 @@ class PoissonSolver:
         self._dst1_t(self._coef_t, out[1:-1, 1:-1])
         u = grid._own(out)
 
-        tol = self.cfg.residual_tol
-        if tol is None:
-            tol = 1e-10 * (1.0 + sup_abs(f.values))
+        tol = 1e-10 * (1.0 + sup_abs(f.values))
         lap = laplacian_apply(u, out=lap_out).values
         res = sup_abs(np.subtract(lap[1:-1, 1:-1], f_in, out=self._coef))
         if not res <= tol:  # a NaN residual fails too
@@ -147,15 +131,6 @@ class PoissonSolver:
         return u
 
 
-def solve_dirichlet(
-    grid: Grid, f: GridField, bc: BoundarySpec | None = None, cfg: LinearSolveConfig | None = None
-) -> GridField:
+def solve_dirichlet(grid: Grid, f: GridField, bc: BoundarySpec | None = None) -> GridField:
     """One-shot Dirichlet solve: laplacian(u) = f inside, u = bc on the boundary."""
-    return PoissonSolver(grid, cfg).solve(f, bc)
-
-
-def lift_boundary(
-    grid: Grid, bc: BoundarySpec, h_rhs: GridField, cfg: LinearSolveConfig | None = None
-) -> GridField:
-    """Starting iterate for nonhomogeneous problems: laplacian(u0) = h, u0 = phi."""
-    return solve_dirichlet(grid, h_rhs, bc, cfg)
+    return PoissonSolver(grid).solve(f, bc)

@@ -25,7 +25,6 @@ class ExhaustionConfig:
     n_start: int
     n_max: int
     compact_halfwidth: float
-    compact_tol: float = 1e-6
     iteration: IterationConfig = field(default_factory=IterationConfig)
 
     def __post_init__(self):

@@ -199,7 +199,7 @@ def test_criterion_8_exhaustion_tails():
 
     d, h = 1.0, 1.0 / 16
     cfg = ExhaustionConfig(
-        d=d, n_start=3, n_max=8, compact_halfwidth=2.0, compact_tol=1e-6,
+        d=d, n_start=3, n_max=8, compact_halfwidth=2.0,
         iteration=IterationConfig(h1_tol=1e-12, max_iters=40, lambda_value=2.0),
     )
     big = build_grid(Domain.strip_truncation(d, cfg.n_max), h)

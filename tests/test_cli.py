@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from diriter import Domain, IterationConfig, build_grid, iteration, nonlinearity
-from diriter.cli import main, run_sweep, write_csv, write_solution
+from diriter.cli import (
+    _load_config,
+    build_iteration_config,
+    main,
+    run_sweep,
+    write_csv,
+    write_solution,
+)
 
 BASE = """
 [domain]
@@ -165,9 +172,19 @@ def test_bad_expression_reports_usage_error(tmp_path):
         ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\ntrials = 0\n"),
         ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\nd = -1\nn_list = 2 4\n"),
         ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\nd = 1\nn_list =\n"),
+        ("solve", "lambda = 2.0\n", "lambda = nan\n"),
+        ("solve", "lambda = 2.0\n", "lambda = -1\n"),
+        ("solve", "lambda = 2.0\n", "lambda = 0\n"),
+        ("solve", "h1_tol = 1e-12", "h1_tol = nan"),
+        ("solve", "h1_tol = 1e-12", "h1_tol = 1e-12\nblowup_sup = -1"),
+        ("solve", "h1_tol = 1e-12", "h1_tol = 1e-12\nblowup_sup = nan"),
+        ("poincare", "lambda = 2.0\n", "lambda = 2.0\nsuite_size = 0\n"),
+        ("poincare", "lambda = 2.0\n", "lambda = 2.0\nsuite_size = -3\n"),
     ],
     ids=["alpha", "h", "K", "max_iters", "n_list", "lambda_trials", "schauder_trials",
-         "schauder_d", "empty_n_list"],
+         "schauder_d", "empty_n_list", "lambda_nan", "lambda_negative", "lambda_zero",
+         "h1_tol_nan", "blowup_sup_negative", "blowup_sup_nan", "suite_size_zero",
+         "suite_size_negative"],
 )
 def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old, new):
     assert BASE.count(old) == 1
@@ -175,6 +192,13 @@ def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old,
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("sections", ["", "[iteration]\n[analysis]\n"], ids=["absent", "empty"])
+def test_missing_or_empty_sections_give_the_default_config(tmp_path, sections):
+    grid = build_grid(Domain.rectangle(1.0, 1.0), 0.0625)
+    cfg = _load_config(write_cfg(tmp_path, sections))
+    assert build_iteration_config(cfg, grid, None) == IterationConfig()
 
 
 def test_sweep_k_rows_and_threshold(tmp_path):
@@ -344,6 +368,24 @@ def test_exhaust_tails_below_tolerance(tmp_path):
     assert diffs[-1] <= 1e-6
     report = json.loads((out / "report.json").read_text())
     assert report["tail_below_tol"] is True
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exhaust_compares_against_the_arc_of_curvature_n_h(tmp_path, n):
+    # the code solves div(...) = n H; against the n = 2 arc, n = 3 read 0.026
+    rhs = f"variant = mean_curvature\nH = 0.2\nn = {n}"
+    text = (
+        EXHAUST.replace("n_trunc = 8", "n_trunc = 4")
+        .replace("variant = grad_lipschitz\nh = 1\nK = 0\nm = 2", rhs)
+        .replace("n_max = 8", "n_max = 4")
+        .replace("compact_halfwidth = 2", "compact_halfwidth = 1")
+        .replace("h1_tol = 1e-12", "h1_tol = 1e-10")
+    )
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["exhaust", "--config", cfg, "--out", str(out)]) == 0
+    # 5e-5 bounds the n = 2 error in the benchmark's exhaust_arc check
+    assert json.loads((out / "report.json").read_text())["compact_error_vs_arc"] < 5e-5
 
 
 def test_exhaust_on_four_nodes_across_the_strip(tmp_path):

@@ -22,7 +22,6 @@ from diriter import (
     evaluate_rhs,
     gradient,
     laplacian_apply,
-    lift_boundary,
     norm_h1semi,
     residual_field,
     solve_dirichlet,
@@ -133,11 +132,6 @@ def test_nan_iterate_diverges(unit_grid_16):
     rows = exc_info.value.report.rows
     assert exc_info.value.report.outcome == "diverged"
     assert len(rows) == 1 and math.isfinite(rows[0].sup_u) and math.isnan(rows[0].residual_sup)
-
-
-def test_rejects_unknown_kappa_kind():
-    with pytest.raises(ValueError, match="kappa_kind"):
-        IterationConfig(kappa_kind="bogus")
 
 
 def test_rejects_nonconforming_start(unit_grid_16):
@@ -322,7 +316,7 @@ def _ref_c2alpha(u, cfg, grad):
 
 def _reference_iterate(grid, spec, cfg):
     """(rows, outcome, last iterate) of the loop, written without fusion."""
-    solver = PoissonSolver(grid, cfg.linear)
+    solver = PoissonSolver(grid)
     u_prev = grid.zeros()
     rows, prev_h1, expanding = [], None, 0
     f = _ref_rhs(spec, u_prev, _ref_gradient(u_prev))
@@ -515,7 +509,7 @@ def test_boundary_lift_reuses_the_loops_solver(unit_grid_16, monkeypatch):
     assert len(built) == 1
     monkeypatch.undo()
 
-    solver = PoissonSolver(unit_grid_16, cfg.linear)
+    solver = PoissonSolver(unit_grid_16)
     start = iteration._start_field(unit_grid_16, spec, cfg, solver)
-    lifted = lift_boundary(unit_grid_16, cfg.boundary, spec.h, cfg.linear)
+    lifted = solve_dirichlet(unit_grid_16, spec.h, cfg.boundary)
     assert np.array_equal(start.values.view(np.int64), lifted.values.view(np.int64))

@@ -7,6 +7,7 @@ from scipy.integrate import solve_bvp
 from diriter import (
     Domain,
     GradLipschitz,
+    ArcSolution,
     InvalidArc,
     IterationConfig,
     MeanCurvature,
@@ -65,6 +66,17 @@ def test_arc_validity_boundary():
         arc_solution(1.0, -1.2)
     arc = arc_solution(1.0, 0.99)
     assert arc.valid
+
+
+def test_arc_honours_the_dimension_factor():
+    # div(...) = n H: the arc of curvature 3 * 0.2 is the n = 2 arc of H = 0.3
+    arc = ArcSolution(d=1.0, H=0.2, n=3)
+    y = np.linspace(-0.5, 0.5, 101)
+    assert np.max(np.abs(arc(y) - bvp_oracle(1.0, 0.3).sol(y)[0])) <= 1e-8
+    assert math.isclose(arc.radius, 1.0 / 0.6, rel_tol=1e-15)
+    assert ArcSolution(d=1.0, H=0.6, n=3).valid and not ArcSolution(d=1.0, H=0.7, n=3).valid
+    two = arc_solution(1.0, 0.2)
+    assert np.array_equal(ArcSolution(d=1.0, H=0.2, n=2)(y), two(y))
 
 
 def test_arc_symmetry_and_sign():

@@ -332,6 +332,22 @@ def test_analyze_inconsistent_fixed_point_is_package_error(unit_grid_16, monkeyp
     assert isinstance(exc_info.value, DiriterError)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
+def test_analyze_rejects_lambda_that_is_not_positive_and_finite(unit_grid_16, lam):
+    # a NaN Λ used to pass every comparison and certify C = 0, rho = 0
+    spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.05, m=2.0)
+    norms = data_norms(spec, NormConfig(alpha=0.5))
+    with pytest.raises(ValueError, match="positive and finite"):
+        analyze(spec, DOM, norms, lam=lam)
+
+
+def test_nan_fixed_point_gap_fails_the_consistency_check(unit_grid_16, monkeypatch):
+    monkeypatch.setattr(nonlinearity, "psi", lambda spec, domain, norms, t: math.nan if t else 1.0)
+    spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=2.0)
+    with pytest.raises(FixedPointInconsistent):
+        analyze(spec, DOM, {"h_alpha": 1.0}, lam=1.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_data_norms_reject_non_finite_fields(unit_grid_16, bad):
     cfg = NormConfig(alpha=0.5)

@@ -48,7 +48,7 @@ def test_restrict_field_rejects_mismatched_spacing():
 def test_exhaustion_y_only_profile_and_tails():
     d = 1.0
     cfg = ExhaustionConfig(
-        d=d, n_start=3, n_max=8, compact_halfwidth=2.0, compact_tol=1e-6,
+        d=d, n_start=3, n_max=8, compact_halfwidth=2.0,
         iteration=iteration_cfg(),
     )
     spec = y_only_spec(d, cfg.n_max, H_GRID)
