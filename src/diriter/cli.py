@@ -31,17 +31,11 @@ import numpy as np
 
 from .calculus import NormConfig, estimate_schauder_constant, poincare_suite, verify_poincare
 from .domain import BoundarySpec, Domain, Grid, GridField, build_grid
-from .errors import (
-    ConfigError,
-    DiriterError,
-    IterationDiverged,
-    IterationFailure,
-    NotConforming,
-)
+from .errors import ConfigError, DiriterError, IterationDiverged, IterationFailure, NotConforming
 from .expressions import ExpressionError, compile_expression
-from .iteration import IterationConfig, IterationReport, dirichlet_iterate, with_lambda
+from .iteration import IterationConfig, IterationReport, contraction_theory, dirichlet_iterate
 from .mce import ArcSolution
-from .nonlinearity import GammaG, GradLipschitz, MeanCurvature, RhsSpec
+from .nonlinearity import ContractionAnalysis, GammaG, GradLipschitz, MeanCurvature, RhsSpec
 from .slab import ExhaustionConfig, compact_values, exhaustion_solve, schauder_uniformity_probe
 
 EXIT_OK = 0
@@ -245,7 +239,8 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def report_payload(report: IterationReport) -> dict:
+def report_payload(report: IterationReport, theory: ContractionAnalysis, norms: dict) -> dict:
+    """The ``report.json`` of a ``solve``: the run's report and its ``contraction_theory``."""
     last = report.rows[-1]
     max_rho = max((r.rho_i for r in report.rows if r.rho_i is not None), default=None)
     return {
@@ -259,10 +254,10 @@ def report_payload(report: IterationReport) -> dict:
         },
         "C_empirical": report.C_empirical,
         "max_rho": max_rho,
-        "norms": dict(report.norms),
-        "theory": dataclasses.asdict(report.theory),
-        "fixed_point_t_star": report.theory.C,
-        "uniqueness_radius": report.uniqueness_radius,
+        "norms": dict(norms),
+        "theory": dataclasses.asdict(theory),
+        "fixed_point_t_star": theory.C,
+        "uniqueness_radius": theory.C,
     }
 
 
@@ -299,12 +294,13 @@ def cmd_solve(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> in
     spec = build_rhs(cfg, grid)
     it_cfg = build_iteration_config(cfg, grid, seed)
 
+    theory, norms = contraction_theory(grid, spec, it_cfg)
     try:
         u, report = dirichlet_iterate(grid, spec, it_cfg)
     except IterationFailure as exc:
         report = exc.report
         u = exc.last_iterate
-    write_json(out / "report.json", report_payload(report))
+    write_json(out / "report.json", report_payload(report, theory, norms))
     write_trace(out / "trace.csv", report)
     if u is not None:
         write_solution(out / "solution.csv", u)
@@ -340,34 +336,25 @@ def run_sweep(
 ) -> dict:
     """One iteration run per value; rows plus the empirical threshold midpoint.
 
-    The rows read no C^{2,alpha} estimate, so ``it_cfg.c2alpha`` changes only
-    the run time (``cmd_sweep`` turns it off).
+    The rows read no C^{2,alpha} estimate and no theory, so ``it_cfg.c2alpha``
+    changes only the run time (``cmd_sweep`` turns it off), and Λ is neither
+    read nor estimated. A value whose run raises a package error other than
+    divergence or the iteration budget gets an ``error:`` row.
     """
     if not values:
         raise ConfigError("sweep needs a nonempty ascending list of values")
     if sorted(values) != list(values):
         raise ConfigError("sweep values must be sorted ascending")
-    # every value shares the grid and the Λ settings, so Λ is estimated once;
-    # if that fails, each value reports the failure in its own row
-    lambda_error = None
-    try:
-        it_cfg = with_lambda(grid, it_cfg)
-    except DiriterError as exc:
-        lambda_error = exc
     rows = []
     outcomes = []
     for value in values:
         spec_v = _apply_sweep_value(spec, parameter, value)
-        error = lambda_error
-        if error is None:
-            try:
-                _, report = dirichlet_iterate(grid, spec_v, it_cfg)
-            except IterationFailure as exc:
-                report = exc.report
-            except DiriterError as exc:
-                error = exc
-        if error is not None:
-            rows.append([value, f"error: {error}", 0, None, None])
+        try:
+            _, report = dirichlet_iterate(grid, spec_v, it_cfg)
+        except IterationFailure as exc:
+            report = exc.report
+        except DiriterError as exc:
+            rows.append([value, f"error: {exc}", 0, None, None])
             outcomes.append("error")
             continue
         max_rho = max((r.rho_i for r in report.rows if r.rho_i is not None), default=None)
@@ -500,6 +487,8 @@ def cmd_schauder(cfg: configparser.ConfigParser, out: Path, seed: int | None) ->
 
     n_list = None
     with _rejected_values("schauder"):
+        if base_seed < 0:
+            raise ValueError(f"seed = {base_seed} must be >= 0")
         if trials < 1:
             raise ValueError(f"trials = {trials} must be >= 1")
         if "n_list" in sc:
@@ -552,9 +541,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](cfg, out, args.seed)
-    except (ConfigError, NotConforming) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DiriterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,11 +19,6 @@ RECTANGLE = "rectangle"
 STRIP = "strip-truncation"
 
 
-def unit_ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n."""
-    return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-
-
 @dataclass(frozen=True)
 class Domain:
     """A rectangle a x b or a truncated strip [-n_trunc, n_trunc] x (-d/2, d/2)."""
@@ -33,15 +28,17 @@ class Domain:
     b: float = 0.0
     d: float = 0.0
     n_trunc: float = 0.0
-    n: int = 2
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         if self.kind == RECTANGLE:
-            if self.a <= 0 or self.b <= 0:
-                raise ValueError("rectangle extents must be strictly positive")
+            if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+                raise ValueError(f"rectangle extents a = {self.a} and b = {self.b} "
+                                 "must be positive and finite")
         elif self.kind == STRIP:
-            if self.d <= 0 or self.n_trunc <= 0:
-                raise ValueError("strip width and half-length must be strictly positive")
+            if not (0.0 < self.d < math.inf and 0.0 < self.n_trunc < math.inf):
+                raise ValueError(f"strip width d = {self.d} and half-length n_trunc = "
+                                 f"{self.n_trunc} must be positive and finite")
         else:
             raise ValueError(f"unknown domain kind {self.kind!r}")
 
@@ -80,12 +77,12 @@ class Domain:
 def domain_constants(domain: Domain) -> dict:
     """Measure, slab diameter and the two Poincaré constants of the domain.
 
-    kappa_volumetric = (|domain| / omega_n)^(1/n), kappa_slab = delta / sqrt(2).
+    kappa_volumetric = (|domain| / omega_2)^(1/2) with omega_2 = pi, the area of
+    the unit disc; kappa_slab = delta / sqrt(2).
     """
     vol = domain.volume()
     delta = domain.slab_diameter()
-    n = domain.n
-    kappa_vol = (vol / unit_ball_volume(n)) ** (1.0 / n)
+    kappa_vol = (vol / math.pi) ** 0.5
     kappa_slab = delta / math.sqrt(2.0)
     return {
         "volume": vol,
@@ -197,8 +194,8 @@ class Grid:
 
 def build_grid(domain: Domain, h: float) -> Grid:
     """Uniform grid with spacing h; node counts rounded to fit the extents."""
-    if h <= 0:
-        raise ValueError("spacing must be positive")
+    if not 0.0 < h < math.inf:  # NaN fails
+        raise ValueError(f"spacing h = {h} must be positive and finite")
     ex, ey = domain.extents
     if h > min(ex, ey) / 2.0:
         raise SpacingTooCoarse(f"h = {h} exceeds half the smallest extent {min(ex, ey)}")

@@ -4,12 +4,12 @@ Each pass solves laplacian(u_{i+1}) = f(x, u_i, grad u_i) with the fixed
 boundary data and records the quantities the convergence analysis controls:
 sup norms, discrete C^{2,alpha} estimates (unless switched off), H1
 seminorms of consecutive differences and their ratios, and the nonlinear
-residual.
+residual. The a priori analysis that certifies the loop (data norms, Λ, the
+fixed point t* and the factor rho) is separate: ``contraction_theory``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +26,14 @@ from .calculus import (
 )
 from .domain import BoundarySpec, Grid, GridField
 from .errors import IterationDiverged, IterationMaxIters, NotConforming
-from .nonlinearity import ContractionAnalysis, RhsSpec, analyze, data_norms, evaluate_rhs
+from .nonlinearity import (
+    ContractionAnalysis,
+    RhsSpec,
+    analyze,
+    check_finite_data,
+    data_norms,
+    evaluate_rhs,
+)
 from .poisson import PoissonSolver
 
 START_ZERO = "zero"
@@ -37,12 +44,15 @@ _STALL_WINDOW = 10  # consecutive expanding ratios that count as divergence
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Settings of one ``dirichlet_iterate`` run.
+    """Settings of one ``dirichlet_iterate`` run and of its ``contraction_theory``.
 
     ``c2alpha``: estimate the C^{2,alpha} surrogate of every iterate. Callers
     that never read ``IterationRow.c2alpha_est`` or
     ``IterationReport.C_empirical`` (the CLI's ``sweep`` and ``exhaust``) turn
     it off and skip the largest per-iterate cost; the iterates are the same.
+    ``lambda_value``, ``lambda_trials`` and ``lambda_seed`` are read only by
+    ``contraction_theory`` (Λ is estimated when ``lambda_value`` is None);
+    ``norm_cfg`` by both.
     """
 
     max_iters: int = 200
@@ -68,6 +78,8 @@ class IterationConfig:
             raise ValueError("max_iters must be >= 1")
         if self.lambda_trials < 1:
             raise ValueError("lambda_trials must be >= 1")
+        if self.lambda_seed < 0:
+            raise ValueError(f"lambda_seed = {self.lambda_seed} must be >= 0")
         if self.start not in (START_ZERO, START_LIFT):
             raise ValueError(f"unknown start mode {self.start!r}")
 
@@ -87,18 +99,12 @@ class IterationRow:
 
 @dataclass(frozen=True)
 class IterationReport:
-    """A run's rows, outcome and theory; ``C_empirical``, the largest
-    ``c2alpha_est`` of the rows, is None when ``IterationConfig.c2alpha`` is off."""
+    """A run's rows and outcome; ``C_empirical``, the largest ``c2alpha_est``
+    of the rows, is None when ``IterationConfig.c2alpha`` is off."""
 
     rows: tuple[IterationRow, ...]
     outcome: str  # converged | diverged | max_iters
     C_empirical: float | None
-    theory: ContractionAnalysis
-    norms: dict
-
-    @property
-    def uniqueness_radius(self) -> float | None:
-        return self.theory.C
 
 
 def residual_field(
@@ -121,12 +127,21 @@ def residual_field(
     return u.grid._own(out)
 
 
-def with_lambda(grid: Grid, cfg: IterationConfig) -> IterationConfig:
-    """``cfg`` with ``lambda_value`` set, estimating Λ on ``grid`` when it is absent."""
-    if cfg.lambda_value is not None:
-        return cfg
-    lam = estimate_schauder_constant(grid, cfg.norm_cfg, cfg.lambda_trials, cfg.lambda_seed)
-    return dataclasses.replace(cfg, lambda_value=lam)
+def contraction_theory(
+    grid: Grid, spec: RhsSpec, cfg: IterationConfig
+) -> tuple[ContractionAnalysis, dict]:
+    """The a priori analysis of ``dirichlet_iterate(grid, spec, cfg)``, which reads none of it.
+
+    ``analyze``'s t* and rho for Λ = ``cfg.lambda_value``, or for Λ estimated on
+    ``grid`` when that is None, and the Hölder data norms they rest on. Raises
+    NonFiniteData for NaN or inf data, and GridTooCoarse when Λ is estimated
+    on fewer than 5 nodes per axis.
+    """
+    norms = data_norms(spec, cfg.norm_cfg)
+    lam = cfg.lambda_value
+    if lam is None:
+        lam = estimate_schauder_constant(grid, cfg.norm_cfg, cfg.lambda_trials, cfg.lambda_seed)
+    return analyze(spec, grid.domain, norms, lam), norms
 
 
 def _start_field(grid: Grid, spec: RhsSpec, cfg: IterationConfig, solver: PoissonSolver) -> GridField:
@@ -145,17 +160,16 @@ def dirichlet_iterate(
 ) -> tuple[GridField, IterationReport]:
     """Run the iteration; returns the converged iterate and its report.
 
-    Raises IterationDiverged / IterationMaxIters with the partial report and
+    Raises NonFiniteData before any solve when a data field holds NaN or inf,
+    and IterationDiverged / IterationMaxIters with the partial report and
     last iterate attached. ``u0`` overrides the configured start (it must
     already carry the boundary values). With ``cfg.c2alpha`` off no iterate's
     C^{2,alpha} estimate is computed: the rows carry None and
-    ``C_empirical`` is None, and every other value is the same.
+    ``C_empirical`` is None, and every other value is the same. No data norm,
+    Λ or fixed point is computed here; see ``contraction_theory``.
     """
+    check_finite_data(spec)
     solver = PoissonSolver(grid)
-
-    norms = data_norms(spec, cfg.norm_cfg)
-    cfg = with_lambda(grid, cfg)
-    theory = analyze(spec, grid.domain, norms, cfg.lambda_value)
 
     if u0 is not None:
         if not u0.is_conforming(cfg.boundary, tol=1e-12 * (1.0 + norm_sup(u0))):
@@ -170,9 +184,7 @@ def dirichlet_iterate(
 
     def report(outcome: str) -> IterationReport:
         c_emp = max((r.c2alpha_est for r in rows), default=0.0) if cfg.c2alpha else None
-        return IterationReport(
-            rows=tuple(rows), outcome=outcome, C_empirical=c_emp, theory=theory, norms=norms
-        )
+        return IterationReport(rows=tuple(rows), outcome=outcome, C_empirical=c_emp)
 
     # f at the newest iterate feeds both its residual and the next solve; one
     # name is rebound, so only one right-hand-side field is kept. The solve

@@ -39,8 +39,8 @@ class GradLipschitz:
     F: object = None  # vectorized callable s -> F(s)
 
     def __post_init__(self):
-        if self.K < 0:
-            raise ValueError("K must be >= 0")
+        if not 0.0 <= self.K < math.inf:  # NaN fails
+            raise ValueError(f"K = {self.K} must be >= 0 and finite")
         if self.m < 2:
             raise ValueError("m must be >= 2")
         if self.F is None:
@@ -153,24 +153,30 @@ def evaluate_rhs(spec: RhsSpec, u: GridField, grad_u: VectorField) -> GridField:
     raise TypeError(f"unknown rhs spec {type(spec).__name__}")
 
 
-def data_norms(spec: RhsSpec, cfg: NormConfig) -> dict:
-    """Hölder norms of the data fields the majorant psi needs.
-
-    Raises NonFiniteData when a data field holds NaN or inf: its norm would be
-    NaN, and every bound derived from it meaningless.
-    """
+def data_fields(spec: RhsSpec) -> dict[str, GridField]:
+    """The data fields of ``spec``, keyed by attribute name."""
     if isinstance(spec, GradLipschitz):
-        fields = {"h_alpha": spec.h}
-    elif isinstance(spec, GammaG):
-        fields = {"h_alpha": spec.h, "gamma_alpha": spec.gamma}
-    elif isinstance(spec, MeanCurvature):
-        fields = {"H_alpha": spec.H}
-    else:
-        raise TypeError(f"unknown rhs spec {type(spec).__name__}")
-    for key, data in fields.items():
+        return {"h": spec.h}
+    if isinstance(spec, GammaG):
+        return {"h": spec.h, "gamma": spec.gamma}
+    if isinstance(spec, MeanCurvature):
+        return {"H": spec.H}
+    raise TypeError(f"unknown rhs spec {type(spec).__name__}")
+
+
+def check_finite_data(spec: RhsSpec) -> None:
+    """Raise NonFiniteData when a data field holds NaN or inf: its norm would be
+    NaN, every bound derived from it meaningless, and every iterate non-finite."""
+    for name, data in data_fields(spec).items():
         if not np.all(np.isfinite(data.values)):
-            raise NonFiniteData(f"data field {key.removesuffix('_alpha')!r} holds NaN or inf")
-    return {key: holder_norm(data, cfg) for key, data in fields.items()}
+            raise NonFiniteData(f"data field {name!r} holds NaN or inf")
+
+
+def data_norms(spec: RhsSpec, cfg: NormConfig) -> dict:
+    """Hölder norms ``{name}_alpha`` of the data fields the majorant psi needs;
+    raises NonFiniteData as ``check_finite_data`` does."""
+    check_finite_data(spec)
+    return {f"{name}_alpha": holder_norm(data, cfg) for name, data in data_fields(spec).items()}
 
 
 def _require(norms: dict, key: str) -> float:
@@ -374,26 +380,19 @@ class ContractionAnalysis:
     partial: bool = False
 
 
-def select_kappa(domain: Domain, kappa_kind: str) -> float:
+def select_kappa(domain: Domain) -> float:
+    """The smaller of the volumetric and slab Poincaré constants."""
     consts = domain_constants(domain)
-    if kappa_kind == "volumetric":
-        return consts["kappa_volumetric"]
-    if kappa_kind == "slab":
-        return consts["kappa_slab"]
-    if kappa_kind == "min":
-        return min(consts["kappa_volumetric"], consts["kappa_slab"])
-    raise ValueError("kappa_kind must be 'volumetric', 'slab' or 'min'")
+    return min(consts["kappa_volumetric"], consts["kappa_slab"])
 
 
-def analyze(
-    spec: RhsSpec,
-    domain: Domain,
-    norms: dict,
-    lam: float,
-    kappa_kind: str = "min",
-) -> ContractionAnalysis:
-    """Bundle fixed point, contraction factor and admissibility thresholds."""
-    kappa = select_kappa(domain, kappa_kind)
+def analyze(spec: RhsSpec, domain: Domain, norms: dict, lam: float) -> ContractionAnalysis:
+    """Bundle fixed point, contraction factor and admissibility thresholds.
+
+    kappa is ``select_kappa(domain)``; ``K_threshold`` uses the volumetric
+    convention of ``admissible_K_threshold``.
+    """
+    kappa = select_kappa(domain)
     try:
         c_star = smallest_fixed_point(spec, domain, norms, lam)
     except BracketNotFound:
@@ -410,14 +409,13 @@ def analyze(
         rho = contraction_bound(spec, c_star, kappa)
         if isinstance(spec, GradLipschitz) and c_star > 0:
             k0 = k_zero(spec, domain, norms, lam)
-            kind = "slab" if kappa_kind == "slab" else "volumetric"
-            k_threshold = admissible_K_threshold(spec, domain, c_star, k0, kind)
+            k_threshold = admissible_K_threshold(spec, domain, c_star, k0)
         if isinstance(spec, GammaG):
             b_const = gamma_g_combination(spec, kappa)
     return ContractionAnalysis(
         Lambda=lam,
         kappa=kappa,
-        kappa_kind=kappa_kind,
+        kappa_kind="min",
         C=c_star,
         rho=rho,
         K_threshold=k_threshold,

@@ -16,7 +16,7 @@ from .calculus import NormConfig, estimate_schauder_constant
 from .domain import Domain, Grid, GridField, build_grid
 from .errors import IterationFailure
 from .iteration import IterationConfig, IterationReport, dirichlet_iterate
-from .nonlinearity import GammaG, GradLipschitz, MeanCurvature, RhsSpec
+from .nonlinearity import RhsSpec, data_fields
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,8 @@ def restrict_field(f: GridField, target: Grid) -> GridField:
 
 def _spec_on(spec: RhsSpec, grid: Grid) -> RhsSpec:
     """Rebind the spec's data fields to a smaller aligned grid."""
-    if isinstance(spec, GradLipschitz):
-        return dataclasses.replace(spec, h=restrict_field(spec.h, grid))
-    if isinstance(spec, GammaG):
-        return dataclasses.replace(
-            spec, gamma=restrict_field(spec.gamma, grid), h=restrict_field(spec.h, grid)
-        )
-    if isinstance(spec, MeanCurvature):
-        return dataclasses.replace(spec, H=restrict_field(spec.H, grid))
-    raise TypeError(f"unknown rhs spec {type(spec).__name__}")
+    restricted = {name: restrict_field(data, grid) for name, data in data_fields(spec).items()}
+    return dataclasses.replace(spec, **restricted)
 
 
 def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig, h: float) -> ExhaustionResult:

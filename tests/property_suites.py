@@ -17,6 +17,7 @@ from diriter import (
     NonFiniteData,
     NormConfig,
     build_grid,
+    contraction_theory,
     dirichlet_iterate,
     gradient,
     h1_inner,
@@ -185,8 +186,9 @@ def _all_finite(payload) -> bool:
 
 
 def suite_no_false_certificate(cases: int, seed: int = 7) -> int:
-    """Finite data yields a report without NaN or inf, whatever the outcome;
-    a NaN or infinite entry in any data field raises NonFiniteData."""
+    """Finite data yields a report.json payload (the run's report plus its
+    contraction theory) without NaN or inf, whatever the outcome; a NaN or
+    infinite entry in any data field raises NonFiniteData from the loop."""
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(cases):
@@ -195,12 +197,14 @@ def suite_no_false_certificate(cases: int, seed: int = 7) -> int:
                               lambda_value=rng.uniform(0.5, 3.0))
         spec = _random_spec(grid, rng)
         try:
-            _, report = dirichlet_iterate(grid, spec, cfg)
-        except IterationFailure as exc:
-            report = exc.report
+            theory, norms = contraction_theory(grid, spec, cfg)
+            try:
+                _, report = dirichlet_iterate(grid, spec, cfg)
+            except IterationFailure as exc:
+                report = exc.report
         except DiriterError:
             report = None
-        if report is not None and not _all_finite(report_payload(report)):
+        if report is not None and not _all_finite(report_payload(report, theory, norms)):
             failures += 1
 
         name = str(rng.choice(_DATA_FIELDS[type(spec)]))

@@ -20,6 +20,7 @@ from diriter import (
     MeanCurvature,
     arc_solution,
     build_grid,
+    contraction_theory,
     dirichlet_iterate,
     domain_constants,
     mc_divergence_residual,
@@ -227,7 +228,7 @@ def test_criterion_9_property_suites(name):
 
 def test_criterion_10_uniqueness_ball_rerun():
     grid, spec, cfg, u_ref, rep = criterion_4_run()
-    t_star = rep.theory.C
+    t_star = contraction_theory(grid, spec, cfg)[0].C
     assert t_star is not None and t_star > 0
     bump = grid.field_from(
         lambda x, y: 0.1 * t_star * np.sin(np.pi * x) * np.sin(np.pi * y)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -180,18 +181,30 @@ def test_bad_expression_reports_usage_error(tmp_path):
         ("solve", "h1_tol = 1e-12", "h1_tol = 1e-12\nblowup_sup = nan"),
         ("poincare", "lambda = 2.0\n", "lambda = 2.0\nsuite_size = 0\n"),
         ("poincare", "lambda = 2.0\n", "lambda = 2.0\nsuite_size = -3\n"),
+        ("solve", "lambda = 2.0\n", "lambda = estimate\nlambda_seed = -1\n"),
+        ("solve --seed -2", "lambda = 2.0\n", "lambda = estimate\n"),
+        ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\nseed = -1\n"),
+        ("solve", "a = 1\n", "a = inf\n"),
+        ("solve", "a = 1\n", "a = nan\n"),
+        ("solve", "h = 0.0625", "h = nan"),
+        ("solve", "K = 0\n", "K = nan\n"),
     ],
     ids=["alpha", "h", "K", "max_iters", "n_list", "lambda_trials", "schauder_trials",
          "schauder_d", "empty_n_list", "lambda_nan", "lambda_negative", "lambda_zero",
          "h1_tol_nan", "blowup_sup_negative", "blowup_sup_nan", "suite_size_zero",
-         "suite_size_negative"],
+         "suite_size_negative", "lambda_seed_negative", "seed_flag_negative",
+         "schauder_seed_negative", "a_inf", "a_nan", "h_nan", "K_nan"],
 )
 def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old, new):
     assert BASE.count(old) == 1
     cfg = write_cfg(tmp_path, BASE.replace(old, new))
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main([*command.split(), "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    # the line names the section of the rejected value: the last one ``new``
+    # opens, or else the one that holds ``old``
+    section = (re.findall(r"^\[(\w+)\]", new, re.M)
+               or re.findall(r"^\[(\w+)\]", BASE[: BASE.index(old)], re.M))[-1]
+    assert len(lines) == 1 and lines[0].startswith(f"error: [{section}] ")
 
 
 @pytest.mark.parametrize("sections", ["", "[iteration]\n[analysis]\n"], ids=["absent", "empty"])
@@ -214,36 +227,6 @@ def test_sweep_k_rows_and_threshold(tmp_path):
     assert report["threshold"] is None  # no flip below the admissible bound
 
 
-def test_sweep_estimates_lambda_once(tmp_path, monkeypatch):
-    calls = []
-    estimate = iteration.estimate_schauder_constant
-
-    def counted(*args):
-        calls.append(args)
-        return estimate(*args)
-
-    monkeypatch.setattr(iteration, "estimate_schauder_constant", counted)
-    text = BASE.replace("lambda = 2.0", "lambda = estimate\nlambda_trials = 1")
-    cfg = write_cfg(tmp_path, text + "\n[sweep]\nparameter = K\nvalues = 0.0, 0.02, 0.05\n")
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    assert len(calls) == 1
-    assert [r[1] for r in read_csv(out / "sweep.csv")[1:]] == ["converged"] * 3
-
-
-def test_sweep_lambda_failure_is_one_error_row_per_value(tmp_path):
-    # 4 x 4 nodes: too coarse for the C^{2,alpha} estimate inside the Λ estimate
-    text = BASE.replace("h = 0.0625", "h = 0.3333333333333333").replace(
-        "lambda = 2.0", "lambda = estimate"
-    )
-    cfg = write_cfg(tmp_path, text + "\n[sweep]\nparameter = K\nvalues = 0.0, 0.02, 0.05\n")
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    rows = read_csv(out / "sweep.csv")[1:]
-    assert [float(r[0]) for r in rows] == [0.0, 0.02, 0.05]
-    assert all(r[1].startswith("error: ") and "5 nodes" in r[1] and r[2] == "0" for r in rows)
-
-
 def test_sweep_on_four_by_four_nodes_iterates_with_given_lambda(tmp_path, capsys):
     # too coarse for the C^{2,alpha} estimate, which sweep does not compute;
     # solve writes it, so solve still rejects the grid
@@ -257,6 +240,23 @@ def test_sweep_on_four_by_four_nodes_iterates_with_given_lambda(tmp_path, capsys
     assert json.loads((out / "report.json").read_text())["threshold"] == 20.01
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 1
     assert "c2alpha_estimate needs at least 5 nodes per axis" in capsys.readouterr().err
+
+
+def test_sweep_on_four_by_four_nodes_iterates_with_estimated_lambda(tmp_path, capsys):
+    # the Λ estimate needs the C^{2,alpha} estimate's 5 nodes per axis; sweep
+    # reads no Λ, so only solve, which writes the theory, rejects the grid
+    text = BASE.replace("h = 0.0625", "h = 0.3333333333333333").replace(
+        "lambda = 2.0", "lambda = estimate"
+    )
+    cfg = write_cfg(tmp_path, text + "\n[sweep]\nparameter = K\nvalues = 0.0, 0.02, 40\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out / "sweep.csv")[1:]
+    assert [r[1] for r in rows] == ["converged", "converged", "diverged"]
+    assert all(int(r[2]) > 0 for r in rows)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 1
+    assert "c2alpha_estimate needs at least 5 nodes per axis" in capsys.readouterr().err
+    assert not (tmp_path / "solve" / "report.json").exists()
 
 
 def test_run_sweep_rows_do_not_depend_on_the_estimate():
@@ -400,24 +400,33 @@ def test_exhaust_on_four_nodes_across_the_strip(tmp_path):
 
 
 def test_sweep_and_exhaust_compute_no_c2alpha_estimate(tmp_path, monkeypatch):
-    calls = []
-    estimate = iteration.c2alpha_estimate
+    # nor any of the theory (data norms, Λ, analyze), even with lambda = estimate
+    names = ("c2alpha_estimate", "estimate_schauder_constant", "data_norms", "analyze")
+    calls = dict.fromkeys(names, 0)
+    for name in calls:
 
-    def counted(*args):
-        calls.append(1)
-        return estimate(*args)
+        def counted(*args, _name=name, _original=getattr(iteration, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(iteration, "c2alpha_estimate", counted)
-    sweep = write_cfg(tmp_path, BASE + "\n[sweep]\nparameter = K\nvalues = 0.0, 0.05, 40\n")
+        monkeypatch.setattr(iteration, name, counted)
+    text = BASE.replace("lambda = 2.0", "lambda = estimate")
+    sweep = write_cfg(tmp_path, text + "\n[sweep]\nparameter = K\nvalues = 0.0, 0.05, 40\n")
     assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")]) == 0
-    exhaust = write_cfg(tmp_path, EXHAUST.replace("K = 0", "K = 0.05"), name="exhaust.ini")
+    exhaust = write_cfg(
+        tmp_path,
+        EXHAUST.replace("K = 0", "K = 0.05").replace("lambda = 2.0", "lambda = estimate"),
+        name="exhaust.ini",
+    )
     assert main(["exhaust", "--config", exhaust, "--out", str(tmp_path / "exhaust")]) == 0
-    assert calls == []
-    # solve still estimates every iterate, and writes a finite estimate per row
+    assert calls == dict.fromkeys(calls, 0)
+    # solve still estimates every iterate, and writes a finite estimate per row;
+    # it runs the theory once, before the loop
     assert main(["solve", "--config", sweep, "--out", str(tmp_path / "solve")]) == 0
     trace = read_csv(tmp_path / "solve" / "trace.csv")[1:]
-    assert len(calls) == len(trace) > 1
+    assert calls.pop("c2alpha_estimate") == len(trace) > 1
     assert all(math.isfinite(float(r[2])) for r in trace)
+    assert calls == dict.fromkeys(calls, 1)
 
 
 def test_exhaust_single_truncation(tmp_path):

@@ -17,6 +17,7 @@ from diriter import (
     PoissonSolver,
     build_grid,
     c2alpha_estimate,
+    contraction_theory,
     dirichlet_iterate,
     domain_constants,
     evaluate_rhs,
@@ -143,8 +144,8 @@ def test_rejects_nonconforming_start(unit_grid_16):
 def test_perturbed_start_same_limit(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.05, m=2.0)
     cfg = base_cfg()
-    u_ref, rep = dirichlet_iterate(unit_grid_16, spec, cfg)
-    t_star = rep.theory.C
+    u_ref, _ = dirichlet_iterate(unit_grid_16, spec, cfg)
+    t_star = contraction_theory(unit_grid_16, spec, cfg)[0].C
     assert t_star is not None
     bump = unit_grid_16.field_from(
         lambda x, y: 0.1 * t_star * np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -212,9 +213,10 @@ def test_uniform_bound_k_zero_vs_estimator(unit_grid_16):
     spec = GradLipschitz(h=h, K=0.0, m=2.0)
     cfg = base_cfg(lambda_value=None, lambda_trials=3, lambda_seed=5)
     u, rep = dirichlet_iterate(unit_grid_16, spec, cfg)
-    c_theory = rep.theory.C  # = Lambda_emp * h_alpha for K = 0
+    theory, norms = contraction_theory(unit_grid_16, spec, cfg)
+    c_theory = theory.C  # = Lambda_emp * h_alpha for K = 0
     assert c_theory is not None
-    assert math.isclose(c_theory, rep.theory.Lambda * rep.norms["h_alpha"], rel_tol=1e-9)
+    assert math.isclose(c_theory, theory.Lambda * norms["h_alpha"], rel_tol=1e-9)
     out = uniform_bound_check(rep, c_theory)
     assert out["holds"]
     assert math.isclose(
@@ -476,7 +478,7 @@ def test_skipping_the_estimate_changes_no_other_value(case, monkeypatch):
     assert calls_on == len(on.rows) and calls_off == 0
     assert all(r.c2alpha_est is not None for r in on.rows) and on.C_empirical is not None
     assert all(r.c2alpha_est is None for r in off.rows) and off.C_empirical is None
-    assert off.outcome == on.outcome and off.theory == on.theory and off.norms == on.norms
+    assert off.outcome == on.outcome
 
     def rest(rows):
         return _hex_rows([(r.i, r.sup_u, r.h1_diff, r.rho_i, r.residual_sup) for r in rows])

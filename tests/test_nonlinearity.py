@@ -308,7 +308,7 @@ def test_analyze_grad_lipschitz(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.05, m=2.0)
     norms = data_norms(spec, NormConfig(alpha=0.5))
     assert math.isclose(norms["h_alpha"], 1.0, rel_tol=1e-12)  # constant: sup 1, seminorm 0
-    an = analyze(spec, DOM, norms, lam=2.0, kappa_kind="min")
+    an = analyze(spec, DOM, norms, lam=2.0)
     assert an.C is not None and an.rho is not None
     assert an.rho == contraction_bound(spec, an.C, an.kappa)
     assert an.K_threshold is not None and not an.partial
