@@ -35,7 +35,15 @@ from .errors import ConfigError, DiriterError, IterationDiverged, IterationFailu
 from .expressions import ExpressionError, compile_expression
 from .iteration import IterationConfig, IterationReport, contraction_theory, dirichlet_iterate
 from .mce import ArcSolution
-from .nonlinearity import ContractionAnalysis, GammaG, GradLipschitz, MeanCurvature, RhsSpec
+from .nonlinearity import (
+    ContractionAnalysis,
+    GammaG,
+    GradLipschitz,
+    MeanCurvature,
+    RhsSpec,
+    check_finite_data,
+)
+from .poisson import PoissonSolver
 from .slab import ExhaustionConfig, compact_values, exhaustion_solve, schauder_uniformity_probe
 
 EXIT_OK = 0
@@ -270,17 +278,33 @@ def write_trace(path: Path, report: IterationReport) -> None:
 
 def write_solution(path: Path, u: GridField) -> None:
     """Write the ``x,y,u`` rows, x-major, with CRLF line ends: the bytes ``write_csv``
-    gives for the same rows, but each grid coordinate is formatted once and each
-    x-line goes out in one write."""
+    gives for the same rows.
+
+    Each x-line is one ``%`` template of ``ny`` rows, built once from the y
+    coordinates, so the values are formatted in C; its x coordinate goes in
+    last, in one ``replace`` of the template's ``"\\0"`` marks. Lines are keyed
+    by their bytes, and each distinct line is formatted once: a body is kept
+    only while a later line with the same bytes is still to come, so memory is
+    bounded by the pending repeats (none when no line repeats). Bytes, not
+    values, make the key, so a line holding ``-0.0`` never takes the text of
+    one holding ``0.0``.
+    """
     grid = u.grid
-    ys = [format(y, _FLOAT_SPEC) + "," for y in grid.y.tolist()]
+    template = "".join(
+        ["\0" + format(y, _FLOAT_SPEC) + ",%" + _FLOAT_SPEC + "\r\n" for y in grid.y.tolist()]
+    )
+    last_use = {line.tobytes(): i for i, line in enumerate(u.values)}
+    pending: dict[bytes, str] = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("x,y,u\r\n")
-        for xv, line in zip(grid.x.tolist(), u.values):
-            x = format(xv, _FLOAT_SPEC) + ","
-            fh.write("".join(
-                [f"{x}{y}{format(v, _FLOAT_SPEC)}\r\n" for y, v in zip(ys, line.tolist())]
-            ))
+        for i, (xv, line) in enumerate(zip(grid.x.tolist(), u.values)):
+            key = line.tobytes()
+            body = pending.pop(key, None)
+            if body is None:
+                body = template % tuple(line.tolist())
+            if last_use[key] > i:
+                pending[key] = body
+            fh.write(body.replace("\0", format(xv, _FLOAT_SPEC) + ","))
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +362,23 @@ def run_sweep(
 
     The rows read no C^{2,alpha} estimate and no theory, so ``it_cfg.c2alpha``
     changes only the run time (``cmd_sweep`` turns it off), and Λ is neither
-    read nor estimated. A value whose run raises a package error other than
-    divergence or the iteration budget gets an ``error:`` row.
+    read nor estimated. NaN or inf in a data field raises NonFiniteData before
+    any run. The runs share one ``PoissonSolver`` for ``grid``. A value whose
+    run raises a package error other than divergence or the iteration budget
+    gets an ``error:`` row.
     """
     if not values:
         raise ConfigError("sweep needs a nonempty ascending list of values")
     if sorted(values) != list(values):
         raise ConfigError("sweep values must be sorted ascending")
+    check_finite_data(spec)
+    solver = PoissonSolver(grid)
     rows = []
     outcomes = []
     for value in values:
         spec_v = _apply_sweep_value(spec, parameter, value)
         try:
-            _, report = dirichlet_iterate(grid, spec_v, it_cfg)
+            _, report = dirichlet_iterate(grid, spec_v, it_cfg, solver=solver)
         except IterationFailure as exc:
             report = exc.report
         except DiriterError as exc:

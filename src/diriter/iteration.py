@@ -157,6 +157,7 @@ def dirichlet_iterate(
     spec: RhsSpec,
     cfg: IterationConfig,
     u0: GridField | None = None,
+    solver: PoissonSolver | None = None,
 ) -> tuple[GridField, IterationReport]:
     """Run the iteration; returns the converged iterate and its report.
 
@@ -166,10 +167,15 @@ def dirichlet_iterate(
     already carry the boundary values). With ``cfg.c2alpha`` off no iterate's
     C^{2,alpha} estimate is computed: the rows carry None and
     ``C_empirical`` is None, and every other value is the same. No data norm,
-    Λ or fixed point is computed here; see ``contraction_theory``.
+    Λ or fixed point is computed here; see ``contraction_theory``. ``solver``,
+    a ``PoissonSolver`` bound to ``grid`` itself, lets runs on one grid share
+    one; by default the run builds its own. The iterates are the same either way.
     """
     check_finite_data(spec)
-    solver = PoissonSolver(grid)
+    if solver is None:
+        solver = PoissonSolver(grid)
+    elif solver.grid is not grid:
+        raise ValueError("solver is bound to a different grid")
 
     if u0 is not None:
         if not u0.is_conforming(cfg.boundary, tol=1e-12 * (1.0 + norm_sup(u0))):

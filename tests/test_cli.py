@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diriter import Domain, IterationConfig, build_grid, iteration, nonlinearity
+from diriter import Domain, IterationConfig, build_grid, cli, iteration, nonlinearity, poisson
 from diriter.cli import (
+    _FLOAT_SPEC,
     _load_config,
     build_iteration_config,
     main,
@@ -120,30 +121,68 @@ def _list_write_solution(path, u):
 _SPECIAL_VALUES = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]
 
 
+def _special_field(domain):
+    grid = build_grid(domain, 1.0 / 8)
+    u = grid.field_from(lambda x, y: np.sin(3.0 * x) * np.exp(y) / 7.0 - 1e-300 * x)
+    values = u.values.copy()
+    values[1, : len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
+    values[-2, -len(_SPECIAL_VALUES) :] = _SPECIAL_VALUES[::-1]
+    return grid.field(values)
+
+
+def _repeated_lines_field():
+    # x-lines mirrored about the middle, a non-adjacent repeat, and two pairs of
+    # lines whose bytes differ only in the sign of one zero or in a NaN payload
+    u = _special_field(Domain.strip_truncation(1.0, 2.0))
+    values = u.values.copy()
+    mid = u.grid.nx // 2
+    values[6] = values[2]
+    values[3, 4] = 0.0
+    values[4] = values[3]
+    values[4, 4] = -0.0
+    values[5, 4] = np.nan
+    values[7] = values[5]
+    values[7, 4] = np.array(0x7FF8_0000_0000_0001).view(np.float64)
+    values[mid + 1 :] = values[:mid][::-1]
+    assert len({line.tobytes() for line in values}) < u.grid.nx // 2 + 1
+    return u.grid.field(values)
+
+
 def test_streamed_solution_bytes_match_list_writer(tmp_path):
-    # a rectangle grid, and a strip grid with negative coordinates on both axes
-    for domain in (Domain.rectangle(1.0, 0.75), Domain.strip_truncation(1.0, 2.0)):
-        grid = build_grid(domain, 1.0 / 8)
-        u = grid.field_from(lambda x, y: np.sin(3.0 * x) * np.exp(y) / 7.0 - 1e-300 * x)
-        values = u.values.copy()
-        values[1, : len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
-        values[-2, -len(_SPECIAL_VALUES) :] = _SPECIAL_VALUES[::-1]
-        u = grid.field(values)
+    # a rectangle grid, a strip grid with negative coordinates on both axes, and
+    # a strip field whose x-lines repeat
+    for u in (
+        _special_field(Domain.rectangle(1.0, 0.75)),
+        _special_field(Domain.strip_truncation(1.0, 2.0)),
+        _repeated_lines_field(),
+    ):
         write_solution(tmp_path / "streamed.csv", u)
         _list_write_solution(tmp_path / "listed.csv", u)
         streamed = (tmp_path / "streamed.csv").read_bytes()
         assert streamed == (tmp_path / "listed.csv").read_bytes()
-        assert streamed.count(b"\r\n") == 1 + grid.nx * grid.ny
+        assert streamed.count(b"\r\n") == 1 + u.grid.nx * u.grid.ny
         for token in (b",-0\r\n", b",nan\r\n", b",inf\r\n", b",-inf\r\n"):
             assert token in streamed
 
 
+def test_percent_format_spells_floats_as_format():
+    # write_solution formats values through a '%' template
+    bits = np.random.default_rng(11).integers(
+        np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=50_000, dtype=np.int64
+    )
+    for v in _SPECIAL_VALUES + bits.view(np.float64).tolist():
+        assert ("%" + _FLOAT_SPEC) % v == format(v, _FLOAT_SPEC)
+
+
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-def test_non_finite_data_is_usage_error(tmp_path):
-    cfg = write_cfg(tmp_path, BASE.replace("h = 1\nK = 0", "h = 1/x\nK = 0"))
-    out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
-    assert not (out / "report.json").exists()
+def test_non_finite_data_is_usage_error(tmp_path, capsys):
+    text = BASE.replace("h = 1\nK = 0", "h = 1/x\nK = 0")
+    cfg = write_cfg(tmp_path, text + "\n[sweep]\nparameter = K\nvalues = 0 0.5\n")
+    for command in ("solve", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: data field 'h' holds NaN or inf\n"
+        assert list(out.iterdir()) == []
 
 
 def test_inconsistent_fixed_point_is_usage_error(tmp_path, monkeypatch):
@@ -277,6 +316,39 @@ def test_run_sweep_rows_do_not_depend_on_the_estimate():
     assert off == on
     assert [row[1] for row in on] == ["converged"] * 3 + ["diverged"]
     assert results[1]["threshold"] == results[0]["threshold"] == 20.5
+
+
+def test_run_sweep_shares_one_solver(monkeypatch):
+    grid = build_grid(Domain.rectangle(1.0, 0.75), 1.0 / 16)
+    spec = nonlinearity.GradLipschitz(
+        h=grid.field_from(lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x)), K=0.0, m=2.0
+    )
+    cfg = IterationConfig(max_iters=60, lambda_value=2.0, c2alpha=False)
+    values = [0.0, 0.5, 1.0, 40.0]
+    built = []
+    original_init = poisson.PoissonSolver.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(poisson.PoissonSolver, "__init__", counted_init)
+    shared = run_sweep(grid, spec, cfg, "K", values)
+    assert len(built) == 1
+    # the reference: every run builds its own solver
+    own = cli.dirichlet_iterate
+    monkeypatch.setattr(cli, "dirichlet_iterate", lambda *args, solver: own(*args))
+    per_run = run_sweep(grid, spec, cfg, "K", values)
+    assert len(built) == 1 + 1 + len(values)  # run_sweep's unused one, then one per value
+    assert [row[1] for row in shared["rows"]] == ["converged"] * 3 + ["diverged"]
+    hexed = [
+        [[float.hex(v) if isinstance(v, float) else v for v in row] for row in r["rows"]]
+        for r in (shared, per_run)
+    ]
+    assert hexed[0] == hexed[1]
+    other = poisson.PoissonSolver(build_grid(Domain.rectangle(1.0, 0.75), 1.0 / 16))
+    with pytest.raises(ValueError, match="different grid"):
+        own(grid, spec, cfg, solver=other)
 
 
 def test_sweep_empty_values_is_usage_error(tmp_path):
