@@ -10,7 +10,6 @@ and strip-exhaustion tails.
 from .calculus import (
     NormConfig,
     c2alpha_estimate,
-    divergence,
     estimate_schauder_constant,
     flux_divergence,
     gradient,
@@ -30,7 +29,6 @@ from .errors import (
     DiriterError,
     FixedPointInconsistent,
     GridTooCoarse,
-    InvalidArc,
     IterationDiverged,
     IterationMaxIters,
     MissingNorm,
@@ -45,9 +43,8 @@ from .iteration import (
     contraction_theory,
     dirichlet_iterate,
     residual_field,
-    uniform_bound_check,
 )
-from .mce import ArcSolution, arc_solution, mc_divergence_residual
+from .mce import ArcSolution, mc_divergence_residual
 from .nonlinearity import (
     ContractionAnalysis,
     GammaG,
@@ -62,8 +59,8 @@ from .nonlinearity import (
     psi,
     smallest_fixed_point,
 )
-from .poisson import PoissonSolver, solve_dirichlet
-from .slab import ExhaustionConfig, ExhaustionResult, exhaustion_solve, schauder_uniformity_probe
+from .poisson import PoissonSolver
+from .slab import ExhaustionConfig, ExhaustionResult, exhaustion_solve
 
 __version__ = "0.1.0"
 
@@ -83,7 +80,6 @@ __all__ = [
     "Grid",
     "GridField",
     "GridTooCoarse",
-    "InvalidArc",
     "IterationConfig",
     "IterationDiverged",
     "IterationMaxIters",
@@ -99,14 +95,12 @@ __all__ = [
     "VectorField",
     "admissible_K_threshold",
     "analyze",
-    "arc_solution",
     "build_grid",
     "c2alpha_estimate",
     "contraction_bound",
     "contraction_theory",
     "data_norms",
     "dirichlet_iterate",
-    "divergence",
     "domain_constants",
     "estimate_schauder_constant",
     "evaluate_rhs",
@@ -124,9 +118,6 @@ __all__ = [
     "norm_sup",
     "psi",
     "residual_field",
-    "schauder_uniformity_probe",
     "smallest_fixed_point",
-    "solve_dirichlet",
-    "uniform_bound_check",
     "verify_poincare",
 ]

@@ -132,27 +132,13 @@ def laplacian_apply(u: GridField, out: np.ndarray | None = None) -> GridField:
     return GridField(g, view)
 
 
-def divergence(v: VectorField) -> GridField:
-    """Flux-form divergence of a nodal vector field at interior nodes.
-
-    Face fluxes are two-point averages of the adjacent nodal samples, so the
-    interior stencil telescopes to central differences; boundary entries 0.
-    """
-    g = v.grid
-    h = g.h
-    out = np.zeros(g.shape)
-    out[1:-1, 1:-1] = (v.vx[2:, 1:-1] - v.vx[:-2, 1:-1] + v.vy[1:-1, 2:] - v.vy[1:-1, :-2]) / (
-        2.0 * h
-    )
-    return g.field(out)
-
-
-def flux_divergence(u: GridField, face_scale=None) -> GridField:
+def flux_divergence(u: GridField, face_scale) -> GridField:
     """Divergence of (scale * grad u) with the gradient formed on cell faces.
 
     The normal component on a face is the compact two-point difference, the
     transverse one a four-point average; with ``face_scale`` identically 1
-    the result equals ``laplacian_apply`` at interior nodes to the last bit.
+    the result is ``laplacian_apply`` at interior nodes up to rounding (the
+    sums are grouped differently, so the last bits can differ).
     ``face_scale`` receives the squared face-gradient magnitude.
     """
     g = u.grid
@@ -162,12 +148,12 @@ def flux_divergence(u: GridField, face_scale=None) -> GridField:
     # x-faces (i+1/2, j), interior rows j only
     gx_n = (v[1:, 1:-1] - v[:-1, 1:-1]) / h
     gx_t = (v[1:, 2:] + v[:-1, 2:] - v[1:, :-2] - v[:-1, :-2]) / (4.0 * h)
-    fx = gx_n if face_scale is None else gx_n * face_scale(gx_n * gx_n + gx_t * gx_t)
+    fx = gx_n * face_scale(gx_n * gx_n + gx_t * gx_t)
 
     # y-faces (i, j+1/2), interior columns i only
     gy_n = (v[1:-1, 1:] - v[1:-1, :-1]) / h
     gy_t = (v[2:, 1:] + v[2:, :-1] - v[:-2, 1:] - v[:-2, :-1]) / (4.0 * h)
-    fy = gy_n if face_scale is None else gy_n * face_scale(gy_t * gy_t + gy_n * gy_n)
+    fy = gy_n * face_scale(gy_t * gy_t + gy_n * gy_n)
 
     out = np.zeros(g.shape)
     out[1:-1, 1:-1] = (fx[1:, :] - fx[:-1, :]) / h + (fy[:, 1:] - fy[:, :-1]) / h
@@ -370,14 +356,17 @@ def poincare_suite(grid: Grid, count: int = 20, seed: int = 0) -> list[tuple[str
 # ---------------------------------------------------------------------------
 
 
-def random_trig_polynomial(grid: Grid, rng: np.random.Generator, max_freq: int = 2) -> GridField:
-    """Random bounded-degree trigonometric polynomial on the grid."""
+_TRIG_DEGREE = 2  # highest frequency of the Λ estimate's right-hand sides
+
+
+def random_trig_polynomial(grid: Grid, rng: np.random.Generator) -> GridField:
+    """Random trigonometric polynomial of degree ``_TRIG_DEGREE`` on the grid."""
     X, Y = grid.meshgrid()
     sx = (X - grid.x[0]) / max(grid.extent_x, np.finfo(float).tiny)
     sy = (Y - grid.y[0]) / max(grid.extent_y, np.finfo(float).tiny)
     basis = [np.ones_like(sx)]
     basis_y = [np.ones_like(sy)]
-    for k in range(1, max_freq + 1):
+    for k in range(1, _TRIG_DEGREE + 1):
         basis += [np.sin(k * np.pi * sx), np.cos(k * np.pi * sx)]
         basis_y += [np.sin(k * np.pi * sy), np.cos(k * np.pi * sy)]
     coeffs = rng.uniform(-1.0, 1.0, size=(len(basis), len(basis_y)))

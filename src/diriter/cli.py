@@ -42,9 +42,10 @@ from .nonlinearity import (
     MeanCurvature,
     RhsSpec,
     check_finite_data,
+    data_fields,
 )
 from .poisson import PoissonSolver
-from .slab import ExhaustionConfig, compact_values, exhaustion_solve, schauder_uniformity_probe
+from .slab import ExhaustionConfig, compact_values, exhaustion_solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -331,28 +332,29 @@ def cmd_solve(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> in
     return _OUTCOME_EXIT[report.outcome]
 
 
+# sweep parameters that scale one data field to the given sup: the family
+# (and its [rhs] variant) that has the field, and the field's name
+_SUP_PARAMETERS = {
+    "H_amplitude": (MeanCurvature, "mean_curvature", "H"),
+    "gamma_sup": (GammaG, "gamma_g", "gamma"),
+}
+
+
 def _apply_sweep_value(spec: RhsSpec, parameter: str, value: float) -> RhsSpec:
     if parameter == "K":
         if not isinstance(spec, GradLipschitz):
             raise ConfigError("sweep parameter K needs the grad_lipschitz variant")
         return dataclasses.replace(spec, K=value, F=None)
-    if parameter == "H_amplitude":
-        if not isinstance(spec, MeanCurvature):
-            raise ConfigError("sweep parameter H_amplitude needs the mean_curvature variant")
-        base = np.max(np.abs(spec.H.values))
-        if base == 0:
-            raise ConfigError("configured H is identically zero; nothing to scale")
-        return dataclasses.replace(spec, H=spec.H.grid.field(spec.H.values * (value / base)))
-    if parameter == "gamma_sup":
-        if not isinstance(spec, GammaG):
-            raise ConfigError("sweep parameter gamma_sup needs the gamma_g variant")
-        base = np.max(np.abs(spec.gamma.values))
-        if base == 0:
-            raise ConfigError("configured gamma is identically zero; nothing to scale")
-        return dataclasses.replace(
-            spec, gamma=spec.gamma.grid.field(spec.gamma.values * (value / base))
-        )
-    raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    if parameter not in _SUP_PARAMETERS:
+        raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    family, variant, name = _SUP_PARAMETERS[parameter]
+    if not isinstance(spec, family):
+        raise ConfigError(f"sweep parameter {parameter} needs the {variant} variant")
+    data = data_fields(spec)[name]
+    base = np.max(np.abs(data.values))
+    if base == 0:
+        raise ConfigError(f"configured {name} is identically zero; nothing to scale")
+    return dataclasses.replace(spec, **{name: data.grid.field(data.values * (value / base))})
 
 
 def run_sweep(
@@ -362,21 +364,22 @@ def run_sweep(
 
     The rows read no C^{2,alpha} estimate and no theory, so ``it_cfg.c2alpha``
     changes only the run time (``cmd_sweep`` turns it off), and Λ is neither
-    read nor estimated. NaN or inf in a data field raises NonFiniteData before
-    any run. The runs share one ``PoissonSolver`` for ``grid``. A value whose
-    run raises a package error other than divergence or the iteration budget
-    gets an ``error:`` row.
+    read nor estimated. NaN or inf in a data field raises NonFiniteData, and a
+    value the family rejects a ConfigError, before any run. The runs share one
+    ``PoissonSolver`` for ``grid``. A value whose run raises a package error
+    other than divergence or the iteration budget gets an ``error:`` row.
     """
     if not values:
         raise ConfigError("sweep needs a nonempty ascending list of values")
     if sorted(values) != list(values):
         raise ConfigError("sweep values must be sorted ascending")
     check_finite_data(spec)
+    with _rejected_values("sweep"):
+        specs = [_apply_sweep_value(spec, parameter, value) for value in values]
     solver = PoissonSolver(grid)
     rows = []
     outcomes = []
-    for value in values:
-        spec_v = _apply_sweep_value(spec, parameter, value)
+    for value, spec_v in zip(values, specs):
         try:
             _, report = dirichlet_iterate(grid, spec_v, it_cfg, solver=solver)
         except IterationFailure as exc:
@@ -410,6 +413,8 @@ def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> in
         values = [float(tok) for tok in sw.get("values", "").replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"[sweep] values: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"[sweep] values = {sw.get('values')!r} must all be finite")
     result = run_sweep(grid, spec, it_cfg, parameter, values)
     write_csv(
         out / "sweep.csv",
@@ -513,7 +518,7 @@ def cmd_schauder(cfg: configparser.ConfigParser, out: Path, seed: int | None) ->
         norm_cfg = NormConfig(**_given(_optional_section(cfg, "analysis"), alpha=_get_float))
     h = _get_float(_section(cfg, "grid"), "h")
 
-    n_list = None
+    grids = None  # the truncations [schauder] n_list names, if it names any
     with _rejected_values("schauder"):
         if base_seed < 0:
             raise ValueError(f"seed = {base_seed} must be >= 0")
@@ -524,14 +529,13 @@ def cmd_schauder(cfg: configparser.ConfigParser, out: Path, seed: int | None) ->
             n_list = [int(tok) for tok in sc.get("n_list").replace(",", " ").split()]
             if not n_list:
                 raise ValueError("n_list must be nonempty")
-            for n in n_list:  # rejects d, n and h before any solve
-                _build_grid(Domain.strip_truncation(d, n), h)
+            # every grid is built, rejecting d, n and h, before any solve
+            grids = [_build_grid(Domain.strip_truncation(d, n), h) for n in n_list]
 
-    rows = []
-    if n_list is not None:
-        probe = schauder_uniformity_probe(d, n_list, norm_cfg, trials, base_seed, h)
-        rows = [[n, est] for n, est in zip(probe["n_list"], probe["estimates"])]
-        summary = {"max": probe["max"], "ratio_max_min": probe["max"] / min(probe["estimates"])}
+    if grids is not None:
+        estimates = [estimate_schauder_constant(g, norm_cfg, trials, base_seed) for g in grids]
+        rows = list(zip(n_list, estimates))
+        summary = {"max": max(estimates), "ratio_max_min": max(estimates) / min(estimates)}
     else:
         grid = _build_grid(build_domain(cfg), h)
         est = estimate_schauder_constant(grid, norm_cfg, trials, base_seed)

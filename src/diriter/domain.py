@@ -184,13 +184,6 @@ class Grid:
     def zeros(self) -> "GridField":
         return self.constant(0.0)
 
-    def vector_field(self, vx, vy) -> "VectorField":
-        vx = np.asarray(vx, dtype=float)
-        vy = np.asarray(vy, dtype=float)
-        if vx.shape != self.shape or vy.shape != self.shape:
-            raise ValueError("component shapes must match the grid")
-        return VectorField(self, _readonly(vx.copy()), _readonly(vy.copy()))
-
 
 def build_grid(domain: Domain, h: float) -> Grid:
     """Uniform grid with spacing h; node counts rounded to fit the extents."""

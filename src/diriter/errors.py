@@ -41,10 +41,6 @@ class BracketNotFound(DiriterError):
     """Fixed-point search exhausted its interval while the gap was still shrinking."""
 
 
-class InvalidArc(DiriterError):
-    """Circular-arc profile does not exist for the requested width/curvature."""
-
-
 class IterationFailure(DiriterError):
     """Base for outer-iteration failures; carries the partial report and last iterate."""
 

@@ -31,6 +31,7 @@ from .nonlinearity import (
     RhsSpec,
     analyze,
     check_finite_data,
+    data_fields,
     data_norms,
     evaluate_rhs,
 )
@@ -148,7 +149,7 @@ def _start_field(grid: Grid, spec: RhsSpec, cfg: IterationConfig, solver: Poisso
     if cfg.start == START_ZERO:
         return grid.zeros()
     # the lift solves on the loop's own solver: laplacian(u0) = h, u0 = phi
-    h_rhs = spec.h if hasattr(spec, "h") else grid.zeros()
+    h_rhs = data_fields(spec).get("h") or grid.zeros()
     return solver.solve(h_rhs, cfg.boundary)
 
 
@@ -244,13 +245,3 @@ def dirichlet_iterate(
         report=report("max_iters"),
         last_iterate=u_prev,
     )
-
-
-def uniform_bound_check(report: IterationReport, C_theory: float) -> dict:
-    """Did every iterate's C^{2,alpha} estimate stay below the theoretical bound?"""
-    if not report.rows:
-        raise ValueError("report has no rows")
-    if report.C_empirical is None:
-        raise ValueError("report carries no C^{2,alpha} estimates")
-    worst = max(r.c2alpha_est for r in report.rows)
-    return {"holds": worst <= C_theory * 1.1, "margin": C_theory - worst}

@@ -15,7 +15,6 @@ import numpy as np
 
 from .calculus import flux_divergence
 from .domain import GridField
-from .errors import InvalidArc
 
 
 def mc_divergence_residual(u: GridField, H: GridField, n: int = 2) -> GridField:
@@ -57,16 +56,3 @@ class ArcSolution:
         return (np.sqrt(1.0 - hh * hh * self.d * self.d) - np.sqrt(1.0 - 4.0 * hh * hh * y * y)) / (
             2.0 * hh
         )
-
-
-def arc_solution(d: float, H: float) -> ArcSolution:
-    """Analytic solution of (u' / sqrt(1 + u'^2))' = 2H, u(+-d/2) = 0 (n = 2).
-
-    Raises InvalidArc when the arc cannot span the strip (|H| * d >= 1).
-    """
-    if d <= 0:
-        raise ValueError("strip width must be positive")
-    sol = ArcSolution(d=float(d), H=float(H))
-    if not sol.valid:
-        raise InvalidArc(f"no arc of curvature {H} spans a strip of width {d}")
-    return sol

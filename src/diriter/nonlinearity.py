@@ -113,7 +113,7 @@ class MeanCurvature:
 RhsSpec = GradLipschitz | GammaG | MeanCurvature
 
 
-def curvature_coupling(u: GridField, grad_u: VectorField, w: np.ndarray | None = None) -> np.ndarray:
+def curvature_coupling(grad_u: VectorField, w: np.ndarray | None = None) -> np.ndarray:
     """G_u = 2 * du^mu du^nu d_{mu nu} u, assembled as <grad u, grad |grad u|^2>.
 
     Differencing |grad u|^2 once instead of forming the three second
@@ -141,7 +141,7 @@ def evaluate_rhs(spec: RhsSpec, u: GridField, grad_u: VectorField) -> GridField:
         # n * sqrt(1 + w) * H + G_u / (2 * (1 + w)) with w = |grad u|^2, each
         # product and quotient in the order of that expression, done in place
         w = grad_u.vx**2 + grad_u.vy**2
-        g_term = curvature_coupling(u, grad_u, w)
+        g_term = curvature_coupling(grad_u, w)
         w += 1.0
         out = np.sqrt(w)
         out *= spec.n
@@ -328,13 +328,7 @@ def admissible_K_threshold(
     return min(candidate, K0)
 
 
-def k_zero(
-    spec: GradLipschitz,
-    domain: Domain,
-    norms: dict,
-    lam: float,
-    k_hi: float | None = None,
-) -> float:
+def k_zero(spec: GradLipschitz, domain: Domain, norms: dict, lam: float) -> float:
     """Largest K keeping the smallest fixed point below 2 * lam * |h|_alpha.
 
     Found by bisection on K; no fixed point counts as exceeding the target.
@@ -350,8 +344,7 @@ def k_zero(
             return False
         return t_star is not None and t_star <= target
 
-    if k_hi is None:
-        k_hi = 10.0 / (lam * lam * max(h_alpha, 1e-30))
+    k_hi = 10.0 / (lam * lam * max(h_alpha, 1e-30))
     if ok(k_hi):
         return k_hi
     lo, hi = 0.0, k_hi

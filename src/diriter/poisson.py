@@ -129,8 +129,3 @@ class PoissonSolver:
                 f"direct solve residual {res:.3e} exceeds tolerance {tol:.3e}", residual=res
             )
         return u
-
-
-def solve_dirichlet(grid: Grid, f: GridField, bc: BoundarySpec | None = None) -> GridField:
-    """One-shot Dirichlet solve: laplacian(u) = f inside, u = bc on the boundary."""
-    return PoissonSolver(grid).solve(f, bc)

@@ -8,11 +8,11 @@ Data fields are given on the largest truncation and sliced down.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import NormConfig, estimate_schauder_constant
 from .domain import Domain, Grid, GridField, build_grid
 from .errors import IterationFailure
 from .iteration import IterationConfig, IterationReport, dirichlet_iterate
@@ -28,6 +28,10 @@ class ExhaustionConfig:
     iteration: IterationConfig = field(default_factory=IterationConfig)
 
     def __post_init__(self):
+        if not 0.0 <= self.compact_halfwidth < math.inf:  # NaN fails
+            raise ValueError(
+                f"compact_halfwidth = {self.compact_halfwidth} must be >= 0 and finite"
+            )
         if self.n_start < self.compact_halfwidth + 1:
             raise ValueError("n_start must be at least compact_halfwidth + 1")
         if self.n_max < self.n_start:
@@ -104,16 +108,3 @@ def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig, h: float) -> Exhausti
 def compact_values(result_field: GridField, halfwidth: float) -> np.ndarray:
     """Values of a strip solution on the compact window |x| <= halfwidth."""
     return result_field.values[_column_window(result_field.grid, halfwidth), :]
-
-
-def schauder_uniformity_probe(
-    d: float, n_list: list[int], cfg: NormConfig, trials: int, seed: int, h: float
-) -> dict:
-    """Empirical bound-constant estimates across truncations, common seed."""
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    estimates = []
-    for n in n_list:
-        grid = build_grid(Domain.strip_truncation(d, n), h)
-        estimates.append(estimate_schauder_constant(grid, cfg, trials, seed))
-    return {"n_list": list(n_list), "estimates": estimates, "max": max(estimates)}

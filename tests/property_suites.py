@@ -145,9 +145,9 @@ def suite_coupling_cubic(cases: int, seed: int = 5) -> int:
         grid = _grid(rng)
         u = _smooth(grid, rng)
         c = rng.uniform(-3.0, 3.0)
-        base = curvature_coupling(u, gradient(u))
+        base = curvature_coupling(gradient(u))
         cu = grid.field(c * u.values)
-        scaled = curvature_coupling(cu, gradient(cu))
+        scaled = curvature_coupling(gradient(cu))
         tol = 1e-9 * (1.0 + np.max(np.abs(base)) * abs(c) ** 3)
         if np.max(np.abs(scaled - c**3 * base)) > tol:
             failures += 1

@@ -13,12 +13,13 @@ import pytest
 from scipy.integrate import solve_bvp
 
 from diriter import (
+    ArcSolution,
     Domain,
     GammaG,
     GradLipschitz,
     IterationConfig,
     MeanCurvature,
-    arc_solution,
+    PoissonSolver,
     build_grid,
     contraction_theory,
     dirichlet_iterate,
@@ -26,7 +27,6 @@ from diriter import (
     mc_divergence_residual,
     norm_h1semi,
     smallest_fixed_point,
-    solve_dirichlet,
     verify_poincare,
 )
 from diriter.calculus import poincare_suite
@@ -46,7 +46,7 @@ def manufactured_error(h):
     grid = build_grid(UNIT, h)
     f = grid.field_from(lambda x, y: -2 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y))
     exact = grid.field_from(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    u = solve_dirichlet(grid, f)
+    u = PoissonSolver(grid).solve(f)
     return float(np.max(np.abs(u.values - exact.values)))
 
 
@@ -159,7 +159,7 @@ def test_criterion_6_mce_arc_benchmark():
     mesh = np.linspace(-d / 2, d / 2, 401)
     bvp = solve_bvp(odes, bc, mesh, np.zeros((2, 401)), tol=1e-10)
     assert bvp.success
-    arc = arc_solution(d, H)
+    arc = ArcSolution(d, H)
     assert abs(bvp.sol(0.0)[0] - arc(0.0)) <= 1e-8
     assert abs(arc(0.0) - (-0.0505103)) <= 1e-6
 

@@ -10,7 +10,6 @@ from diriter import (
     NotConforming,
     build_grid,
     c2alpha_estimate,
-    divergence,
     estimate_schauder_constant,
     flux_divergence,
     gradient,
@@ -94,15 +93,26 @@ def test_laplacian_second_order(unit_square):
 # --- divergence -----------------------------------------------------------
 
 
+def _unit_scale(w2):
+    return np.ones_like(w2)
+
+
+def _curvature_scale(w2):
+    return 1.0 / np.sqrt(1.0 + w2)
+
+
 def test_divergence_of_constant_field(unit_grid_16):
-    v = unit_grid_16.vector_field(np.ones(unit_grid_16.shape), np.zeros(unit_grid_16.shape))
-    assert np.max(np.abs(divergence(v).values)) == 0.0
+    # u = x has the face gradient (1, 0) on every face, so any scale of it
+    # is a constant flux, whose divergence is zero
+    u = unit_grid_16.field_from(lambda x, y: x)
+    for scale in (_unit_scale, _curvature_scale):
+        assert np.max(np.abs(flux_divergence(u, scale).values)) == 0.0
 
 
 def test_divergence_exact_on_linear(unit_grid_16):
-    X, Y = unit_grid_16.meshgrid()
-    v = unit_grid_16.vector_field(X, Y)
-    div = divergence(v)
+    # grad((x^2 + y^2) / 2) = (x, y), whose divergence is 2
+    u = unit_grid_16.field_from(lambda x, y: (x * x + y * y) / 2.0)
+    div = flux_divergence(u, _unit_scale)
     assert np.allclose(div.values[1:-1, 1:-1], 2.0, atol=1e-12)
 
 
@@ -111,7 +121,7 @@ def test_flux_divergence_is_five_point_laplacian(unit_grid_16, rng):
     # compact stencil, nodewise to machine precision
     for _ in range(100):
         u = unit_grid_16.field(rng.standard_normal(unit_grid_16.shape))
-        a = flux_divergence(u).values[1:-1, 1:-1]
+        a = flux_divergence(u, _unit_scale).values[1:-1, 1:-1]
         b = laplacian_apply(u).values[1:-1, 1:-1]
         scale = np.max(np.abs(b)) + 1.0
         assert np.max(np.abs(a - b)) <= 1e-12 * scale

@@ -227,12 +227,22 @@ def test_bad_expression_reports_usage_error(tmp_path):
         ("solve", "a = 1\n", "a = nan\n"),
         ("solve", "h = 0.0625", "h = nan"),
         ("solve", "K = 0\n", "K = nan\n"),
+        ("sweep", "lambda = 2.0\n", "lambda = 2.0\n\n[sweep]\nparameter = K\nvalues = -1 0\n"),
+        ("sweep", "lambda = 2.0\n", "lambda = 2.0\n\n[sweep]\nparameter = K\nvalues = 0 nan\n"),
+        ("sweep", "variant = grad_lipschitz\nh = 1\nK = 0\nm = 2\n",
+         "variant = mean_curvature\nH = 1\n\n[sweep]\nparameter = H_amplitude\nvalues = 0.1 inf\n"),
+        ("exhaust", "lambda = 2.0\n", "lambda = 2.0\n\n[exhaustion]\nd = 1\nn_start = 3\n"
+         "n_max = 3\ncompact_halfwidth = nan\n"),
+        ("exhaust", "lambda = 2.0\n", "lambda = 2.0\n\n[exhaustion]\nd = 1\nn_start = 3\n"
+         "n_max = 3\ncompact_halfwidth = -1\n"),
     ],
     ids=["alpha", "h", "K", "max_iters", "n_list", "lambda_trials", "schauder_trials",
          "schauder_d", "empty_n_list", "lambda_nan", "lambda_negative", "lambda_zero",
          "h1_tol_nan", "blowup_sup_negative", "blowup_sup_nan", "suite_size_zero",
          "suite_size_negative", "lambda_seed_negative", "seed_flag_negative",
-         "schauder_seed_negative", "a_inf", "a_nan", "h_nan", "K_nan"],
+         "schauder_seed_negative", "a_inf", "a_nan", "h_nan", "K_nan", "sweep_K_negative",
+         "sweep_K_nan", "sweep_H_amplitude_inf", "compact_halfwidth_nan",
+         "compact_halfwidth_negative"],
 )
 def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old, new):
     assert BASE.count(old) == 1
@@ -244,6 +254,7 @@ def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old,
     section = (re.findall(r"^\[(\w+)\]", new, re.M)
                or re.findall(r"^\[(\w+)\]", BASE[: BASE.index(old)], re.M))[-1]
     assert len(lines) == 1 and lines[0].startswith(f"error: [{section}] ")
+    assert list((tmp_path / "o").iterdir()) == []  # nothing is written
 
 
 @pytest.mark.parametrize("sections", ["", "[iteration]\n[analysis]\n"], ids=["absent", "empty"])

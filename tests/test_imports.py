@@ -27,3 +27,13 @@ def test_cli_import_loads_no_scipy_and_the_numpy_parts_the_commands_use():
     # scipy would add ~0.3 s and ~300 modules to every command's start-up;
     # numpy.fft and numpy.random load with the package, not mid-command
     assert json.loads(done.stdout) == ["numpy.fft", "numpy.random"]
+
+
+def test_star_import_binds_every_name_of_all_once_in_sorted_order():
+    import diriter
+
+    names = diriter.__all__
+    assert names == sorted(set(names))  # sorted, no duplicates
+    bound = {}
+    exec("from diriter import *", bound)  # a stale entry raises AttributeError here
+    assert all(bound[name] is getattr(diriter, name) for name in names)

@@ -1,17 +1,14 @@
 import math
 
 import numpy as np
-import pytest
 from scipy.integrate import solve_bvp
 
 from diriter import (
     Domain,
     GradLipschitz,
     ArcSolution,
-    InvalidArc,
     IterationConfig,
     MeanCurvature,
-    arc_solution,
     build_grid,
     dirichlet_iterate,
     mc_divergence_residual,
@@ -45,13 +42,13 @@ def arc_field(grid, arc):
 
 
 def test_arc_zero_curvature():
-    arc = arc_solution(1.0, 0.0)
+    arc = ArcSolution(1.0, 0.0)
     y = np.linspace(-0.5, 0.5, 11)
     assert np.max(np.abs(arc(y))) == 0.0
 
 
 def test_arc_against_bvp_oracle():
-    arc = arc_solution(1.0, 0.2)
+    arc = ArcSolution(1.0, 0.2)
     sol = bvp_oracle(1.0, 0.2)
     y = np.linspace(-0.5, 0.5, 101)
     assert np.max(np.abs(arc(y) - sol.sol(y)[0])) <= 1e-8
@@ -60,12 +57,10 @@ def test_arc_against_bvp_oracle():
 
 
 def test_arc_validity_boundary():
-    with pytest.raises(InvalidArc):
-        arc_solution(1.0, 1.0)
-    with pytest.raises(InvalidArc):
-        arc_solution(1.0, -1.2)
-    arc = arc_solution(1.0, 0.99)
-    assert arc.valid
+    # the arc spans the strip only while |H| * d < 1 (n = 2)
+    assert not ArcSolution(1.0, 1.0).valid
+    assert not ArcSolution(1.0, -1.2).valid
+    assert ArcSolution(1.0, 0.99).valid
 
 
 def test_arc_honours_the_dimension_factor():
@@ -75,24 +70,24 @@ def test_arc_honours_the_dimension_factor():
     assert np.max(np.abs(arc(y) - bvp_oracle(1.0, 0.3).sol(y)[0])) <= 1e-8
     assert math.isclose(arc.radius, 1.0 / 0.6, rel_tol=1e-15)
     assert ArcSolution(d=1.0, H=0.6, n=3).valid and not ArcSolution(d=1.0, H=0.7, n=3).valid
-    two = arc_solution(1.0, 0.2)
+    two = ArcSolution(1.0, 0.2)  # n = 2 by default
     assert np.array_equal(ArcSolution(d=1.0, H=0.2, n=2)(y), two(y))
 
 
 def test_arc_symmetry_and_sign():
-    arc = arc_solution(1.0, 0.2)
+    arc = ArcSolution(1.0, 0.2)
     y = np.linspace(-0.5, 0.5, 201)
     vals = arc(y)
     assert np.allclose(vals, vals[::-1], atol=1e-15)  # even in y
     assert np.argmin(vals) == 100  # single extremum at y = 0
-    flipped = arc_solution(1.0, -0.2)
+    flipped = ArcSolution(1.0, -0.2)
     assert np.allclose(flipped(y), -vals, atol=1e-15)
     assert vals[100] < 0  # positive H pulls the graph down
 
 
 def test_arc_boundary_values():
     for H in (0.1, 0.45, -0.3):
-        arc = arc_solution(1.0, H)
+        arc = ArcSolution(1.0, H)
         assert abs(arc(0.5)) <= 1e-15 and abs(arc(-0.5)) <= 1e-15
 
 
@@ -111,7 +106,7 @@ def test_residual_zero_for_linear(unit_grid_16):
 
 
 def test_residual_second_order_on_arc():
-    arc = arc_solution(1.0, 0.2)
+    arc = ArcSolution(1.0, 0.2)
     errs = []
     for h in (1.0 / 16, 1.0 / 32):
         grid = build_grid(Domain.strip_truncation(1.0, 2.0), h)
@@ -124,7 +119,7 @@ def test_residual_second_order_on_arc():
 
 def test_divergence_vs_expanded_consistency():
     # both discretizations applied to the same smooth field stay within 10x
-    arc = arc_solution(1.0, 0.2)
+    arc = ArcSolution(1.0, 0.2)
     grid = build_grid(Domain.strip_truncation(1.0, 2.0), 1.0 / 32)
     u = arc_field(grid, arc)
     spec = MeanCurvature(H=grid.constant(0.2), n=2)
@@ -135,7 +130,7 @@ def test_divergence_vs_expanded_consistency():
 
 def test_iterated_solution_matches_arc_middle_third():
     d, H = 1.0, 0.2
-    arc = arc_solution(d, H)
+    arc = ArcSolution(d, H)
     errors = []
     for n_trunc in (3.0, 4.0, 5.0):
         grid = build_grid(Domain.strip_truncation(d, n_trunc), 1.0 / 32)

@@ -294,10 +294,10 @@ def test_sqrt_half_lipschitz(rng):
 
 def test_curvature_coupling_cubic(unit_grid_16, rng):
     u = random_smooth(unit_grid_16, rng)
-    g = curvature_coupling(u, gradient(u))
+    g = curvature_coupling(gradient(u))
     for c in (2.0, -3.0, 0.5):
         cu = unit_grid_16.field(c * u.values)
-        gc = curvature_coupling(cu, gradient(cu))
+        gc = curvature_coupling(gradient(cu))
         assert np.allclose(gc, c**3 * g, rtol=1e-10, atol=1e-12)
 
 

@@ -9,7 +9,6 @@ from diriter import (
     NoConvergence,
     PoissonSolver,
     build_grid,
-    solve_dirichlet,
 )
 
 from conftest import random_smooth
@@ -22,7 +21,7 @@ def manufactured(grid):
 
 
 def test_zero_rhs_gives_zero(unit_grid_16):
-    u = solve_dirichlet(unit_grid_16, unit_grid_16.zeros())
+    u = PoissonSolver(unit_grid_16).solve(unit_grid_16.zeros())
     assert np.max(np.abs(u.values)) == 0.0
 
 
@@ -31,7 +30,7 @@ def test_manufactured_solution_convergence(unit_square):
     for h in (1.0 / 32, 1.0 / 64):
         grid = build_grid(unit_square, h)
         f, exact = manufactured(grid)
-        u = solve_dirichlet(grid, f)
+        u = PoissonSolver(grid).solve(f)
         errs[h] = np.max(np.abs(u.values - exact.values))
     ratio = errs[1.0 / 32] / errs[1.0 / 64]
     assert 3.4 <= ratio <= 4.6
@@ -40,7 +39,7 @@ def test_manufactured_solution_convergence(unit_square):
 def test_strip_mid_profile():
     # laplacian u = 1 on a long strip: mid-strip profile is (y^2 - 1/4) / 2
     grid = build_grid(Domain.strip_truncation(d=1.0, n_trunc=4.0), 1.0 / 32)
-    u = solve_dirichlet(grid, grid.constant(1.0))
+    u = PoissonSolver(grid).solve(grid.constant(1.0))
     mid = u.values[grid.nx // 2, :]
     profile = (grid.y**2 - 0.25) / 2.0
     assert np.max(np.abs(mid - profile)) <= 5 * grid.h**2 + 1e-6
@@ -51,7 +50,7 @@ def test_strip_mid_profile():
 def test_solution_has_exact_boundary_values(unit_grid_16):
     phi = unit_grid_16.field_from(lambda x, y: np.cos(3 * x) + y)
     bc = BoundarySpec.prescribed(phi)
-    u = solve_dirichlet(unit_grid_16, unit_grid_16.constant(2.0), bc)
+    u = PoissonSolver(unit_grid_16).solve(unit_grid_16.constant(2.0), bc)
     mask = unit_grid_16.boundary_mask()
     assert np.array_equal(u.values[mask], phi.values[mask])
 
@@ -143,14 +142,14 @@ def test_matches_dense_solve(domain, h, prescribed, rng):
     else:
         bc = BoundarySpec.homogeneous()
     ref = dense_reference(grid, f, bc)
-    u = solve_dirichlet(grid, f, bc)
+    u = PoissonSolver(grid).solve(f, bc)
     assert np.max(np.abs(u.values[1:-1, 1:-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_maximum_principle(unit_grid_16, rng):
     for _ in range(30):
         vals = rng.uniform(0.0, 1.0, unit_grid_16.shape)
-        u = solve_dirichlet(unit_grid_16, unit_grid_16.field(vals))
+        u = PoissonSolver(unit_grid_16).solve(unit_grid_16.field(vals))
         assert np.max(u.values) <= 1e-12
 
 
@@ -160,8 +159,8 @@ def test_integration_by_parts_identity(unit_grid_16, rng):
     from diriter import h1_inner, laplacian_apply
 
     f = random_smooth(unit_grid_16, rng)
-    u = solve_dirichlet(unit_grid_16, f)
-    v = solve_dirichlet(unit_grid_16, random_smooth(unit_grid_16, rng))
+    u = PoissonSolver(unit_grid_16).solve(f)
+    v = PoissonSolver(unit_grid_16).solve(random_smooth(unit_grid_16, rng))
     h2 = unit_grid_16.h**2
     lhs = -np.sum(v.values[1:-1, 1:-1] * laplacian_apply(u).values[1:-1, 1:-1]) * h2
     assert abs(lhs - h1_inner(u, v)) <= 1e-12 * (1 + abs(lhs))
@@ -180,7 +179,7 @@ def test_linearity(unit_grid_16, rng):
 
 def test_residual_tolerance_enforced(unit_grid_16):
     f, _ = manufactured(unit_grid_16)
-    u = solve_dirichlet(unit_grid_16, f)
+    u = PoissonSolver(unit_grid_16).solve(f)
     h2 = unit_grid_16.h**2
     lap = (
         u.values[2:, 1:-1]
@@ -198,7 +197,7 @@ def test_nan_rhs_raises(unit_grid_16):
     values = f.values.copy()
     values[5, 7] = np.nan
     with pytest.raises(NoConvergence):
-        solve_dirichlet(unit_grid_16, unit_grid_16.field(values))
+        PoissonSolver(unit_grid_16).solve(unit_grid_16.field(values))
 
 
 # --- boundary lift ----------------------------------------------------------
@@ -206,23 +205,23 @@ def test_nan_rhs_raises(unit_grid_16):
 
 def test_lift_zero_data(unit_grid_16):
     bc = BoundarySpec.prescribed(unit_grid_16.zeros())
-    u0 = solve_dirichlet(unit_grid_16, unit_grid_16.zeros(), bc)
+    u0 = PoissonSolver(unit_grid_16).solve(unit_grid_16.zeros(), bc)
     assert np.max(np.abs(u0.values)) == 0.0
 
 
 def test_lift_linear_phi_is_exact(unit_grid_16):
     phi = unit_grid_16.field_from(lambda x, y: x + y)
     bc = BoundarySpec.prescribed(phi)
-    u0 = solve_dirichlet(unit_grid_16, unit_grid_16.zeros(), bc)
+    u0 = PoissonSolver(unit_grid_16).solve(unit_grid_16.zeros(), bc)
     assert np.max(np.abs(u0.values - phi.values)) <= 1e-11
 
 
 def test_lift_constant_phi(unit_grid_16):
     bc = BoundarySpec.prescribed(unit_grid_16.constant(1.0))
-    u0 = solve_dirichlet(unit_grid_16, unit_grid_16.zeros(), bc)
+    u0 = PoissonSolver(unit_grid_16).solve(unit_grid_16.zeros(), bc)
     assert np.max(np.abs(u0.values - 1.0)) <= 1e-11
 
 
 def test_rhs_grid_mismatch(unit_grid_16, unit_grid_32):
     with pytest.raises(ValueError):
-        solve_dirichlet(unit_grid_16, unit_grid_32.zeros())
+        PoissonSolver(unit_grid_16).solve(unit_grid_32.zeros())

@@ -1,18 +1,21 @@
+import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from diriter import (
+    ArcSolution,
     Domain,
     ExhaustionConfig,
     GradLipschitz,
     IterationConfig,
     MeanCurvature,
     NormConfig,
-    arc_solution,
     build_grid,
-    schauder_uniformity_probe,
+    cli,
+    estimate_schauder_constant,
 )
 from diriter.slab import compact_values, exhaustion_solve, restrict_field
 
@@ -95,7 +98,7 @@ def test_exhaustion_mce_converges_to_arc():
     grid = build_grid(Domain.strip_truncation(d, cfg.n_max), h)
     spec = MeanCurvature(H=grid.constant(H), n=2)
     result = exhaustion_solve(spec, cfg, h)
-    arc = arc_solution(d, H)
+    arc = ArcSolution(d, H)
     vals = compact_values(result.u_final, cfg.compact_halfwidth)
     ref = arc(result.u_final.grid.y)[None, :]
     assert np.max(np.abs(vals - ref)) <= 5 * h**2  # n_max = N + 3
@@ -137,26 +140,49 @@ def test_exhaustion_config_validation():
         ExhaustionConfig(d=1.0, n_start=4, n_max=3, compact_halfwidth=2.0)
 
 
-def test_probe_singleton_matches_direct():
-    from diriter import estimate_schauder_constant
+# --- the schauder command's probe: Λ estimates across truncations --------------
 
-    cfg = NormConfig(alpha=0.5)
-    probe = schauder_uniformity_probe(1.0, [2], cfg, trials=2, seed=9, h=H_GRID)
+
+def _probe(tmp_path, n_list, trials, seed, name="out"):
+    """Run ``schauder`` over the truncations of the unit-width strip; its exit
+    code, the (n, Λ estimate) rows and the report."""
+    cfg = tmp_path / f"{name}.ini"
+    cfg.write_text(
+        f"[grid]\nh = {H_GRID!r}\n\n[analysis]\nalpha = 0.5\n\n"
+        f"[schauder]\nd = 1\nn_list = {n_list}\ntrials = {trials}\nseed = {seed}\n"
+    )
+    out = tmp_path / name
+    code = cli.main(["schauder", "--config", str(cfg), "--out", str(out)])
+    if code != 0:
+        return code, None, None
+    with open(out / "schauder.csv", newline="") as fh:
+        rows = [(int(n), float(est)) for n, est in list(csv.reader(fh))[1:]]
+    return code, rows, json.loads((out / "report.json").read_text())
+
+
+def test_probe_singleton_matches_direct(tmp_path):
+    code, rows, report = _probe(tmp_path, "2", trials=2, seed=9)
     grid = build_grid(Domain.strip_truncation(1.0, 2), H_GRID)
-    direct = estimate_schauder_constant(grid, cfg, 2, 9)
-    assert probe["estimates"] == [direct]
-    assert probe["max"] == direct
+    direct = estimate_schauder_constant(grid, NormConfig(alpha=0.5), 2, 9)
+    assert code == 0
+    assert rows == [(2, direct)]
+    assert report["max"] == direct
 
 
-def test_probe_deterministic_and_finite():
-    cfg = NormConfig(alpha=0.5)
-    a = schauder_uniformity_probe(1.0, [2, 4], cfg, trials=2, seed=1, h=H_GRID)
-    b = schauder_uniformity_probe(1.0, [2, 4], cfg, trials=2, seed=1, h=H_GRID)
-    assert a["estimates"] == b["estimates"]
-    assert np.isfinite(a["max"])
-    assert a["max"] / min(a["estimates"]) >= 1.0
+def test_probe_deterministic_and_finite(tmp_path):
+    _, a, report = _probe(tmp_path, "2 4", trials=2, seed=1, name="a")
+    _, b, _ = _probe(tmp_path, "2 4", trials=2, seed=1, name="b")
+    assert a == b
+    assert (tmp_path / "a" / "schauder.csv").read_bytes() == (
+        tmp_path / "b" / "schauder.csv"
+    ).read_bytes()
+    assert np.isfinite(report["max"])
+    assert report["max"] == max(est for _, est in a)
+    assert report["ratio_max_min"] >= 1.0
 
 
-def test_probe_rejects_empty():
-    with pytest.raises(ValueError):
-        schauder_uniformity_probe(1.0, [], NormConfig(), 1, 0, H_GRID)
+def test_probe_rejects_empty(tmp_path, capsys):
+    code, _, _ = _probe(tmp_path, "", trials=1, seed=0)
+    assert code == 1
+    assert capsys.readouterr().err == "error: [schauder] n_list must be nonempty\n"
+    assert not (tmp_path / "out" / "schauder.csv").exists()
