@@ -344,7 +344,7 @@ def _apply_sweep_value(spec: RhsSpec, parameter: str, value: float) -> RhsSpec:
     if parameter == "K":
         if not isinstance(spec, GradLipschitz):
             raise ConfigError("sweep parameter K needs the grad_lipschitz variant")
-        return dataclasses.replace(spec, K=value, F=None)
+        return dataclasses.replace(spec, K=value)
     if parameter not in _SUP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
     family, variant, name = _SUP_PARAMETERS[parameter]

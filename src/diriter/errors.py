@@ -20,10 +20,6 @@ class NotConforming(DiriterError):
 class NoConvergence(DiriterError):
     """Linear solve stopped before reaching the residual tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class MissingNorm(DiriterError):
     """A data norm required by the selected nonlinearity is absent."""

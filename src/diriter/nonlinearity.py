@@ -2,8 +2,9 @@
 
 Three families are supported:
 
-* ``GradLipschitz``   f = h(x) + F(|grad u|^m), F Lipschitz with constant K;
-* ``GammaG``          f = gamma(x) * g(u) * |grad u|^m + h(x), g' bounded by s^k;
+* ``GradLipschitz``   f = h(x) + K * |grad u|^m;
+* ``GammaG``          f = gamma(x) * g(u) * |grad u|^m + h(x),
+                      g(s) = sign(s) * |s|^(k+1) / (k+1), so that g'(s) = |s|^k;
 * ``MeanCurvature``   f = n * sqrt(1 + |grad u|^2) * H(x) + G_u / (1 + |grad u|^2),
                       the expanded graph mean-curvature equation.
 
@@ -15,7 +16,6 @@ successive iterate differences.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -25,77 +25,36 @@ from .calculus import NormConfig, dot_gradient, holder_norm, norm_sup
 from .domain import Domain, GridField, VectorField, domain_constants
 from .errors import BracketNotFound, FixedPointInconsistent, MissingNorm, NonFiniteData
 
-_LIP_SAMPLES = np.linspace(0.0, 4.0, 41)
-_REL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class GradLipschitz:
-    """f = h(x) + F(s) with s = |grad u|^m; default F(s) = K*s."""
+    """f = h(x) + K * |grad u|^m."""
 
     h: GridField
     K: float
     m: float = 2.0
-    F: object = None  # vectorized callable s -> F(s)
 
     def __post_init__(self):
         if not 0.0 <= self.K < math.inf:  # NaN fails
             raise ValueError(f"K = {self.K} must be >= 0 and finite")
-        if self.m < 2:
-            raise ValueError("m must be >= 2")
-        if self.F is None:
-            K = self.K
-            object.__setattr__(self, "F", lambda s: K * s)
-        else:
-            vals = np.asarray(self.F(_LIP_SAMPLES), dtype=float)
-            gaps = np.abs(np.diff(vals))
-            steps = np.diff(_LIP_SAMPLES)
-            if np.any(gaps > self.K * steps * (1 + _REL_TOL) + 1e-12):
-                raise ValueError("supplied F is not K-Lipschitz on the sampled range")
-
-
-def _default_g(k: float):
-    def g(s):
-        s = np.asarray(s, dtype=float)
-        return np.sign(s) * np.abs(s) ** (k + 1) / (k + 1)
-
-    def gprime(s):
-        return np.abs(np.asarray(s, dtype=float)) ** k
-
-    return g, gprime
+        if not 2.0 <= self.m < math.inf:  # NaN fails
+            raise ValueError(f"m = {self.m} must be >= 2 and finite")
 
 
 @dataclass(frozen=True)
 class GammaG:
-    """f = gamma(x) * g(u) * |grad u|^m + h(x) with g' dominated by s^k."""
+    """f = gamma(x) * g(u) * |grad u|^m + h(x), g(s) = sign(s) |s|^(k+1) / (k+1)."""
 
     gamma: GridField
     h: GridField
     m: float = 2.0
     k: float = 1.0
-    g: object = None
-    gprime: object = None
-    validation_range: tuple[float, float] = (0.0, 2.0)
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("m must be >= 2")
-        if self.k <= 0:
-            raise ValueError("k must be > 0")
-        if (self.g is None) != (self.gprime is None):
-            raise ValueError("supply g and gprime together")
-        if self.g is None:
-            g, gp = _default_g(self.k)
-            object.__setattr__(self, "g", g)
-            object.__setattr__(self, "gprime", gp)
-        lo, hi = self.validation_range
-        s = np.linspace(lo, hi, 41)
-        gv = np.asarray(self.g(s), dtype=float)
-        if np.any(np.diff(gv) < -1e-12):
-            raise ValueError("g must be nondecreasing on the sampled range")
-        gp = np.asarray(self.gprime(s), dtype=float)
-        if np.any(gp < -1e-12) or np.any(gp > s**self.k * (1 + _REL_TOL) + 1e-12):
-            raise ValueError("g' must satisfy 0 <= g'(s) <= s^k on the sampled range")
+        if not 2.0 <= self.m < math.inf:  # NaN fails
+            raise ValueError(f"m = {self.m} must be >= 2 and finite")
+        if not 0.0 < self.k < math.inf:  # NaN fails
+            raise ValueError(f"k = {self.k} must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -133,10 +92,11 @@ def evaluate_rhs(spec: RhsSpec, u: GridField, grad_u: VectorField) -> GridField:
     grid = u.grid
     if isinstance(spec, GradLipschitz):
         s = grad_u.magnitude() ** spec.m
-        return grid._own(spec.h.values + np.asarray(spec.F(s), dtype=float))
+        return grid._own(spec.h.values + spec.K * s)
     if isinstance(spec, GammaG):
         s = grad_u.magnitude() ** spec.m
-        return grid._own(spec.gamma.values * np.asarray(spec.g(u.values), dtype=float) * s + spec.h.values)
+        g = np.sign(u.values) * np.abs(u.values) ** (spec.k + 1) / (spec.k + 1)
+        return grid._own(spec.gamma.values * g * s + spec.h.values)
     if isinstance(spec, MeanCurvature):
         # n * sqrt(1 + w) * H + G_u / (2 * (1 + w)) with w = |grad u|^2, each
         # product and quotient in the order of that expression, done in place
@@ -328,35 +288,21 @@ def admissible_K_threshold(
     return min(candidate, K0)
 
 
-def k_zero(spec: GradLipschitz, domain: Domain, norms: dict, lam: float) -> float:
-    """Largest K keeping the smallest fixed point below 2 * lam * |h|_alpha.
+def k_zero(spec: GradLipschitz, norms: dict, lam: float) -> float:
+    """Largest K keeping the smallest fixed point at most 2 * lam * |h|_alpha.
 
-    Found by bisection on K; no fixed point counts as exceeding the target.
+    With a = lam * |h|_alpha, lam * (|h|_alpha + K t^m) = t has a root
+    t <= 2a exactly when K <= phi(t) = (t - a) / (lam t^m) for some such t.
+    phi peaks where t = m (t - a), at t = m a / (m - 1), which is <= 2a for
+    m >= 2; its value there is
+    K0 = |h|_alpha / ((m - 1) (m lam |h|_alpha / (m - 1))^m).
+    With |h|_alpha = 0 every K keeps t* = 0, so K0 is infinite.
     """
     h_alpha = _require(norms, "h_alpha")
-    target = 2.0 * lam * h_alpha
-
-    def ok(k_val: float) -> bool:
-        trial = dataclasses.replace(spec, K=k_val, F=None)
-        try:
-            t_star = smallest_fixed_point(trial, domain, norms, lam)
-        except BracketNotFound:
-            return False
-        return t_star is not None and t_star <= target
-
-    k_hi = 10.0 / (lam * lam * max(h_alpha, 1e-30))
-    if ok(k_hi):
-        return k_hi
-    lo, hi = 0.0, k_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return lo
+    if h_alpha == 0.0:
+        return math.inf
+    m = spec.m
+    return h_alpha / ((m - 1.0) * (m * lam * h_alpha / (m - 1.0)) ** m)
 
 
 @dataclass(frozen=True)
@@ -401,7 +347,7 @@ def analyze(spec: RhsSpec, domain: Domain, norms: dict, lam: float) -> Contracti
             )
         rho = contraction_bound(spec, c_star, kappa)
         if isinstance(spec, GradLipschitz) and c_star > 0:
-            k0 = k_zero(spec, domain, norms, lam)
+            k0 = k_zero(spec, norms, lam)
             k_threshold = admissible_K_threshold(spec, domain, c_star, k0)
         if isinstance(spec, GammaG):
             b_const = gamma_g_combination(spec, kappa)

@@ -125,7 +125,5 @@ class PoissonSolver:
         lap = laplacian_apply(u, out=lap_out).values
         res = sup_abs(np.subtract(lap[1:-1, 1:-1], f_in, out=self._coef))
         if not res <= tol:  # a NaN residual fails too
-            raise NoConvergence(
-                f"direct solve residual {res:.3e} exceeds tolerance {tol:.3e}", residual=res
-            )
+            raise NoConvergence(f"direct solve residual {res:.3e} exceeds tolerance {tol:.3e}")
         return u

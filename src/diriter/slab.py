@@ -78,9 +78,9 @@ def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig, h: float) -> Exhausti
     the compact window of the difference between consecutive solutions.
     """
     ns = list(range(cfg.n_start, cfg.n_max + 1))
-    solutions: list[GridField] = []
     reports: list[IterationReport] = []
-    compact_slices: list[tuple[Grid, slice]] = []
+    tail: list[float] = []
+    window = None
     for n in ns:
         grid = build_grid(Domain.strip_truncation(cfg.d, n), h)
         spec_n = _spec_on(spec, grid)
@@ -89,19 +89,12 @@ def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig, h: float) -> Exhausti
         except IterationFailure as exc:
             exc.args = (f"truncation n = {n}: {exc.args[0]}",) + exc.args[1:]
             raise
-        solutions.append(u)
         reports.append(rep)
-        compact_slices.append((grid, _column_window(grid, cfg.compact_halfwidth)))
-
-    tail = []
-    for j in range(len(ns) - 1):
-        g0, s0 = compact_slices[j]
-        g1, s1 = compact_slices[j + 1]
-        a = solutions[j].values[s0, :]
-        b = solutions[j + 1].values[s1, :]
-        tail.append(float(np.max(np.abs(a - b))))
+        previous, window = window, compact_values(u, cfg.compact_halfwidth)
+        if previous is not None:
+            tail.append(float(np.max(np.abs(previous - window))))
     return ExhaustionResult(
-        u_final=solutions[-1], tail=tuple(tail), reports=tuple(reports), truncations=tuple(ns)
+        u_final=u, tail=tuple(tail), reports=tuple(reports), truncations=tuple(ns)
     )
 
 

@@ -235,6 +235,10 @@ def test_bad_expression_reports_usage_error(tmp_path):
          "n_max = 3\ncompact_halfwidth = nan\n"),
         ("exhaust", "lambda = 2.0\n", "lambda = 2.0\n\n[exhaustion]\nd = 1\nn_start = 3\n"
          "n_max = 3\ncompact_halfwidth = -1\n"),
+        ("solve", "m = 2\n", "m = nan\n"),
+        ("solve", "m = 2\n", "m = inf\n"),
+        ("solve", "variant = grad_lipschitz\nh = 1\nK = 0\nm = 2\n",
+         "variant = gamma_g\ngamma = 1\nh = 1\nm = 2\nk = nan\n"),
     ],
     ids=["alpha", "h", "K", "max_iters", "n_list", "lambda_trials", "schauder_trials",
          "schauder_d", "empty_n_list", "lambda_nan", "lambda_negative", "lambda_zero",
@@ -242,7 +246,7 @@ def test_bad_expression_reports_usage_error(tmp_path):
          "suite_size_negative", "lambda_seed_negative", "seed_flag_negative",
          "schauder_seed_negative", "a_inf", "a_nan", "h_nan", "K_nan", "sweep_K_negative",
          "sweep_K_nan", "sweep_H_amplitude_inf", "compact_halfwidth_nan",
-         "compact_halfwidth_negative"],
+         "compact_halfwidth_negative", "m_nan", "m_inf", "gamma_g_k_nan"],
 )
 def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old, new):
     assert BASE.count(old) == 1

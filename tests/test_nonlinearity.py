@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -43,10 +44,7 @@ def fixed_point_closed_form(lam, K, h_alpha):
 
 
 def test_grad_lipschitz_validation(unit_grid_16):
-    GradLipschitz(h=unit_grid_16.zeros(), K=0.1, m=2.0)  # default F fine
-    GradLipschitz(h=unit_grid_16.zeros(), K=1.0, m=2.0, F=lambda s: np.sin(s))
-    with pytest.raises(ValueError):
-        GradLipschitz(h=unit_grid_16.zeros(), K=0.1, m=2.0, F=lambda s: s**2)
+    GradLipschitz(h=unit_grid_16.zeros(), K=0.1, m=2.0)
     with pytest.raises(ValueError):
         GradLipschitz(h=unit_grid_16.zeros(), K=-1.0, m=2.0)
     with pytest.raises(ValueError):
@@ -55,14 +53,7 @@ def test_grad_lipschitz_validation(unit_grid_16):
 
 def test_gamma_g_validation(unit_grid_16):
     z = unit_grid_16.zeros()
-    GammaG(gamma=z, h=z, m=2.0, k=1.0)  # default g
-    # linear g passes only where s^k dominates g' = 1
-    GammaG(gamma=z, h=z, m=2.0, k=1.0, g=lambda s: s, gprime=lambda s: 1.0 + 0.0 * s,
-           validation_range=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        GammaG(gamma=z, h=z, m=2.0, k=1.0, g=lambda s: s, gprime=lambda s: 1.0 + 0.0 * s)
-    with pytest.raises(ValueError):
-        GammaG(gamma=z, h=z, m=2.0, k=1.0, g=lambda s: -s, gprime=lambda s: -1.0 + 0.0 * s)
+    GammaG(gamma=z, h=z, m=2.0, k=1.0)
     with pytest.raises(ValueError):
         GammaG(gamma=z, h=z, m=2.0, k=0.0)
 
@@ -86,9 +77,9 @@ def test_rhs_mean_curvature_flat(unit_grid_16):
 
 
 def test_rhs_gamma_g_nodewise():
-    # gamma = 1, g(s) = s, m = 2, u = x(1-x): the symbolic expansion gives
-    # f = x(1-x) (1-2x)^2 + h, exactly reproduced because the gradient
-    # stencils are exact on quadratics
+    # gamma = 1, k = 1 (g(s) = s |s| / 2), m = 2, u = x(1-x) >= 0: the symbolic
+    # expansion gives f = (x(1-x))^2 / 2 (1-2x)^2 + h, reproduced to rounding
+    # because the gradient stencils are exact on quadratics
     grid = Domain.rectangle(1.0, 1.0)
     grid = __import__("diriter").build_grid(grid, 1.0 / 16)
     h = grid.field_from(lambda x, y: 0.5 + 0.0 * x)
@@ -97,14 +88,11 @@ def test_rhs_gamma_g_nodewise():
         h=h,
         m=2.0,
         k=1.0,
-        g=lambda s: s,
-        gprime=lambda s: 1.0 + 0.0 * s,
-        validation_range=(1.0, 2.0),
     )
     u = grid.field_from(lambda x, y: x * (1 - x))
     f = evaluate_rhs(spec, u, gradient(u))
     X, _ = grid.meshgrid()
-    expected = X * (1 - X) * (1 - 2 * X) ** 2 + h.values
+    expected = (X * (1 - X)) ** 2 / 2 * (1 - 2 * X) ** 2 + h.values
     assert np.max(np.abs(f.values - expected)) <= 1e-12
 
 
@@ -266,8 +254,82 @@ def test_k_zero_matches_closed_form(unit_grid_16):
     # discriminant vanishes: K0 = 1 / (4 lam^2 h_alpha)
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.1, m=2.0)
     for lam, h_alpha in [(1.0, 1.0), (2.0, 0.5)]:
-        got = k_zero(spec, DOM, {"h_alpha": h_alpha}, lam)
+        got = k_zero(spec, {"h_alpha": h_alpha}, lam)
         assert math.isclose(got, 1.0 / (4 * lam * lam * h_alpha), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("m", [2.0, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize(
+    "lam, h_alpha",
+    # K0 exceeds 10 / (lam^2 h_alpha), the cap of an earlier bisection window,
+    # at (0.5, 1e-3) and (5.314, 2e-4) for m >= 3 and at (6.6, 1e-2) for m = 4
+    [(1.0, 1.0), (2.0, 10.0), (0.5, 1e-3), (6.6, 1e-2), (5.314, 2e-4)],
+)
+def test_k_zero_is_the_largest_k_with_a_fixed_point_below_target(unit_grid_16, m, lam, h_alpha):
+    norms = {"h_alpha": h_alpha}
+    spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.1, m=m)
+    k0 = k_zero(spec, norms, lam)
+    target = 2.0 * lam * h_alpha
+    below = GradLipschitz(h=spec.h, K=k0 * (1 - 1e-9), m=m)
+    assert smallest_fixed_point(below, DOM, norms, lam) <= target
+    above = GradLipschitz(h=spec.h, K=k0 * 1.001, m=m)
+    t_star = smallest_fixed_point(above, DOM, norms, lam)
+    assert t_star is None or t_star > target
+
+
+def test_k_zero_infinite_for_zero_data(unit_grid_16):
+    spec = GradLipschitz(h=unit_grid_16.zeros(), K=0.1, m=3.0)
+    assert k_zero(spec, {"h_alpha": 0.0}, 2.0) == math.inf
+
+
+# --- every field reaches both f and the theory --------------------------------
+
+
+def _doubled(data):
+    return data.grid.field(2.0 * data.values)
+
+
+def _plus_half(value):
+    return value + 0.5
+
+
+# one perturbation per field of each family
+_PERTURBATIONS = {
+    GradLipschitz: {"h": _doubled, "K": _plus_half, "m": _plus_half},
+    GammaG: {"gamma": _doubled, "h": _doubled, "m": _plus_half, "k": _plus_half},
+    MeanCurvature: {"H": _doubled, "n": _plus_half},
+}
+
+
+def _base_spec(family, grid):
+    data = grid.field_from(lambda x, y: 0.5 + x * y)
+    if family is GradLipschitz:
+        return GradLipschitz(h=data, K=0.3, m=2.0)
+    if family is GammaG:
+        return GammaG(gamma=grid.field_from(lambda x, y: 1.0 + x), h=data, m=2.0, k=1.0)
+    return MeanCurvature(H=data, n=2)
+
+
+@pytest.mark.parametrize("family", list(_PERTURBATIONS), ids=lambda c: c.__name__)
+def test_every_field_reaches_rhs_and_theory(unit_grid_16, family):
+    table = _PERTURBATIONS[family]
+    assert set(table) == {f.name for f in dataclasses.fields(family)}
+    grid = unit_grid_16
+    u = grid.field_from(lambda x, y: 0.8 * np.sin(np.pi * x) * np.sin(np.pi * y) + 0.3 * x)
+    grad = gradient(u)
+    cfg = NormConfig(alpha=0.5)
+    kappa = nonlinearity.select_kappa(DOM)
+
+    def outputs(spec):
+        f = evaluate_rhs(spec, u, grad).values
+        return f, psi(spec, DOM, data_norms(spec, cfg), 0.5), contraction_bound(spec, 0.5, kappa)
+
+    base = _base_spec(family, grid)
+    f0, psi0, rho0 = outputs(base)
+    for name, perturb in table.items():
+        f1, psi1, rho1 = outputs(dataclasses.replace(base, **{name: perturb(getattr(base, name))}))
+        assert not np.array_equal(f1, f0), name
+        assert psi1 != psi0 or rho1 != rho0, name
 
 
 # --- pointwise bounds ---------------------------------------------------------
