@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # used by the Λ estimate; loaded with the package, not mid-command
 
 from .domain import Domain, Grid, GridField, VectorField, domain_constants
 from .errors import GridTooCoarse, NotConforming
@@ -396,6 +395,8 @@ def estimate_schauder_constant(grid: Grid, cfg: NormConfig, trials: int, seed: i
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # numpy.random loads on this first use (as in poincare_suite), so commands
+    # that estimate no Λ do not pay its import
     rng = np.random.default_rng(seed)
     solver = PoissonSolver(grid)
     best = 0.0

@@ -145,34 +145,50 @@ def _require(norms: dict, key: str) -> float:
     return float(norms[key])
 
 
+def _times_power(c: float, t: float, p: float) -> float:
+    """c * t**p for c, t >= 0: 0 when c is 0, inf when the power overflows.
+
+    Python float powers raise OverflowError where numpy would give inf, and
+    a majorant that outgrows the floats is infinite for the fixed-point search.
+    """
+    if c == 0.0:
+        return 0.0
+    try:
+        return c * t**p
+    except OverflowError:
+        return math.inf
+
+
 def psi(spec: RhsSpec, domain: Domain, norms: dict, t: float) -> float:
-    """Growth majorant: |f( . , u, grad u)|_alpha <= psi(|u|_{2,alpha})."""
+    """Growth majorant: |f( . , u, grad u)|_alpha <= psi(|u|_{2,alpha}); inf
+    where it outgrows the floats."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if isinstance(spec, GradLipschitz):
-        return _require(norms, "h_alpha") + spec.K * t**spec.m
+        return _require(norms, "h_alpha") + _times_power(spec.K, t, spec.m)
     if isinstance(spec, GammaG):
         delta = domain.slab_diameter()
-        return _require(norms, "h_alpha") + _require(norms, "gamma_alpha") * delta ** (
-            spec.k - 1.0
-        ) * t ** (spec.m + spec.k)
+        coef = _require(norms, "gamma_alpha") * delta ** (spec.k - 1.0)
+        return _require(norms, "h_alpha") + _times_power(coef, t, spec.m + spec.k)
     if isinstance(spec, MeanCurvature):
         ha = _require(norms, "H_alpha")
-        return (1.0 + t * t) * (ha + 2.0 * spec.n**2 * t**3 * (1.0 + t * t))
+        return (1.0 + t * t) * (ha + _times_power(2.0 * spec.n**2, t, 3) * (1.0 + t * t))
     raise TypeError(f"unknown rhs spec {type(spec).__name__}")
 
 
 def _psi_prime(spec: RhsSpec, domain: Domain, norms: dict, t: float) -> float:
     if isinstance(spec, GradLipschitz):
-        return spec.K * spec.m * t ** (spec.m - 1.0)
+        return _times_power(spec.K * spec.m, t, spec.m - 1.0)
     if isinstance(spec, GammaG):
         p = spec.m + spec.k
         delta = domain.slab_diameter()
-        return _require(norms, "gamma_alpha") * delta ** (spec.k - 1.0) * p * t ** (p - 1.0)
+        coef = _require(norms, "gamma_alpha") * delta ** (spec.k - 1.0) * p
+        return _times_power(coef, t, p - 1.0)
     if isinstance(spec, MeanCurvature):
         ha = _require(norms, "H_alpha")
         n2 = 2.0 * spec.n**2
-        return 2.0 * t * ha + n2 * (1.0 + t * t) * (3.0 * t * t * (1.0 + t * t) + 4.0 * t**4)
+        quartic = _times_power(4.0, t, 4)
+        return 2.0 * t * ha + n2 * (1.0 + t * t) * (3.0 * t * t * (1.0 + t * t) + quartic)
     raise TypeError(f"unknown rhs spec {type(spec).__name__}")
 
 

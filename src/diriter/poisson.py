@@ -30,13 +30,22 @@ _BLOCK_DOUBLES = 1 << 16
 
 
 class PoissonSolver:
-    """Dirichlet solver bound to one grid: the eigenvalue table and the work
-    buffers of the transform. Solves on one solver must not run concurrently."""
+    """Dirichlet solver bound to one grid: the 1-D eigenvalues of each axis and
+    the work buffers of the transform. Solves on one solver must not run
+    concurrently.
+
+    Of grid size it holds only two interior-sized coefficient arrays. The
+    eigenvalue table, the outer sum of the two axes' eigenvalues, is never
+    held whole: a solve forms it a block of rows at a time where it divides.
+    While a solve runs, the grid fields alive are these two, the caller's
+    right-hand side and ``lap_out``, and the result.
+    """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         m0, m1 = grid.nx - 2, grid.ny - 2
-        self._eig = _dst_eigenvalues(m0, grid.h)[:, None] + _dst_eigenvalues(m1, grid.h)[None, :]
+        self._eig_x = _dst_eigenvalues(m0, grid.h)
+        self._eig_y = _dst_eigenvalues(m1, grid.h)
         # the inverse DST-I scale 1/(2(m + 1)) per axis, rounded as pocketfft
         # rounds it (through long double), applied once on the first inverse pass
         self._inv_scale = float(1 / np.longdouble(4 * (m0 + 1) * (m1 + 1)))
@@ -116,7 +125,16 @@ class PoissonSolver:
         # passes per transform restore the orientation)
         self._dst1_t(rhs, self._coef_t)
         self._dst1_t(self._coef_t, self._coef)
-        self._coef /= self._eig
+        # divide by the eigenvalue table eig_x[i] + eig_y[j], formed a block of
+        # rows at a time in the extension buffer, which is free between passes
+        # (it holds at least one odd extension of 2 (m1 + 1) doubles)
+        m0, m1 = self._coef.shape
+        rows = self._ext.size // m1
+        for i in range(0, m0, rows):
+            block = self._coef[i : i + rows]
+            eig = self._ext[: block.size].reshape(block.shape)
+            np.add(self._eig_x[i : i + rows, None], self._eig_y, out=eig)
+            block /= eig
         self._dst1_t(self._coef, self._coef_t, self._inv_scale)
         self._dst1_t(self._coef_t, out[1:-1, 1:-1])
         u = grid._own(out)

@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +93,29 @@ def test_solve_mce_blowup_exit_2(tmp_path):
     assert code in (2, 3)
     report = json.loads((out / "report.json").read_text())
     assert report["outcome"] in ("diverged", "max_iters")
+
+
+def test_solve_with_an_overflowing_majorant_exits_2_without_a_traceback(tmp_path):
+    # t^400 overflows in the fixed-point search; the iterates overflow too, and
+    # numpy's RuntimeWarning for that would be an error under this suite's
+    # warning filter, so the command runs in its own process
+    text = BASE.replace("h = 0.0625", "h = 0.03125").replace(
+        "h = 1\nK = 0\nm = 2", "h = 100\nK = 0.004\nm = 400"
+    )
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    src = Path(cli.__file__).resolve().parent.parent
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "diriter.cli", "solve", "--config", cfg, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["outcome"] == "diverged" and report["fixed_point_t_star"] is None
 
 
 def test_report_roundtrip_and_determinism(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -500,3 +501,20 @@ def test_boundary_lift_reuses_the_loops_solver(unit_grid_16, monkeypatch):
     start = iteration._start_field(unit_grid_16, spec, cfg, solver)
     lifted = PoissonSolver(unit_grid_16).solve(spec.h, cfg.boundary)
     assert np.array_equal(start.values.view(np.int64), lifted.values.view(np.int64))
+
+
+def test_strip_run_holds_at_most_twelve_grid_fields():
+    # at the peak, while f of the newest iterate is built, the data H, the
+    # solver's two coefficient arrays, the iterate, its Laplacian and gradient,
+    # f and the temporaries of evaluate_rhs are alive: about 10.5 fields
+    grid = build_grid(Domain.strip_truncation(1.0, 2), 1 / 256)
+    tracemalloc.start()
+    try:
+        spec = MeanCurvature(H=grid.constant(0.4), n=2)
+        _, rep = dirichlet_iterate(grid, spec, base_cfg(h1_tol=1e-10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (1025, 257)
+    assert rep.outcome == "converged" and len(rep.rows) == 12
+    assert peak <= 12 * 8 * grid.nx * grid.ny

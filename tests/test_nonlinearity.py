@@ -143,10 +143,13 @@ def test_psi_missing_norm(unit_grid_16):
 
 
 def test_fixed_point_k_zero_exact(unit_grid_16):
-    spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=2.0)
-    for lam, h_alpha in [(1.0, 1.0), (2.0, 0.3), (0.5, 4.0)]:
-        t = smallest_fixed_point(spec, DOM, {"h_alpha": h_alpha}, lam)
-        assert math.isclose(t, lam * h_alpha, rel_tol=1e-13)
+    # with m = 400, t^m overflows a float inside the search window; K = 0
+    # keeps the term at 0
+    for m in (2.0, 400.0):
+        spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=m)
+        for lam, h_alpha in [(1.0, 1.0), (2.0, 0.3), (0.5, 4.0), (2.0, 100.0)]:
+            t = smallest_fixed_point(spec, DOM, {"h_alpha": h_alpha}, lam)
+            assert math.isclose(t, lam * h_alpha, rel_tol=1e-13)
 
 
 def test_fixed_point_matches_closed_form(unit_grid_16):
@@ -375,6 +378,15 @@ def test_analyze_grad_lipschitz(unit_grid_16):
     assert an.rho == contraction_bound(spec, an.C, an.kappa)
     assert an.K_threshold is not None and not an.partial
     assert math.isclose(an.kappa, (1 / math.pi) ** 0.5, rel_tol=1e-12)
+
+
+def test_analyze_finds_no_fixed_point_where_the_majorant_overflows(unit_grid_32):
+    # t^400 overflows a Python float, which raises where numpy gives inf
+    spec = GradLipschitz(h=unit_grid_32.constant(100.0), K=0.004, m=400.0)
+    norms = data_norms(spec, NormConfig(alpha=0.5))
+    assert psi(spec, DOM, norms, 10.0) == math.inf
+    an = analyze(spec, DOM, norms, lam=2.0)
+    assert an.C is None and an.rho is None and an.K_threshold is None
 
 
 def test_analyze_mce_partial_flag(unit_grid_16):
