@@ -24,7 +24,6 @@ from .calculus import (
 )
 from .domain import BoundarySpec, Domain, Grid, GridField, VectorField, build_grid, domain_constants
 from .errors import (
-    BracketNotFound,
     ConfigError,
     DiriterError,
     FixedPointInconsistent,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcSolution",
     "BoundarySpec",
-    "BracketNotFound",
     "ConfigError",
     "ContractionAnalysis",
     "DiriterError",

@@ -218,7 +218,7 @@ class GridField:
 
     def is_conforming(self, bc: "BoundarySpec | None" = None, tol: float = 0.0) -> bool:
         """True when the boundary entries equal the prescribed ones (zero by default)."""
-        target = 0.0 if bc is None or bc.kind == HOMOGENEOUS else bc.phi.values[self.grid.boundary_mask()]
+        target = 0.0 if bc is None or bc.phi is None else bc.phi.values[self.grid.boundary_mask()]
         return bool(np.max(np.abs(self.boundary_values() - target)) <= tol)
 
 
@@ -234,35 +234,24 @@ class VectorField:
         return np.hypot(self.vx, self.vy)
 
 
-HOMOGENEOUS = "homogeneous"
-PRESCRIBED = "prescribed"
-
-
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Zero or prescribed boundary values for the Dirichlet problems."""
+    """Zero (``phi`` None) or prescribed boundary values for the Dirichlet problems."""
 
-    kind: str = HOMOGENEOUS
     phi: GridField | None = None
-
-    def __post_init__(self):
-        if self.kind not in (HOMOGENEOUS, PRESCRIBED):
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
-        if self.kind == PRESCRIBED and self.phi is None:
-            raise ValueError("prescribed boundary needs a phi field")
 
     @classmethod
     def homogeneous(cls) -> "BoundarySpec":
-        return cls(kind=HOMOGENEOUS)
+        return cls()
 
     @classmethod
     def prescribed(cls, phi: GridField) -> "BoundarySpec":
-        return cls(kind=PRESCRIBED, phi=phi)
+        return cls(phi=phi)
 
     def values_on(self, grid: Grid) -> np.ndarray:
         """Full-shape array whose boundary entries are the prescribed values."""
         out = np.zeros(grid.shape)
-        if self.kind == PRESCRIBED:
+        if self.phi is not None:
             if self.phi.grid.shape != grid.shape:
                 raise ValueError("boundary field lives on a different grid")
             mask = grid.boundary_mask()

@@ -33,10 +33,6 @@ class FixedPointInconsistent(DiriterError):
     """The computed fixed point of the growth majorant fails its self-consistency check."""
 
 
-class BracketNotFound(DiriterError):
-    """Fixed-point search exhausted its interval while the gap was still shrinking."""
-
-
 class IterationFailure(DiriterError):
     """Base for outer-iteration failures; carries the partial report and last iterate."""
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .calculus import NormConfig, dot_gradient, holder_norm, norm_sup
 from .domain import Domain, GridField, VectorField, domain_constants
-from .errors import BracketNotFound, FixedPointInconsistent, MissingNorm, NonFiniteData
+from .errors import FixedPointInconsistent, MissingNorm, NonFiniteData
 
 
 @dataclass(frozen=True)
@@ -146,17 +146,24 @@ def _require(norms: dict, key: str) -> float:
 
 
 def _times_power(c: float, t: float, p: float) -> float:
-    """c * t**p for c, t >= 0: 0 when c is 0, inf when the power overflows.
+    """c * t**p for c, t >= 0: 0 when c or t is 0, inf when the power overflows.
 
     Python float powers raise OverflowError where numpy would give inf, and
-    a majorant that outgrows the floats is infinite for the fixed-point search.
+    a majorant that outgrows the floats is infinite for the fixed-point
+    search. Every power of t here is positive, so t = 0 gives 0 even when c
+    is infinite (where c * 0**p would be NaN).
     """
-    if c == 0.0:
+    if c == 0.0 or t == 0.0:
         return 0.0
     try:
         return c * t**p
     except OverflowError:
         return math.inf
+
+
+def _gamma_g_coefficient(spec: GammaG, domain: Domain, norms: dict) -> float:
+    """|gamma|_alpha * delta^(k - 1); inf where it outgrows the floats."""
+    return _times_power(_require(norms, "gamma_alpha"), domain.slab_diameter(), spec.k - 1.0)
 
 
 def psi(spec: RhsSpec, domain: Domain, norms: dict, t: float) -> float:
@@ -167,8 +174,7 @@ def psi(spec: RhsSpec, domain: Domain, norms: dict, t: float) -> float:
     if isinstance(spec, GradLipschitz):
         return _require(norms, "h_alpha") + _times_power(spec.K, t, spec.m)
     if isinstance(spec, GammaG):
-        delta = domain.slab_diameter()
-        coef = _require(norms, "gamma_alpha") * delta ** (spec.k - 1.0)
+        coef = _gamma_g_coefficient(spec, domain, norms)
         return _require(norms, "h_alpha") + _times_power(coef, t, spec.m + spec.k)
     if isinstance(spec, MeanCurvature):
         ha = _require(norms, "H_alpha")
@@ -181,9 +187,7 @@ def _psi_prime(spec: RhsSpec, domain: Domain, norms: dict, t: float) -> float:
         return _times_power(spec.K * spec.m, t, spec.m - 1.0)
     if isinstance(spec, GammaG):
         p = spec.m + spec.k
-        delta = domain.slab_diameter()
-        coef = _require(norms, "gamma_alpha") * delta ** (spec.k - 1.0) * p
-        return _times_power(coef, t, p - 1.0)
+        return _times_power(_gamma_g_coefficient(spec, domain, norms) * p, t, p - 1.0)
     if isinstance(spec, MeanCurvature):
         ha = _require(norms, "H_alpha")
         n2 = 2.0 * spec.n**2
@@ -192,69 +196,36 @@ def _psi_prime(spec: RhsSpec, domain: Domain, norms: dict, t: float) -> float:
     raise TypeError(f"unknown rhs spec {type(spec).__name__}")
 
 
-def default_t_max(spec: RhsSpec, norms: dict, lam: float) -> float:
-    total = sum(norms.get(k, 0.0) or 0.0 for k in ("h_alpha", "gamma_alpha", "H_alpha"))
-    return 10.0 * lam * (total + 1.0)
+def smallest_fixed_point(spec: RhsSpec, domain: Domain, norms: dict, lam: float) -> float | None:
+    """Smallest t with lam * psi(t) = t to adjacent doubles, or None when
+    there is none.
 
-
-def smallest_fixed_point(
-    spec: RhsSpec, domain: Domain, norms: dict, lam: float, t_max: float | None = None
-) -> float | None:
-    """Smallest t with lam * psi(t) = t, or None when provably no fixed point.
-
-    gap(t) = lam * psi(t) - t is convex with gap(0) >= 0, so the search
-    minimizes the gap first: a positive minimum proves there is no fixed
-    point anywhere; otherwise the smallest root sits left of the minimizer
-    and bisection finds it. Raises BracketNotFound when the gap is still
-    decreasing at t_max (a fixed point may exist beyond the search window).
+    gap(t) = lam * psi(t) - t is convex with gap(0) >= 0, so Newton steps
+    from t = 0 stay left of its smallest root; each advances at least one
+    double. A point with gap > 0 and gap' >= 0 proves that there is no root.
+    The first point with gap <= 0 closes a bracket, which bisection narrows
+    until the returned t has gap(t) <= 0 < gap at the double below it.
     """
     if not 0.0 < lam < math.inf:  # NaN fails
         raise ValueError(f"lam = {lam} must be positive and finite")
-    if t_max is None:
-        t_max = default_t_max(spec, norms, lam)
 
     def gap(t):
         return lam * psi(spec, domain, norms, t) - t
 
-    def gap_prime(t):
-        return lam * _psi_prime(spec, domain, norms, t) - 1.0
+    lo = hi = 0.0
+    while (g := gap(hi)) > 0.0:
+        slope = lam * _psi_prime(spec, domain, norms, hi) - 1.0
+        if not slope < 0.0:
+            return None  # convexity: gap >= g > 0 everywhere
+        lo, hi = hi, max(math.nextafter(hi, math.inf), hi - g / slope)
 
-    if gap(0.0) <= 0.0:
-        return 0.0
-
-    if gap_prime(t_max) <= 0.0:
-        # gap still decreasing at the window edge
-        if gap(t_max) > 0.0:
-            raise BracketNotFound(
-                f"gap positive but still decreasing at t_max = {t_max:g}; enlarge the window"
-            )
-        hi = t_max
-    else:
-        # locate the minimizer: gap' is increasing, negative at 0
-        a, b = 0.0, t_max
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if gap_prime(mid) <= 0.0:
-                a = mid
-            else:
-                b = mid
-            if b - a <= 1e-16 * max(1.0, b):
-                break
-        if gap(a) > 0.0 and gap(b) > 0.0:
-            return None  # convexity: gap >= min > 0 everywhere
-        hi = b if gap(b) <= 0.0 else a
-
-    # smallest root lies in [0, hi]; gap is decreasing left of its minimizer
-    a, b = 0.0, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
+    # gap(lo) > 0 >= gap(hi), or lo = hi = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if gap(mid) > 0.0:
-            a = mid
+            lo = mid
         else:
-            b = mid
-        if b - a <= 1e-16 * max(1.0, b):
-            break
-    return b
+            hi = mid
+    return hi
 
 
 def contraction_bound(spec: RhsSpec, C: float, kappa: float) -> float:
@@ -288,20 +259,12 @@ def is_partial_bound(spec: RhsSpec) -> bool:
     return isinstance(spec, MeanCurvature)
 
 
-def admissible_K_threshold(
-    spec: GradLipschitz, domain: Domain, C: float, K0: float, kappa_kind: str = "volumetric"
-) -> float:
-    """Largest admissible Lipschitz constant for the chosen Poincaré convention."""
+def admissible_K_threshold(spec: GradLipschitz, domain: Domain, C: float, K0: float) -> float:
+    """Largest admissible Lipschitz constant under the volumetric Poincaré constant."""
     if C <= 0:
         raise ValueError("C must be positive")
-    consts = domain_constants(domain)
-    if kappa_kind == "volumetric":
-        candidate = (1.0 / (spec.m * C ** (spec.m - 1.0))) / consts["kappa_volumetric"]
-    elif kappa_kind == "slab":
-        candidate = math.sqrt(2.0) / (spec.m * C ** (spec.m - 1.0) * consts["slab_diameter"])
-    else:
-        raise ValueError("kappa_kind must be 'volumetric' or 'slab'")
-    return min(candidate, K0)
+    kappa = domain_constants(domain)["kappa_volumetric"]
+    return min((1.0 / (spec.m * C ** (spec.m - 1.0))) / kappa, K0)
 
 
 def k_zero(spec: GradLipschitz, norms: dict, lam: float) -> float:
@@ -344,14 +307,11 @@ def select_kappa(domain: Domain) -> float:
 def analyze(spec: RhsSpec, domain: Domain, norms: dict, lam: float) -> ContractionAnalysis:
     """Bundle fixed point, contraction factor and admissibility thresholds.
 
-    kappa is ``select_kappa(domain)``; ``K_threshold`` uses the volumetric
-    convention of ``admissible_K_threshold``.
+    kappa is ``select_kappa(domain)``; ``K_threshold`` is
+    ``admissible_K_threshold``'s, under the volumetric constant.
     """
     kappa = select_kappa(domain)
-    try:
-        c_star = smallest_fixed_point(spec, domain, norms, lam)
-    except BracketNotFound:
-        c_star = None
+    c_star = smallest_fixed_point(spec, domain, norms, lam)
     rho = None
     k_threshold = None
     b_const = None

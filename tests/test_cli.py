@@ -95,13 +95,10 @@ def test_solve_mce_blowup_exit_2(tmp_path):
     assert report["outcome"] in ("diverged", "max_iters")
 
 
-def test_solve_with_an_overflowing_majorant_exits_2_without_a_traceback(tmp_path):
-    # t^400 overflows in the fixed-point search; the iterates overflow too, and
-    # numpy's RuntimeWarning for that would be an error under this suite's
-    # warning filter, so the command runs in its own process
-    text = BASE.replace("h = 0.0625", "h = 0.03125").replace(
-        "h = 1\nK = 0\nm = 2", "h = 100\nK = 0.004\nm = 400"
-    )
+def _solve_in_subprocess(tmp_path, text):
+    """Run ``solve`` on ``text`` in its own process: numpy's RuntimeWarnings
+    for overflowing iterates would be errors under this suite's warning
+    filter. Returns the process and the parsed report.json."""
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     src = Path(cli.__file__).resolve().parent.parent
@@ -113,8 +110,27 @@ def test_solve_with_an_overflowing_majorant_exits_2_without_a_traceback(tmp_path
         text=True,
         timeout=60,
     )
+    return done, json.loads((out / "report.json").read_text())
+
+
+def test_solve_with_an_overflowing_majorant_exits_2_without_a_traceback(tmp_path):
+    # t^400 overflows in the fixed-point search, and the iterates overflow too
+    text = BASE.replace("h = 0.0625", "h = 0.03125").replace(
+        "h = 1\nK = 0\nm = 2", "h = 100\nK = 0.004\nm = 400"
+    )
+    done, report = _solve_in_subprocess(tmp_path, text)
     assert done.returncode == 2 and "Traceback" not in done.stderr
-    report = json.loads((out / "report.json").read_text())
+    assert report["outcome"] == "diverged" and report["fixed_point_t_star"] is None
+
+
+def test_solve_with_an_overflowing_gamma_g_coefficient_exits_2_without_a_traceback(tmp_path):
+    # |gamma|_alpha * delta^(k - 1) = 0.1 * 4^599 overflows before any power of t
+    text = BASE.replace("a = 1\nb = 1", "a = 4\nb = 4").replace("h = 0.0625", "h = 0.25").replace(
+        "variant = grad_lipschitz\nh = 1\nK = 0\nm = 2",
+        "variant = gamma_g\ngamma = 0.1\nh = 1\nm = 2\nk = 600",
+    )
+    done, report = _solve_in_subprocess(tmp_path, text)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
     assert report["outcome"] == "diverged" and report["fixed_point_t_star"] is None
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from diriter import (
-    BracketNotFound,
     DiriterError,
     Domain,
     FixedPointInconsistent,
@@ -143,8 +142,7 @@ def test_psi_missing_norm(unit_grid_16):
 
 
 def test_fixed_point_k_zero_exact(unit_grid_16):
-    # with m = 400, t^m overflows a float inside the search window; K = 0
-    # keeps the term at 0
+    # with m = 400, t^m overflows a float for t > 5.9; K = 0 keeps the term at 0
     for m in (2.0, 400.0):
         spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=m)
         for lam, h_alpha in [(1.0, 1.0), (2.0, 0.3), (0.5, 4.0), (2.0, 100.0)]:
@@ -175,13 +173,6 @@ def test_fixed_point_residual_and_minimality(unit_grid_16):
         assert lam * psi(spec, DOM, norms, tt) > tt
 
 
-def test_fixed_point_bracket_not_found(unit_grid_16):
-    # window too small: the gap is still decreasing at t_max
-    spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=2.0)
-    with pytest.raises(BracketNotFound):
-        smallest_fixed_point(spec, DOM, {"h_alpha": 1.0}, 1.0, t_max=0.5)
-
-
 def test_fixed_point_small_k_order(unit_grid_16):
     # t* / (lam h_alpha) -> 1 as K -> 0
     lam, h_alpha = 2.0, 1.5
@@ -198,6 +189,74 @@ def test_fixed_point_gamma_g_and_mce(unit_grid_16):
     mce = MeanCurvature(H=unit_grid_16.constant(0.05), n=2)
     t2 = smallest_fixed_point(mce, DOM, {"H_alpha": 0.05}, 1.0)
     assert t2 is not None and t2 < 0.2
+
+
+def _random_case(family, grid, rng):
+    """One spec of ``family`` with random constants, its data norms and a lam."""
+    lam = 10 ** rng.uniform(-1, 1)
+    z = grid.zeros()
+    if family is GradLipschitz:
+        m = 2.0 if rng.random() < 0.5 else rng.uniform(2.0, 6.0)
+        spec = GradLipschitz(h=z, K=10 ** rng.uniform(-4, 1), m=m)
+        norms = {"h_alpha": 10 ** rng.uniform(-6, 1)}
+    elif family is GammaG:
+        spec = GammaG(gamma=z, h=z, m=rng.uniform(2.0, 4.0), k=rng.uniform(0.2, 3.0))
+        norms = {"h_alpha": 10 ** rng.uniform(-6, 1), "gamma_alpha": 10 ** rng.uniform(-3, 1)}
+    else:
+        spec = MeanCurvature(H=z, n=int(rng.integers(2, 4)))
+        norms = {"H_alpha": 10 ** rng.uniform(-6, 0)}
+    return spec, norms, lam
+
+
+@pytest.mark.parametrize(
+    "family, seed",
+    [(GradLipschitz, 11), (GammaG, 12), (MeanCurvature, 13)],
+    ids=["GradLipschitz", "GammaG", "MeanCurvature"],
+)
+def test_fixed_point_is_the_first_double_where_the_gap_closes(unit_grid_16, family, seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    real_psi = nonlinearity.psi
+    calls = 0
+
+    def counting_psi(*args):
+        nonlocal calls
+        calls += 1
+        return real_psi(*args)
+
+    monkeypatch.setattr(nonlinearity, "psi", counting_psi)
+    found = missing = 0
+    for _ in range(400):
+        spec, norms, lam = _random_case(family, unit_grid_16, rng)
+
+        def gap(t):
+            return lam * real_psi(spec, DOM, norms, t) - t
+
+        calls = 0
+        t = smallest_fixed_point(spec, DOM, norms, lam)
+        # Newton steps and one bisection, no walk one double at a time
+        assert calls <= 100
+        if family is GradLipschitz and spec.m == 2.0:
+            # lam (h_a + K t^2) = t has a real root iff the discriminant is >= 0
+            assert (t is None) == (4 * lam * lam * spec.K * norms["h_alpha"] > 1)
+        if t is None:
+            missing += 1
+            assert all(gap(s) > 0 for s in np.geomspace(1e-9, 1e3, 400))
+        else:
+            found += 1
+            assert gap(t) <= 0 < gap(math.nextafter(t, 0))
+    assert found >= 20 and missing >= 20
+
+
+def test_psi_of_gamma_g_with_an_overflowing_coefficient(unit_grid_16):
+    # |gamma|_alpha * delta^(k - 1) = 0.1 * 4^599 overflows a float; at t = 0
+    # the term is still 0, not inf * 0
+    spec = GammaG(gamma=unit_grid_16.constant(0.1), h=unit_grid_16.constant(1.0), m=2.0, k=600.0)
+    dom = Domain.rectangle(4.0, 4.0)
+    norms = {"h_alpha": 1.0, "gamma_alpha": 0.1}
+    assert psi(spec, dom, norms, 0.0) == 1.0
+    assert psi(spec, dom, norms, 0.5) == math.inf
+    an = analyze(spec, dom, norms, lam=2.0)
+    assert an.C is None and an.rho is None and an.B is None
 
 
 # --- contraction bound / thresholds ------------------------------------------
@@ -236,15 +295,9 @@ def test_contraction_bound_mce_partial(unit_grid_16):
 
 def test_admissible_threshold_volumetric(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.1, m=2.0)
-    got = admissible_K_threshold(spec, DOM, C=1.0, K0=10.0, kappa_kind="volumetric")
+    got = admissible_K_threshold(spec, DOM, C=1.0, K0=10.0)
     assert math.isclose(got, 0.5 * math.sqrt(math.pi), rel_tol=1e-12)
     assert math.isclose(got, 0.886227, abs_tol=1e-6)
-
-
-def test_admissible_threshold_slab(unit_grid_16):
-    spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.1, m=2.0)
-    got = admissible_K_threshold(spec, DOM, C=1.0, K0=10.0, kappa_kind="slab")
-    assert math.isclose(got, math.sqrt(2.0) / 2.0, rel_tol=1e-12)
 
 
 def test_admissible_threshold_k0_dominates(unit_grid_16):

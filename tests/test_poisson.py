@@ -10,6 +10,7 @@ from diriter import (
     PoissonSolver,
     build_grid,
 )
+from diriter import poisson
 
 from conftest import random_smooth
 
@@ -188,8 +189,47 @@ def test_residual_tolerance_enforced(unit_grid_16):
         + u.values[1:-1, :-2]
         - 4 * u.values[1:-1, 1:-1]
     ) / h2
-    # the solver's fixed rule, which it checks before returning
+    # the first term of the solver's rule (this grid's solve is well within it)
     assert np.max(np.abs(lap - f.values[1:-1, 1:-1])) <= 1e-10 * (1 + np.max(np.abs(f.values)))
+
+
+def _four_mode_rhs(grid):
+    """sum over k = 1..4 of a_k sin(k pi x) (cos(k pi y) + c_k), built from
+    outer products of the node coordinates."""
+    vals = np.zeros(grid.shape)
+    for k, a, c in [(1, 0.27, -0.46), (2, -0.92, -0.97), (3, 0.63, 0.83), (4, 0.21, 0.46)]:
+        vals += np.outer(a * np.sin(k * np.pi * grid.x), np.cos(k * np.pi * grid.y) + c)
+    return grid.field(vals)
+
+
+def test_fine_grid_exact_solve_passes_the_residual_check(unit_square):
+    # the rounding residual of an exact solve grows like eps sup|u| / h^2: at
+    # h = 1/2048 it exceeds 1e-10 (1 + sup|f|), the whole rule of earlier
+    # versions, which raised NoConvergence here
+    grid = build_grid(unit_square, 1.0 / 2048)
+    f = _four_mode_rhs(grid)
+    lap = np.empty(grid.shape)
+    u = PoissonSolver(grid).solve(f, lap_out=lap)
+    res = np.max(np.abs(lap[1:-1, 1:-1] - f.values[1:-1, 1:-1]))
+    assert res > 1e-10 * (1 + np.max(np.abs(f.values)))
+    assert res <= 32 * np.finfo(float).eps * np.max(np.abs(u.values)) / grid.h**2
+
+
+def test_residual_check_catches_one_node_off_by_1e_minus_8(unit_square, monkeypatch):
+    grid = build_grid(unit_square, 1.0 / 64)
+    f = _four_mode_rhs(grid)
+    PoissonSolver(grid).solve(f)
+    stencil = poisson.laplacian_apply
+
+    def off_at_one_node(u, out=None):
+        values = u.values.copy()
+        values[20, 37] += 1e-8 * np.max(np.abs(values))
+        return stencil(grid.field(values), out=out)
+
+    # the check now sees a u that is off by 1e-8 sup|u| at one interior node
+    monkeypatch.setattr(poisson, "laplacian_apply", off_at_one_node)
+    with pytest.raises(NoConvergence):
+        PoissonSolver(grid).solve(f)
 
 
 def test_nan_rhs_raises(unit_grid_16):
