@@ -479,6 +479,7 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
             compact_halfwidth=halfwidth,
             iteration=it_cfg,
         )
+        ex_cfg.check_spacing(h)
     try:
         result = exhaustion_solve(spec, ex_cfg, h)
     except IterationFailure as exc:

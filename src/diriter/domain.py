@@ -136,13 +136,17 @@ class Grid:
     def boundary_mask(self) -> np.ndarray:
         return ~self.interior_mask()
 
-    def quad_weights(self) -> np.ndarray:
-        """Trapezoidal nodal weights: h^2 inside, halved per boundary axis."""
+    def axis_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 1-D trapezoidal weights of each axis: h inside, h/2 at the ends."""
         wx = np.full(self.nx, self.h)
         wx[0] = wx[-1] = self.h / 2.0
         wy = np.full(self.ny, self.h)
         wy[0] = wy[-1] = self.h / 2.0
-        return np.outer(wx, wy)
+        return wx, wy
+
+    def quad_weights(self) -> np.ndarray:
+        """Trapezoidal nodal weights: h^2 inside, halved per boundary axis."""
+        return np.outer(*self.axis_weights())
 
     def field(self, values) -> "GridField":
         values = np.asarray(values, dtype=float)

@@ -19,7 +19,7 @@ from .calculus import (
     NormConfig,
     c2alpha_estimate,
     estimate_schauder_constant,
-    gradient,
+    gradient,  # noqa: F401 -- unused here; perfbench/spans.py traces it under this name
     laplacian_apply,
     norm_h1semi,
     norm_sup,
@@ -114,13 +114,13 @@ def residual_field(
     """laplacian(u) - f(x, u, grad u) at interior nodes, 0 on the boundary.
 
     ``f`` is the already evaluated right-hand side at ``u``, and ``lap`` the
-    values of ``laplacian_apply(u)`` (as ``PoissonSolver.solve`` leaves them
-    in ``lap_out``), if the caller has them; neither is modified.
+    values of ``laplacian_apply(u)``, if the caller has them; neither is
+    modified.
     """
     if lap is None:
         lap = laplacian_apply(u).values
     if f is None:
-        f = evaluate_rhs(spec, u, gradient(u))
+        f = evaluate_rhs(spec, u)
     out = np.empty(u.grid.shape)
     out[0] = out[-1] = 0.0
     out[:, 0] = out[:, -1] = 0.0
@@ -172,12 +172,13 @@ def dirichlet_iterate(
     a ``PoissonSolver`` bound to ``grid`` itself, lets runs on one grid share
     one; by default the run builds its own. The iterates are the same either way.
 
-    Grid fields alive at once, besides the data and the solver's two
-    coefficient arrays: during a solve, the previous iterate with its
-    gradient and right-hand side, and the new iterate with its Laplacian;
-    while the new right-hand side is built, only the new iterate with its
-    Laplacian and gradient, the right-hand side and the temporaries of
-    ``evaluate_rhs``. Both phases peak at about 10.5 grid fields in all.
+    Grid fields alive at once, besides the data and the solver's array: the
+    previous iterate, the right-hand side and the new iterate while a solve
+    runs; then the two iterates and the field of weighted squares of the H1
+    norm of their difference; then the new iterate, its right-hand side and
+    the work field of its C^{2,alpha} estimate. That is 3 fields, 5 with
+    the solver's array and one data field. Derivatives and the difference
+    of the iterates are formed a row slab at a time, never whole.
     """
     check_finite_data(spec)
     if solver is None:
@@ -200,32 +201,26 @@ def dirichlet_iterate(
         c_emp = max((r.c2alpha_est for r in rows), default=0.0) if cfg.c2alpha else None
         return IterationReport(rows=tuple(rows), outcome=outcome, C_empirical=c_emp)
 
-    # f at the newest iterate feeds both its residual and the next solve. The
-    # old f and iterate go once the difference is formed, the difference once
-    # the new gradient is, so no other right-hand side or iterate is alive
-    # while the new f is built. In this order each new array reuses one just
-    # freed: glibc hands a free heap top above about two fields back to the
-    # OS, and dropping f before the difference was formed tripled the page
-    # faults of a strip run. The solve leaves laplacian(u_next) in lap, which
-    # the residual reuses.
-    f = evaluate_rhs(spec, u_prev, gradient(u_prev))
+    # f at the newest iterate feeds both its residual and the next solve. Each
+    # field goes as soon as nothing reads it, so each new one reuses the
+    # heap block of one just freed: glibc hands a free heap top above about
+    # two fields back to the OS, and the pages come back as faults. The
+    # solver keeps laplacian(u_next) from its check, which the residual reads.
+    f = evaluate_rhs(spec, u_prev)
     for i in range(1, cfg.max_iters + 1):
-        lap = np.empty(grid.shape)
-        u_next = solver.solve(f, cfg.boundary, lap_out=lap)
-        diff = grid._own(u_next.values - u_prev.values)
-        del f, u_prev
-        h1_diff = norm_h1semi(diff)
-        grad = gradient(u_next)
-        del diff
-        f = evaluate_rhs(spec, u_next, grad)
+        u_next = solver.solve(f, cfg.boundary)
+        del f
+        h1_diff = norm_h1semi(u_next, u_prev)
+        del u_prev
+        f = evaluate_rhs(spec, u_next)
 
         rho = h1_diff / prev_h1 if (prev_h1 is not None and prev_h1 > 0) else None
-        res_sup = norm_sup(residual_field(u_next, spec, f=f, lap=lap))
+        res_sup = solver.residual_sup(u_next, f)
         rows.append(
             IterationRow(
                 i=i,
                 sup_u=norm_sup(u_next),
-                c2alpha_est=c2alpha_estimate(u_next, cfg.norm_cfg, grad) if cfg.c2alpha else None,
+                c2alpha_est=c2alpha_estimate(u_next, cfg.norm_cfg) if cfg.c2alpha else None,
                 h1_diff=h1_diff,
                 rho_i=rho,
                 residual_sup=res_sup,

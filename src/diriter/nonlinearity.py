@@ -17,11 +17,12 @@ successive iterate differences.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import NormConfig, dot_gradient, holder_norm, norm_sup
+from .calculus import NormConfig, dot_gradient, gradient_slabs, holder_norm, norm_sup
 from .domain import Domain, GridField, VectorField, domain_constants
 from .errors import FixedPointInconsistent, MissingNorm, NonFiniteData
 
@@ -72,7 +73,7 @@ class MeanCurvature:
 RhsSpec = GradLipschitz | GammaG | MeanCurvature
 
 
-def curvature_coupling(grad_u: VectorField, w: np.ndarray | None = None) -> np.ndarray:
+def curvature_coupling(grad_u: VectorField) -> np.ndarray:
     """G_u = 2 * du^mu du^nu d_{mu nu} u, assembled as <grad u, grad |grad u|^2>.
 
     Differencing |grad u|^2 once instead of forming the three second
@@ -80,37 +81,59 @@ def curvature_coupling(grad_u: VectorField, w: np.ndarray | None = None) -> np.n
     The expanded graph equation uses G_u / (2 * (1 + |grad u|^2)): expanding
     div(grad u / sqrt(1 + |grad u|^2)) by the quotient rule produces the half
     factor, and only with it does the iterate satisfy the divergence form.
-    ``w`` holds |grad u|^2 at the nodes, when the caller already has it.
     """
-    if w is None:
-        w = grad_u.vx**2 + grad_u.vy**2
-    return dot_gradient(grad_u, w)
+    vx, vy = grad_u.vx, grad_u.vy
+    w = vx**2 + vy**2
+    return dot_gradient(vx, vy.copy(), w, grad_u.grid.h, np.empty_like(w))
 
 
-def evaluate_rhs(spec: RhsSpec, u: GridField, grad_u: VectorField) -> GridField:
-    """Nodal samples of f(x, u(x), grad u(x)) for the given family."""
+def evaluate_rhs(spec: RhsSpec, u: GridField) -> GridField:
+    """Nodal samples of f(x, u(x), grad u(x)) for the given family.
+
+    grad u, and for ``MeanCurvature`` its coupling term, are formed a row
+    slab at a time (``calculus.gradient_slabs``), never for the whole grid.
+    """
+    if not isinstance(spec, (GradLipschitz, GammaG, MeanCurvature)):
+        raise TypeError(f"unknown rhs spec {type(spec).__name__}")
     grid = u.grid
-    if isinstance(spec, GradLipschitz):
-        s = grad_u.magnitude() ** spec.m
-        return grid._own(spec.h.values + spec.K * s)
-    if isinstance(spec, GammaG):
-        s = grad_u.magnitude() ** spec.m
-        g = np.sign(u.values) * np.abs(u.values) ** (spec.k + 1) / (spec.k + 1)
-        return grid._own(spec.gamma.values * g * s + spec.h.values)
-    if isinstance(spec, MeanCurvature):
-        # n * sqrt(1 + w) * H + G_u / (2 * (1 + w)) with w = |grad u|^2, each
-        # product and quotient in the order of that expression, done in place
-        w = grad_u.vx**2 + grad_u.vy**2
-        g_term = curvature_coupling(grad_u, w)
-        w += 1.0
-        out = np.sqrt(w)
-        out *= spec.n
-        out *= spec.H.values
-        w *= 2.0
-        g_term /= w
-        out += g_term
-        return grid._own(out)
-    raise TypeError(f"unknown rhs spec {type(spec).__name__}")
+    out = None
+    for rows, keep, vx, vy in gradient_slabs(u.values, grid.h):
+        o = vx[keep]  # the slab's f goes over its ux
+        if isinstance(spec, MeanCurvature):
+            # n * sqrt(1 + w) * H + G_u / (2 * (1 + w)) with w = |grad u|^2, each
+            # product and quotient in the order of that expression, in place;
+            # G_u differences w, so it needs the slab's whole window
+            w = np.square(vx)
+            work = np.square(vy)
+            w += work
+            g_term = dot_gradient(vx, vy, w, grid.h, work)[keep]
+            w = w[keep]
+            w += 1.0
+            np.sqrt(w, out=o)
+            o *= spec.n
+            o *= spec.H.values[rows]
+            w *= 2.0
+            g_term /= w
+            o += g_term
+        else:
+            np.hypot(o, vy[keep], out=o)
+            o **= spec.m  # |grad u|^m
+            if isinstance(spec, GradLipschitz):
+                o *= spec.K
+                o += spec.h.values[rows]
+            else:
+                v = u.values[rows]
+                g = np.sign(v) * np.abs(v) ** (spec.k + 1) / (spec.k + 1)
+                g *= spec.gamma.values[rows]
+                o *= g
+                o += spec.h.values[rows]
+        if o.shape == grid.shape:  # one slab, whose window is the grid
+            out = vx
+        else:
+            if out is None:
+                out = np.empty(grid.shape)
+            out[rows] = o
+    return grid._own(out)
 
 
 def data_fields(spec: RhsSpec) -> dict[str, GridField]:
@@ -145,25 +168,35 @@ def _require(norms: dict, key: str) -> float:
     return float(norms[key])
 
 
-def _times_power(c: float, t: float, p: float) -> float:
-    """c * t**p for c, t >= 0: 0 when c or t is 0, inf when the power overflows.
+_TINY = sys.float_info.min  # the smallest normal double
 
-    Python float powers raise OverflowError where numpy would give inf, and
-    a majorant that outgrows the floats is infinite for the fixed-point
-    search. Every power of t here is positive, so t = 0 gives 0 even when c
-    is infinite (where c * 0**p would be NaN).
+
+def _times_powers(c: float, *powers: tuple[float, float]) -> float:
+    """c * t1**p1 * t2**p2 * ..., multiplied left to right, for c and every
+    base t >= 0 (a zero base has p > 0): 0 when c or a base is 0.
+
+    When a power or the product leaves the normal floats (overflows, or
+    underflows to a subnormal or 0), the product comes from logarithms
+    instead: a huge factor times a tiny one is then their true product,
+    not inf * 0 = NaN, and a product that outgrows the floats is inf, where
+    Python float powers raise OverflowError. A majorant that outgrows the
+    floats is infinite for the fixed-point search.
     """
-    if c == 0.0 or t == 0.0:
+    if c == 0.0 or any(t == 0.0 for t, _ in powers):
         return 0.0
+    out = c
+    for t, p in powers:
+        try:
+            out *= t**p
+        except OverflowError:
+            break
+    else:
+        if _TINY <= out < math.inf:
+            return out
     try:
-        return c * t**p
+        return math.exp(math.log(c) + sum(p * math.log(t) for t, p in powers))
     except OverflowError:
         return math.inf
-
-
-def _gamma_g_coefficient(spec: GammaG, domain: Domain, norms: dict) -> float:
-    """|gamma|_alpha * delta^(k - 1); inf where it outgrows the floats."""
-    return _times_power(_require(norms, "gamma_alpha"), domain.slab_diameter(), spec.k - 1.0)
 
 
 def psi(spec: RhsSpec, domain: Domain, norms: dict, t: float) -> float:
@@ -172,26 +205,29 @@ def psi(spec: RhsSpec, domain: Domain, norms: dict, t: float) -> float:
     if t < 0:
         raise ValueError("t must be >= 0")
     if isinstance(spec, GradLipschitz):
-        return _require(norms, "h_alpha") + _times_power(spec.K, t, spec.m)
+        return _require(norms, "h_alpha") + _times_powers(spec.K, (t, spec.m))
     if isinstance(spec, GammaG):
-        coef = _gamma_g_coefficient(spec, domain, norms)
-        return _require(norms, "h_alpha") + _times_power(coef, t, spec.m + spec.k)
+        # |gamma|_alpha * delta^(k - 1) * t^(m + k)
+        return _require(norms, "h_alpha") + _times_powers(
+            _require(norms, "gamma_alpha"), (domain.slab_diameter(), spec.k - 1.0),
+            (t, spec.m + spec.k))
     if isinstance(spec, MeanCurvature):
         ha = _require(norms, "H_alpha")
-        return (1.0 + t * t) * (ha + _times_power(2.0 * spec.n**2, t, 3) * (1.0 + t * t))
+        return (1.0 + t * t) * (ha + _times_powers(2.0 * spec.n**2, (t, 3)) * (1.0 + t * t))
     raise TypeError(f"unknown rhs spec {type(spec).__name__}")
 
 
 def _psi_prime(spec: RhsSpec, domain: Domain, norms: dict, t: float) -> float:
     if isinstance(spec, GradLipschitz):
-        return _times_power(spec.K * spec.m, t, spec.m - 1.0)
+        return _times_powers(spec.K * spec.m, (t, spec.m - 1.0))
     if isinstance(spec, GammaG):
         p = spec.m + spec.k
-        return _times_power(_gamma_g_coefficient(spec, domain, norms) * p, t, p - 1.0)
+        return p * _times_powers(
+            _require(norms, "gamma_alpha"), (domain.slab_diameter(), spec.k - 1.0), (t, p - 1.0))
     if isinstance(spec, MeanCurvature):
         ha = _require(norms, "H_alpha")
         n2 = 2.0 * spec.n**2
-        quartic = _times_power(4.0, t, 4)
+        quartic = _times_powers(4.0, (t, 4))
         return 2.0 * t * ha + n2 * (1.0 + t * t) * (3.0 * t * t * (1.0 + t * t) + quartic)
     raise TypeError(f"unknown rhs spec {type(spec).__name__}")
 
@@ -240,10 +276,10 @@ def contraction_bound(spec: RhsSpec, C: float, kappa: float) -> float:
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     if isinstance(spec, GradLipschitz):
-        return spec.m * C ** (spec.m - 1.0) * spec.K * kappa
+        return _times_powers(spec.m, (C, spec.m - 1.0)) * spec.K * kappa
     if isinstance(spec, GammaG):
         b = gamma_g_combination(spec, kappa)
-        return norm_sup(spec.gamma) * b * C ** (spec.m + spec.k) * kappa
+        return _times_powers(norm_sup(spec.gamma) * b, (C, spec.m + spec.k)) * kappa
     if isinstance(spec, MeanCurvature):
         return math.sqrt(2.0) * kappa * C * norm_sup(spec.H)
     raise TypeError(f"unknown rhs spec {type(spec).__name__}")
@@ -264,7 +300,8 @@ def admissible_K_threshold(spec: GradLipschitz, domain: Domain, C: float, K0: fl
     if C <= 0:
         raise ValueError("C must be positive")
     kappa = domain_constants(domain)["kappa_volumetric"]
-    return min((1.0 / (spec.m * C ** (spec.m - 1.0))) / kappa, K0)
+    slope = _times_powers(spec.m, (C, spec.m - 1.0))  # 0 where it underflows
+    return min((1.0 / slope) / kappa if slope else math.inf, K0)
 
 
 def k_zero(spec: GradLipschitz, norms: dict, lam: float) -> float:
@@ -281,7 +318,8 @@ def k_zero(spec: GradLipschitz, norms: dict, lam: float) -> float:
     if h_alpha == 0.0:
         return math.inf
     m = spec.m
-    return h_alpha / ((m - 1.0) * (m * lam * h_alpha / (m - 1.0)) ** m)
+    denom = _times_powers(m - 1.0, (m * lam * h_alpha / (m - 1.0), m))  # 0 where it underflows
+    return h_alpha / denom if denom else math.inf
 
 
 @dataclass(frozen=True)

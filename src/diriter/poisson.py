@@ -10,6 +10,8 @@ inputs give bitwise-identical outputs.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import numpy.fft
 
@@ -36,11 +38,14 @@ class PoissonSolver:
     the work buffers of the transform. Solves on one solver must not run
     concurrently.
 
-    Of grid size it holds only two interior-sized coefficient arrays. The
-    eigenvalue table, the outer sum of the two axes' eigenvalues, is never
-    held whole: a solve forms it a block of rows at a time where it divides.
-    While a solve runs, the grid fields alive are these two, the caller's
-    right-hand side and ``lap_out``, and the result.
+    Of grid size it holds one array. During a solve it holds the transform
+    coefficients, and each pass of the transform runs in place on it. After
+    the solve it holds the Laplacian of the result, which the solve's check
+    reads and ``residual_sup`` reads until the next solve. The eigenvalue
+    table, the outer sum of the two axes' eigenvalues, is never held whole:
+    a solve forms it a block of rows at a time where it divides. While a
+    solve runs, the grid fields alive are this array, the caller's
+    right-hand side and the result.
     """
 
     def __init__(self, grid: Grid):
@@ -51,46 +56,53 @@ class PoissonSolver:
         # the inverse DST-I scale 1/(2(m + 1)) per axis, rounded as pocketfft
         # rounds it (through long double), applied once on the first inverse pass
         self._inv_scale = float(1 / np.longdouble(4 * (m0 + 1) * (m1 + 1)))
-        # transposed and straight coefficient arrays, and one block of odd
-        # extensions with its spectrum; reused because fresh pages cost more
-        # than the passes that fill them
-        self._coef_t = np.empty((m1, m0))
-        self._coef = np.empty((m0, m1))
+        # one grid-sized array, viewed as the contiguous interior-shaped
+        # coefficients during a solve and as the grid-shaped Laplacian of the
+        # result after it, and one block of odd extensions with its
+        # spectrum; reused because fresh pages cost more than the passes
+        # that fill them
+        work = np.empty(grid.nx * grid.ny)
+        self._coef = work[: m0 * m1].reshape(m0, m1)
+        self._lap = work.reshape(grid.shape)
+        self._solved = None  # weak reference to the latest solve's result
         longest = max(m0, m1)
         block = min(max(_BLOCK_DOUBLES, 2 * (longest + 1)), 2 * m0 * m1 + 2 * longest)
         self._ext = np.empty(block)
         self._spec = np.empty(block // 2 + longest, dtype=complex)
 
-    def _dst1_t(self, x: np.ndarray, out: np.ndarray, scale: float | None = None) -> None:
-        """Unnormalised type-I DST of a 2-D array along axis 0, written transposed.
+    def _dst1(self, x: np.ndarray, axis: int, out: np.ndarray, scale: float | None = None) -> None:
+        """Unnormalised type-I DST of a 2-D array along one axis, written to
+        ``out``, which may be ``x`` itself.
 
         DST-I of a length-m lane is the imaginary part of the real FFT of its
         odd extension [0, -x, 0, x reversed] (length 2(m + 1)), entries 1..m.
         This is how pocketfft computes it, so the bits match
-        scipy.fft.dst(type=1). The extensions are written transposed, which
-        puts each lane on the contiguous axis, and ``out`` (lanes x m) is
-        ready for a pass along the other axis. ``scale`` multiplies the
-        transform, as the normalisation factor does inside the FFT.
+        scipy.fft.dst(type=1). Lanes go through the extension buffer in
+        blocks (column blocks along axis 0, row blocks along axis 1), each
+        read whole before its transform is written back. ``scale``
+        multiplies the transform, as the normalisation factor does inside
+        the FFT.
         """
-        m, lanes = x.shape
+        m = x.shape[axis]
+        lanes = x.shape[1 - axis]
         n = 2 * (m + 1)
         step = self._ext.size // n  # >= 1: the buffer holds at least one lane
         for j in range(0, lanes, step):
             k = min(step, lanes - j)
+            src, dest = (x[:, j : j + k].T, out[:, j : j + k].T) if axis == 0 else (
+                x[j : j + k], out[j : j + k])
             ext = self._ext[: k * n].reshape(k, n)
             ext[:, 0] = ext[:, m + 1] = 0.0
-            np.negative(x[:, j : j + k].T, out=ext[:, 1 : m + 1])
+            np.negative(src, out=ext[:, 1 : m + 1])
             np.negative(ext[:, m:0:-1], out=ext[:, m + 2 :])
             spec = self._spec[: k * (m + 2)].reshape(k, m + 2)
             dst = numpy.fft.rfft(ext, out=spec).imag[:, 1 : m + 1]
             if scale is None:
-                out[j : j + k] = dst
+                dest[...] = dst
             else:
-                np.multiply(dst, scale, out=out[j : j + k])
+                np.multiply(dst, scale, out=dest)
 
-    def solve(
-        self, f: GridField, bc: BoundarySpec | None = None, lap_out: np.ndarray | None = None
-    ) -> GridField:
+    def solve(self, f: GridField, bc: BoundarySpec | None = None) -> GridField:
         """u with laplacian(u) = f inside and u = bc on the boundary.
 
         The solve is checked by applying the 5-point Laplacian to u and
@@ -100,19 +112,16 @@ class PoissonSolver:
         exact solve, which the stencil amplifies by 1/h^2: measured against
         a reference DST, it is 7.5 to 17.3 times eps * sup|u| / h^2 for
         h = 1/64 ... 1/2048.
-        ``lap_out``, a writable C-contiguous float64 array of the grid's
-        shape, receives that Laplacian (``laplacian_apply(u)``, boundary
-        entries 0), so a caller that needs it too does not apply the stencil
-        again; the check is the same with or without it.
         """
         grid = self.grid
         if f.grid.shape != grid.shape:
             raise ValueError("right-hand side lives on a different grid")
         f_in = f.values[1:-1, 1:-1]
+        self._solved = None
 
         # rhs = -f + (boundary neighbours of each interior node) / h^2, written
         # as contrib - f, which is the same sum to the bit; it goes into the
-        # coefficient buffer, which the first transform pass reads
+        # coefficient array, on which the transform runs
         rhs = self._coef
         if bc is None or bc.phi is None:
             np.subtract(0.0, f_in, out=rhs)
@@ -127,27 +136,48 @@ class PoissonSolver:
             rhs /= grid.h * grid.h
             rhs -= f_in
 
-        # forward then inverse DST-I, axis 0 then axis 1 each (two transposed
-        # passes per transform restore the orientation)
-        self._dst1_t(rhs, self._coef_t)
-        self._dst1_t(self._coef_t, self._coef)
+        # forward then inverse DST-I, axis 0 then axis 1 each
+        self._dst1(rhs, 0, rhs)
+        self._dst1(rhs, 1, rhs)
         # divide by the eigenvalue table eig_x[i] + eig_y[j], formed a block of
         # rows at a time in the extension buffer, which is free between passes
         # (it holds at least one odd extension of 2 (m1 + 1) doubles)
-        m0, m1 = self._coef.shape
+        m0, m1 = rhs.shape
         rows = self._ext.size // m1
         for i in range(0, m0, rows):
-            block = self._coef[i : i + rows]
+            block = rhs[i : i + rows]
             eig = self._ext[: block.size].reshape(block.shape)
             np.add(self._eig_x[i : i + rows, None], self._eig_y, out=eig)
             block /= eig
-        self._dst1_t(self._coef, self._coef_t, self._inv_scale)
-        self._dst1_t(self._coef_t, out[1:-1, 1:-1])
+        self._dst1(rhs, 0, rhs, self._inv_scale)
+        self._dst1(rhs, 1, out[1:-1, 1:-1])
         u = grid._own(out)
 
         tol = 1e-10 * (1.0 + sup_abs(f.values)) + 32.0 * _EPS * sup_abs(out) / (grid.h * grid.h)
-        lap = laplacian_apply(u, out=lap_out).values
-        res = sup_abs(np.subtract(lap[1:-1, 1:-1], f_in, out=self._coef))
+        laplacian_apply(u, out=self._lap)
+        self._solved = weakref.ref(u)
+        res = self.residual_sup(u, f)
         if not res <= tol:  # a NaN residual fails too
             raise NoConvergence(f"direct solve residual {res:.3e} exceeds tolerance {tol:.3e}")
         return u
+
+    def residual_sup(self, u: GridField, f: GridField) -> float:
+        """max |laplacian(u) - f| over the interior nodes, for ``u`` the result of
+        this solver's latest solve (ValueError otherwise).
+
+        The solve leaves laplacian(u) in the solver's array for its own
+        check, so this applies no stencil; the difference is formed a block
+        of rows at a time in the extension buffer.
+        """
+        if self._solved is None or self._solved() is not u:
+            raise ValueError("u is not the result of this solver's latest solve")
+        if f.grid.shape != self.grid.shape:
+            raise ValueError("right-hand side lives on a different grid")
+        lap, f_in = self._lap[1:-1, 1:-1], f.values[1:-1, 1:-1]
+        m0, m1 = lap.shape
+        rows = self._ext.size // m1  # >= 2: the buffer holds an odd extension
+        sups = []
+        for i in range(0, m0, rows):
+            diff = self._ext[: min(rows, m0 - i) * m1].reshape(-1, m1)
+            sups.append(sup_abs(np.subtract(lap[i : i + rows], f_in[i : i + rows], out=diff)))
+        return float(np.max(sups))  # np.max, unlike max(), keeps a NaN

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Domain, Grid, GridField, build_grid
+from .domain import BoundarySpec, Domain, Grid, GridField, build_grid
 from .errors import IterationFailure
 from .iteration import IterationConfig, IterationReport, dirichlet_iterate
 from .nonlinearity import RhsSpec, data_fields
@@ -36,6 +36,18 @@ class ExhaustionConfig:
             raise ValueError("n_start must be at least compact_halfwidth + 1")
         if self.n_max < self.n_start:
             raise ValueError("n_max must be >= n_start")
+
+    def check_spacing(self, h: float) -> None:
+        """Raise ValueError unless the spacing h puts the ends -n of every
+        truncation on nodes of the largest one: restricting data to a
+        truncation needs (n_max - n) / h to be an integer."""
+        if not 0.0 < h < math.inf:  # NaN fails
+            raise ValueError(f"spacing h = {h} must be positive and finite")
+        for gap in range(1, self.n_max - self.n_start + 1):
+            steps = gap / h
+            if abs(steps - round(steps)) > 1e-6:
+                raise ValueError(f"h = {h} does not divide {gap}, the gap between "
+                                 f"truncations n = {self.n_max - gap} and n_max = {self.n_max}")
 
 
 @dataclass(frozen=True)
@@ -71,12 +83,23 @@ def _spec_on(spec: RhsSpec, grid: Grid) -> RhsSpec:
     return dataclasses.replace(spec, **restricted)
 
 
+def _iteration_on(cfg: IterationConfig, grid: Grid) -> IterationConfig:
+    """Rebind a prescribed boundary field to a smaller aligned grid."""
+    phi = cfg.boundary.phi
+    if phi is None:
+        return cfg
+    return dataclasses.replace(cfg, boundary=BoundarySpec.prescribed(restrict_field(phi, grid)))
+
+
 def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig, h: float) -> ExhaustionResult:
     """Iterate on each truncation [-n, n] x (-d/2, d/2), n = n_start..n_max.
 
-    ``spec`` carries data on the largest truncation. tail[j] is the sup over
-    the compact window of the difference between consecutive solutions.
+    ``spec``, and a boundary field prescribed by ``cfg.iteration``, carry
+    data on the largest truncation. tail[j] is the sup over the compact
+    window of the difference between consecutive solutions. Raises
+    ValueError, before any solve, where ``cfg.check_spacing(h)`` does.
     """
+    cfg.check_spacing(h)
     ns = list(range(cfg.n_start, cfg.n_max + 1))
     reports: list[IterationReport] = []
     tail: list[float] = []
@@ -85,7 +108,7 @@ def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig, h: float) -> Exhausti
         grid = build_grid(Domain.strip_truncation(cfg.d, n), h)
         spec_n = _spec_on(spec, grid)
         try:
-            u, rep = dirichlet_iterate(grid, spec_n, cfg.iteration)
+            u, rep = dirichlet_iterate(grid, spec_n, _iteration_on(cfg.iteration, grid))
         except IterationFailure as exc:
             exc.args = (f"truncation n = {n}: {exc.args[0]}",) + exc.args[1:]
             raise

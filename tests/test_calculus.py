@@ -250,13 +250,6 @@ def test_holder_on_strip_sees_pairs_across_the_strip():
     assert 0.9 * ref <= holder_seminorm(u, CFG) <= ref * (1 + 1e-12)
 
 
-def test_c2alpha_with_given_gradient_is_bitwise_equal(unit_square, rng):
-    for h in (1 / 16, 1 / 64):
-        grid = build_grid(unit_square, h)
-        u = random_smooth(grid, rng)
-        assert c2alpha_estimate(u, CFG, gradient(u)) == c2alpha_estimate(u, CFG)
-
-
 def test_c2alpha_zero_and_linear(unit_grid_16):
     assert c2alpha_estimate(unit_grid_16.zeros(), CFG) == 0.0
     u = unit_grid_16.field_from(lambda x, y: x)

@@ -281,6 +281,8 @@ def test_bad_expression_reports_usage_error(tmp_path):
         ("solve", "m = 2\n", "m = inf\n"),
         ("solve", "variant = grad_lipschitz\nh = 1\nK = 0\nm = 2\n",
          "variant = gamma_g\ngamma = 1\nh = 1\nm = 2\nk = nan\n"),
+        ("exhaust", "h = 0.0625\n", "h = 0.3\n\n[exhaustion]\nd = 1\nn_start = 3\nn_max = 4\n"
+         "compact_halfwidth = 1\n"),
     ],
     ids=["alpha", "h", "K", "max_iters", "n_list", "lambda_trials", "schauder_trials",
          "schauder_d", "empty_n_list", "lambda_nan", "lambda_negative", "lambda_zero",
@@ -288,7 +290,7 @@ def test_bad_expression_reports_usage_error(tmp_path):
          "suite_size_negative", "lambda_seed_negative", "seed_flag_negative",
          "schauder_seed_negative", "a_inf", "a_nan", "h_nan", "K_nan", "sweep_K_negative",
          "sweep_K_nan", "sweep_H_amplitude_inf", "compact_halfwidth_nan",
-         "compact_halfwidth_negative", "m_nan", "m_inf", "gamma_g_k_nan"],
+         "compact_halfwidth_negative", "m_nan", "m_inf", "gamma_g_k_nan", "exhaust_h_misaligned"],
 )
 def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old, new):
     assert BASE.count(old) == 1
@@ -515,6 +517,24 @@ def test_exhaust_compares_against_the_arc_of_curvature_n_h(tmp_path, n):
     assert main(["exhaust", "--config", cfg, "--out", str(out)]) == 0
     # 5e-5 bounds the n = 2 error in the benchmark's exhaust_arc check
     assert json.loads((out / "report.json").read_text())["compact_error_vs_arc"] < 5e-5
+
+
+def test_exhaust_with_zero_phi_writes_the_tail_of_the_run_without_it(tmp_path):
+    # phi lives on the largest truncation's grid and is restricted to each one
+    text = (
+        EXHAUST.replace("variant = grad_lipschitz\nh = 1\nK = 0\nm = 2", "variant = mean_curvature\nH = 0.3")
+        .replace("n_max = 8", "n_max = 4")
+        .replace("compact_halfwidth = 2", "compact_halfwidth = 1")
+    )
+    tails = []
+    for name, extra in (("plain", ""), ("phi", "phi = 0\n")):
+        cfg = write_cfg(tmp_path, text.replace("h1_tol = 1e-12\n", "h1_tol = 1e-12\n" + extra),
+                        name=f"{name}.ini")
+        out = tmp_path / name
+        assert main(["exhaust", "--config", cfg, "--out", str(out)]) == 0
+        tails.append((out / "tail.csv").read_bytes())
+    assert tails[0] == tails[1]
+    assert [r[0] for r in read_csv(tmp_path / "phi" / "tail.csv")[1:]] == ["3", "4"]
 
 
 def test_exhaust_on_four_nodes_across_the_strip(tmp_path):

@@ -173,7 +173,7 @@ def test_reported_residual_matches_unfused_residual(unit_grid_16):
     assert rep.outcome == "converged" and len(rep.rows) > 3
     # the loop reuses the f of the next solve; recomputed from u alone it is the same bits
     assert rep.rows[-1].residual_sup == float(np.max(np.abs(residual_field(u, spec).values)))
-    # likewise the gradient it hands to the C^{2,alpha} estimate
+    # likewise the C^{2,alpha} estimate
     assert rep.rows[-1].c2alpha_est == c2alpha_estimate(u, cfg.norm_cfg)
 
 
@@ -399,7 +399,7 @@ def test_returned_fields_are_read_only_and_contiguous():
     _assert_owned(laplacian_apply(u, out=np.empty(grid.shape)).values)
     for rhs_spec in (spec, GradLipschitz(h=grid.constant(1.0), K=0.1),
                      GammaG(gamma=grid.constant(0.2), h=grid.constant(1.0))):
-        _assert_owned(evaluate_rhs(rhs_spec, u, grad).values)
+        _assert_owned(evaluate_rhs(rhs_spec, u).values)
         _assert_owned(residual_field(u, rhs_spec).values)
     bc = BoundarySpec.prescribed(grid.field_from(lambda x, y: x + y))
     _assert_owned(PoissonSolver(grid).solve(grid.constant(1.0), bc).values)
@@ -408,7 +408,7 @@ def test_returned_fields_are_read_only_and_contiguous():
 def test_residual_with_given_laplacian_is_bitwise_equal():
     grid, spec, _ = _strip_mean_curvature()
     u = grid.field_from(lambda x, y: 0.1 * np.cos(x) * (y * y - 0.25))
-    f = evaluate_rhs(spec, u, gradient(u))
+    f = evaluate_rhs(spec, u)
     lap = np.empty(grid.shape)
     laplacian_apply(u, out=lap)
     fused = residual_field(u, spec, f, lap)
@@ -417,12 +417,18 @@ def test_residual_with_given_laplacian_is_bitwise_equal():
 
 
 def test_solve_hands_its_guard_laplacian_on():
-    grid, _, _ = _strip_mean_curvature()
+    grid, spec, _ = _strip_mean_curvature()
     f = grid.field_from(lambda x, y: np.cos(x) + y)
-    lap = np.full(grid.shape, np.nan)
-    u = PoissonSolver(grid).solve(f, lap_out=lap)
-    assert np.array_equal(lap.view(np.int64), laplacian_apply(u).values.view(np.int64))
+    solver = PoissonSolver(grid)
+    u = solver.solve(f)
+    lap = laplacian_apply(u).values[1:-1, 1:-1]
+    for rhs in (f, evaluate_rhs(spec, u)):
+        expected = float(np.max(np.abs(lap - rhs.values[1:-1, 1:-1])))
+        assert solver.residual_sup(u, rhs).hex() == expected.hex()
     assert np.array_equal(u.values, PoissonSolver(grid).solve(f).values)
+    # the Laplacian held is that of the latest solve's result, and of no other field
+    with pytest.raises(ValueError):
+        solver.residual_sup(grid.field(u.values), f)
 
 
 def test_one_laplacian_per_iterate(monkeypatch):
@@ -503,10 +509,11 @@ def test_boundary_lift_reuses_the_loops_solver(unit_grid_16, monkeypatch):
     assert np.array_equal(start.values.view(np.int64), lifted.values.view(np.int64))
 
 
-def test_strip_run_holds_at_most_twelve_grid_fields():
-    # at the peak, while f of the newest iterate is built, the data H, the
-    # solver's two coefficient arrays, the iterate, its Laplacian and gradient,
-    # f and the temporaries of evaluate_rhs are alive: about 10.5 fields
+def test_strip_run_holds_at_most_seven_grid_fields():
+    # at the peak the data H, the solver's array and transform block, both
+    # iterates and the right-hand side (while a solve runs) or the field of
+    # the H1 norm (while it is taken), and slab temporaries are alive: about
+    # 6.2 fields
     grid = build_grid(Domain.strip_truncation(1.0, 2), 1 / 256)
     tracemalloc.start()
     try:
@@ -517,4 +524,4 @@ def test_strip_run_holds_at_most_twelve_grid_fields():
         tracemalloc.stop()
     assert grid.shape == (1025, 257)
     assert rep.outcome == "converged" and len(rep.rows) == 12
-    assert peak <= 12 * 8 * grid.nx * grid.ny
+    assert peak <= 7 * 8 * grid.nx * grid.ny

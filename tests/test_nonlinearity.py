@@ -64,14 +64,14 @@ def test_rhs_grad_lipschitz_at_zero(unit_grid_16):
     h = unit_grid_16.field_from(lambda x, y: 1.0 + x * y)
     spec = GradLipschitz(h=h, K=0.3, m=2.0)
     u = unit_grid_16.zeros()
-    f = evaluate_rhs(spec, u, gradient(u))
+    f = evaluate_rhs(spec, u)
     assert np.array_equal(f.values, h.values)
 
 
 def test_rhs_mean_curvature_flat(unit_grid_16):
     spec = MeanCurvature(H=unit_grid_16.constant(0.7), n=2)
     u = unit_grid_16.zeros()
-    f = evaluate_rhs(spec, u, gradient(u))
+    f = evaluate_rhs(spec, u)
     assert np.allclose(f.values, 2 * 0.7, atol=1e-12)
 
 
@@ -89,7 +89,7 @@ def test_rhs_gamma_g_nodewise():
         k=1.0,
     )
     u = grid.field_from(lambda x, y: x * (1 - x))
-    f = evaluate_rhs(spec, u, gradient(u))
+    f = evaluate_rhs(spec, u)
     X, _ = grid.meshgrid()
     expected = (X * (1 - X)) ** 2 / 2 * (1 - 2 * X) ** 2 + h.values
     assert np.max(np.abs(f.values - expected)) <= 1e-12
@@ -249,14 +249,40 @@ def test_fixed_point_is_the_first_double_where_the_gap_closes(unit_grid_16, fami
 
 def test_psi_of_gamma_g_with_an_overflowing_coefficient(unit_grid_16):
     # |gamma|_alpha * delta^(k - 1) = 0.1 * 4^599 overflows a float; at t = 0
-    # the term is still 0, not inf * 0
+    # the term is still 0, not inf * 0, at t = 1/2 it is 0.1 * 2^1198 * 2^-602,
+    # inside the floats, and at t = 2 it is 0.1 * 2^1800, which is not
     spec = GammaG(gamma=unit_grid_16.constant(0.1), h=unit_grid_16.constant(1.0), m=2.0, k=600.0)
     dom = Domain.rectangle(4.0, 4.0)
     norms = {"h_alpha": 1.0, "gamma_alpha": 0.1}
     assert psi(spec, dom, norms, 0.0) == 1.0
-    assert psi(spec, dom, norms, 0.5) == math.inf
+    assert math.isclose(psi(spec, dom, norms, 0.5), 0.1 * 2.0**596, rel_tol=1e-12)
+    assert psi(spec, dom, norms, 2.0) == math.inf
     an = analyze(spec, dom, norms, lam=2.0)
     assert an.C is None and an.rho is None and an.B is None
+
+
+def test_analyze_gamma_g_where_an_overflowed_coefficient_meets_an_underflowed_power(unit_grid_16):
+    # 0.1 * 4^599 overflows and t^602 underflows near t* = lam * h_alpha = 2e-200;
+    # their product, about 1e-120000, leaves psi(t) = h_alpha there
+    spec = GammaG(gamma=unit_grid_16.constant(0.1), h=unit_grid_16.constant(1.0), m=2.0, k=600.0)
+    norms = {"h_alpha": 1e-200, "gamma_alpha": 0.1}
+    an = analyze(spec, Domain.rectangle(4.0, 4.0), norms, lam=2.0)
+    assert math.isclose(an.C, 2.0 * norms["h_alpha"], rel_tol=1e-2)
+    assert an.rho == 0.0  # sup|gamma| * B * t*^602 * kappa underflows
+
+
+def test_powers_leaving_the_floats_raise_nothing(unit_grid_16):
+    # C^(m + k) = 1.5^2002 overflows a Python float, which raises OverflowError
+    spec = GammaG(gamma=unit_grid_16.constant(0.5), h=unit_grid_16.constant(1.0), m=2.0, k=2000.0)
+    dom = Domain.rectangle(0.5, 0.5)
+    an = analyze(spec, dom, {"h_alpha": 1.0, "gamma_alpha": 0.5}, lam=1.5)
+    assert an.C == 1.5 and an.rho == math.inf
+    assert contraction_bound(spec, 1.5, 0.5) == math.inf
+    # m C^(m - 1) and the denominator of K0 underflow to 0 for t* = 2e-200
+    lip = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.5, m=3.0)
+    an = analyze(lip, DOM, {"h_alpha": 1e-200}, lam=2.0)
+    assert an.C == 2e-200 and an.K_threshold == math.inf
+    assert k_zero(lip, {"h_alpha": 1e-200}, 2.0) == math.inf
 
 
 # --- contraction bound / thresholds ------------------------------------------
@@ -372,12 +398,11 @@ def test_every_field_reaches_rhs_and_theory(unit_grid_16, family):
     assert set(table) == {f.name for f in dataclasses.fields(family)}
     grid = unit_grid_16
     u = grid.field_from(lambda x, y: 0.8 * np.sin(np.pi * x) * np.sin(np.pi * y) + 0.3 * x)
-    grad = gradient(u)
     cfg = NormConfig(alpha=0.5)
     kappa = nonlinearity.select_kappa(DOM)
 
     def outputs(spec):
-        f = evaluate_rhs(spec, u, grad).values
+        f = evaluate_rhs(spec, u).values
         return f, psi(spec, DOM, data_norms(spec, cfg), 0.5), contraction_bound(spec, 0.5, kappa)
 
     base = _base_spec(family, grid)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -138,6 +139,19 @@ def test_exhaustion_config_validation():
         ExhaustionConfig(d=1.0, n_start=2, n_max=5, compact_halfwidth=2.0)
     with pytest.raises(ValueError):
         ExhaustionConfig(d=1.0, n_start=4, n_max=3, compact_halfwidth=2.0)
+
+
+def test_exhaustion_rejects_a_spacing_off_the_largest_grid():
+    # with h = 0.3, x = -3 is no node of the n = 4 grid, which starts at -4
+    cfg = ExhaustionConfig(d=1.0, n_start=3, n_max=4, compact_halfwidth=1.0, iteration=iteration_cfg())
+    with pytest.raises(ValueError, match="does not divide 1"):
+        exhaustion_solve(y_only_spec(1.0, 4, 0.3), cfg, 0.3)
+    for h in (0.0, -0.25, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            cfg.check_spacing(h)
+    cfg.check_spacing(0.25)
+    # a single truncation has no gap to divide
+    dataclasses.replace(cfg, n_start=4).check_spacing(0.3)
 
 
 # --- the schauder command's probe: Λ estimates across truncations --------------
