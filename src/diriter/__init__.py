@@ -39,6 +39,7 @@ from .errors import (
 from .iteration import (
     IterationConfig,
     IterationReport,
+    c2alpha_observer,
     contraction_theory,
     dirichlet_iterate,
     residual_field,
@@ -95,6 +96,7 @@ __all__ = [
     "analyze",
     "build_grid",
     "c2alpha_estimate",
+    "c2alpha_observer",
     "contraction_bound",
     "contraction_theory",
     "data_norms",

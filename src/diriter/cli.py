@@ -33,7 +33,13 @@ from .calculus import NormConfig, estimate_schauder_constant, poincare_suite, ve
 from .domain import BoundarySpec, Domain, Grid, GridField, build_grid
 from .errors import ConfigError, DiriterError, IterationDiverged, IterationFailure, NotConforming
 from .expressions import ExpressionError, compile_expression
-from .iteration import IterationConfig, IterationReport, contraction_theory, dirichlet_iterate
+from .iteration import (
+    IterationConfig,
+    IterationReport,
+    c2alpha_observer,
+    contraction_theory,
+    dirichlet_iterate,
+)
 from .mce import ArcSolution
 from .nonlinearity import (
     ContractionAnalysis,
@@ -248,8 +254,11 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def report_payload(report: IterationReport, theory: ContractionAnalysis, norms: dict) -> dict:
-    """The ``report.json`` of a ``solve``: the run's report and its ``contraction_theory``."""
+def report_payload(
+    report: IterationReport, c2alpha: list[float], theory: ContractionAnalysis, norms: dict
+) -> dict:
+    """The ``report.json`` of a ``solve``: the run's report, the C^{2,alpha}
+    estimate of each of its iterates and its ``contraction_theory``."""
     last = report.rows[-1]
     max_rho = max((r.rho_i for r in report.rows if r.rho_i is not None), default=None)
     return {
@@ -259,9 +268,9 @@ def report_payload(report: IterationReport, theory: ContractionAnalysis, norms: 
             "sup_u": last.sup_u,
             "h1_diff": last.h1_diff,
             "residual_sup": last.residual_sup,
-            "c2alpha_est": last.c2alpha_est,
+            "c2alpha_est": c2alpha[-1],
         },
-        "C_empirical": report.C_empirical,
+        "C_empirical": max(c2alpha),
         "max_rho": max_rho,
         "norms": dict(norms),
         "theory": dataclasses.asdict(theory),
@@ -270,9 +279,10 @@ def report_payload(report: IterationReport, theory: ContractionAnalysis, norms: 
     }
 
 
-def write_trace(path: Path, report: IterationReport) -> None:
+def write_trace(path: Path, report: IterationReport, c2alpha: list[float]) -> None:
     rows = [
-        [r.i, r.sup_u, r.c2alpha_est, r.h1_diff, r.rho_i, r.residual_sup] for r in report.rows
+        [r.i, r.sup_u, c, r.h1_diff, r.rho_i, r.residual_sup]
+        for r, c in zip(report.rows, c2alpha, strict=True)
     ]
     write_csv(path, ["iter", "sup_u", "c2alpha_est", "h1_diff", "rho_i", "residual_sup"], rows)
 
@@ -320,13 +330,14 @@ def cmd_solve(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> in
     it_cfg = build_iteration_config(cfg, grid, seed)
 
     theory, norms = contraction_theory(grid, spec, it_cfg)
+    c2alpha, observe = c2alpha_observer(it_cfg.norm_cfg)
     try:
-        u, report = dirichlet_iterate(grid, spec, it_cfg)
+        u, report = dirichlet_iterate(grid, spec, it_cfg, observe=observe)
     except IterationFailure as exc:
         report = exc.report
         u = exc.last_iterate
-    write_json(out / "report.json", report_payload(report, theory, norms))
-    write_trace(out / "trace.csv", report)
+    write_json(out / "report.json", report_payload(report, c2alpha, theory, norms))
+    write_trace(out / "trace.csv", report, c2alpha)
     if u is not None:
         write_solution(out / "solution.csv", u)
     return _OUTCOME_EXIT[report.outcome]
@@ -362,12 +373,12 @@ def run_sweep(
 ) -> dict:
     """One iteration run per value; rows plus the empirical threshold midpoint.
 
-    The rows read no C^{2,alpha} estimate and no theory, so ``it_cfg.c2alpha``
-    changes only the run time (``cmd_sweep`` turns it off), and Λ is neither
-    read nor estimated. NaN or inf in a data field raises NonFiniteData, and a
-    value the family rejects a ConfigError, before any run. The runs share one
-    ``PoissonSolver`` for ``grid``. A value whose run raises a package error
-    other than divergence or the iteration budget gets an ``error:`` row.
+    The rows read no C^{2,alpha} estimate and no theory: no observer is
+    attached, and Λ is neither read nor estimated. NaN or inf in a data field
+    raises NonFiniteData, and a value the family rejects a ConfigError, before
+    any run. The runs share one ``PoissonSolver`` for ``grid``. A value whose
+    run raises a package error other than divergence or the iteration budget
+    gets an ``error:`` row.
     """
     if not values:
         raise ConfigError("sweep needs a nonempty ascending list of values")
@@ -405,8 +416,7 @@ def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> in
     domain = build_domain(cfg)
     grid = _build_grid(domain, _get_float(_section(cfg, "grid"), "h"))
     spec = build_rhs(cfg, grid)
-    # sweep.csv reads no C^{2,alpha} estimate
-    it_cfg = dataclasses.replace(build_iteration_config(cfg, grid, seed), c2alpha=False)
+    it_cfg = build_iteration_config(cfg, grid, seed)
     sw = _section(cfg, "sweep")
     parameter = sw.get("parameter", "").strip()
     try:
@@ -469,9 +479,10 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
         big_domain = Domain.strip_truncation(d, n_max)
     big = _build_grid(big_domain, h)
     spec = build_rhs(cfg, big)
-    # tail.csv reads no C^{2,alpha} estimate
-    it_cfg = dataclasses.replace(build_iteration_config(cfg, big, seed), c2alpha=False)
+    it_cfg = build_iteration_config(cfg, big, seed)
     with _rejected_values("exhaustion"):
+        if not 0.0 <= compact_tol < math.inf:  # NaN fails
+            raise ValueError(f"compact_tol = {compact_tol} must be >= 0 and finite")
         ex_cfg = ExhaustionConfig(
             d=d,
             n_start=n_start,

@@ -2,15 +2,16 @@
 
 Each pass solves laplacian(u_{i+1}) = f(x, u_i, grad u_i) with the fixed
 boundary data and records the quantities the convergence analysis controls:
-sup norms, discrete C^{2,alpha} estimates (unless switched off), H1
-seminorms of consecutive differences and their ratios, and the nonlinear
-residual. The a priori analysis that certifies the loop (data norms, Λ, the
-fixed point t* and the factor rho) is separate: ``contraction_theory``.
+sup norms, H1 seminorms of consecutive differences and their ratios, and the
+nonlinear residual; an observer, such as ``c2alpha_observer``, takes more.
+The a priori analysis that certifies the loop (data norms, Λ, the fixed
+point t* and the factor rho) is separate: ``contraction_theory``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,10 +48,6 @@ _STALL_WINDOW = 10  # consecutive expanding ratios that count as divergence
 class IterationConfig:
     """Settings of one ``dirichlet_iterate`` run and of its ``contraction_theory``.
 
-    ``c2alpha``: estimate the C^{2,alpha} surrogate of every iterate. Callers
-    that never read ``IterationRow.c2alpha_est`` or
-    ``IterationReport.C_empirical`` (the CLI's ``sweep`` and ``exhaust``) turn
-    it off and skip the largest per-iterate cost; the iterates are the same.
     ``lambda_value``, ``lambda_trials`` and ``lambda_seed`` are read only by
     ``contraction_theory`` (Λ is estimated when ``lambda_value`` is None);
     ``norm_cfg`` by both.
@@ -65,7 +62,6 @@ class IterationConfig:
     lambda_value: float | None = None
     lambda_trials: int = 3
     lambda_seed: int = 0
-    c2alpha: bool = True
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -87,12 +83,10 @@ class IterationConfig:
 
 @dataclass(frozen=True)
 class IterationRow:
-    """One iterate's diagnostics; ``c2alpha_est`` is None when the run's
-    ``IterationConfig.c2alpha`` is off."""
+    """One iterate's diagnostics."""
 
     i: int
     sup_u: float
-    c2alpha_est: float | None
     h1_diff: float
     rho_i: float | None
     residual_sup: float
@@ -100,30 +94,25 @@ class IterationRow:
 
 @dataclass(frozen=True)
 class IterationReport:
-    """A run's rows and outcome; ``C_empirical``, the largest ``c2alpha_est``
-    of the rows, is None when ``IterationConfig.c2alpha`` is off."""
+    """A run's rows and outcome."""
 
     rows: tuple[IterationRow, ...]
     outcome: str  # converged | diverged | max_iters
-    C_empirical: float | None
 
 
-def residual_field(
-    u: GridField, spec: RhsSpec, f: GridField | None = None, lap: np.ndarray | None = None
-) -> GridField:
-    """laplacian(u) - f(x, u, grad u) at interior nodes, 0 on the boundary.
+def c2alpha_observer(cfg: NormConfig) -> tuple[list[float], Callable[[GridField], None]]:
+    """An observer for ``dirichlet_iterate`` and the list it fills: the
+    ``c2alpha_estimate`` of every iterate, in order. Its largest entry is the
+    paper's empirical uniform bound, to compare with ``contraction_theory``'s t*."""
+    estimates: list[float] = []
+    return estimates, lambda u: estimates.append(c2alpha_estimate(u, cfg))
 
-    ``f`` is the already evaluated right-hand side at ``u``, and ``lap`` the
-    values of ``laplacian_apply(u)``, if the caller has them; neither is
-    modified.
-    """
-    if lap is None:
-        lap = laplacian_apply(u).values
-    if f is None:
-        f = evaluate_rhs(spec, u)
-    out = np.empty(u.grid.shape)
-    out[0] = out[-1] = 0.0
-    out[:, 0] = out[:, -1] = 0.0
+
+def residual_field(u: GridField, spec: RhsSpec) -> GridField:
+    """laplacian(u) - f(x, u, grad u) at interior nodes, 0 on the boundary."""
+    lap = laplacian_apply(u).values
+    f = evaluate_rhs(spec, u)
+    out = np.zeros(u.grid.shape)
     np.subtract(lap[1:-1, 1:-1], f.values[1:-1, 1:-1], out=out[1:-1, 1:-1])
     return u.grid._own(out)
 
@@ -159,26 +148,30 @@ def dirichlet_iterate(
     cfg: IterationConfig,
     u0: GridField | None = None,
     solver: PoissonSolver | None = None,
+    observe: Callable[[GridField], None] | None = None,
 ) -> tuple[GridField, IterationReport]:
     """Run the iteration; returns the converged iterate and its report.
 
     Raises NonFiniteData before any solve when a data field holds NaN or inf,
     and IterationDiverged / IterationMaxIters with the partial report and
     last iterate attached. ``u0`` overrides the configured start (it must
-    already carry the boundary values). With ``cfg.c2alpha`` off no iterate's
-    C^{2,alpha} estimate is computed: the rows carry None and
-    ``C_empirical`` is None, and every other value is the same. No data norm,
-    Λ or fixed point is computed here; see ``contraction_theory``. ``solver``,
-    a ``PoissonSolver`` bound to ``grid`` itself, lets runs on one grid share
-    one; by default the run builds its own. The iterates are the same either way.
+    already carry the boundary values). ``observe(u)``, if given, runs on
+    every iterate once its row is appended, before the stop rules, so a
+    failed run's last iterate is observed too; rows and iterates are the
+    same with or without it. No C^{2,alpha} estimate (``c2alpha_observer``),
+    data norm, Λ or fixed point is computed here (``contraction_theory``).
+    ``solver``, a ``PoissonSolver`` bound to ``grid`` itself, lets runs on
+    one grid share one; by default the run builds its own. The iterates are
+    the same either way.
 
     Grid fields alive at once, besides the data and the solver's array: the
     previous iterate, the right-hand side and the new iterate while a solve
     runs; then the two iterates and the field of weighted squares of the H1
     norm of their difference; then the new iterate, its right-hand side and
-    the work field of its C^{2,alpha} estimate. That is 3 fields, 5 with
-    the solver's array and one data field. Derivatives and the difference
-    of the iterates are formed a row slab at a time, never whole.
+    what ``observe`` allocates (one work field for the C^{2,alpha}
+    estimate). That is 3 fields, 5 with the solver's array and one data
+    field. Derivatives and the difference of the iterates are formed a row
+    slab at a time, never whole.
     """
     check_finite_data(spec)
     if solver is None:
@@ -197,10 +190,6 @@ def dirichlet_iterate(
     prev_h1 = None
     expanding = 0
 
-    def report(outcome: str) -> IterationReport:
-        c_emp = max((r.c2alpha_est for r in rows), default=0.0) if cfg.c2alpha else None
-        return IterationReport(rows=tuple(rows), outcome=outcome, C_empirical=c_emp)
-
     # f at the newest iterate feeds both its residual and the next solve. Each
     # field goes as soon as nothing reads it, so each new one reuses the
     # heap block of one just freed: glibc hands a free heap top above about
@@ -216,33 +205,26 @@ def dirichlet_iterate(
 
         rho = h1_diff / prev_h1 if (prev_h1 is not None and prev_h1 > 0) else None
         res_sup = solver.residual_sup(u_next, f)
-        rows.append(
-            IterationRow(
-                i=i,
-                sup_u=norm_sup(u_next),
-                c2alpha_est=c2alpha_estimate(u_next, cfg.norm_cfg) if cfg.c2alpha else None,
-                h1_diff=h1_diff,
-                rho_i=rho,
-                residual_sup=res_sup,
-            )
-        )
+        rows.append(IterationRow(i, norm_sup(u_next), h1_diff, rho, res_sup))
+        if observe is not None:
+            observe(u_next)
 
         if h1_diff <= cfg.h1_tol:
-            return u_next, report("converged")
+            return u_next, IterationReport(tuple(rows), "converged")
 
         # written so that a NaN sup norm counts as a blow-up; a non-finite
         # residual means f(u_next) is not finite, which the next solve cannot take
         if not (rows[-1].sup_u <= cfg.blowup_sup and np.isfinite(res_sup)):
             raise IterationDiverged(
                 f"blow-up at iteration {i}: sup|u| {rows[-1].sup_u:.3e}, residual {res_sup:.3e}",
-                report=report("diverged"),
+                report=IterationReport(tuple(rows), "diverged"),
                 last_iterate=u_next,
             )
         expanding = expanding + 1 if (rho is not None and rho > 1.0) else 0
         if expanding >= _STALL_WINDOW and h1_diff > cfg.h1_tol * 1e3:
             raise IterationDiverged(
                 f"difference ratios above 1 for {_STALL_WINDOW} consecutive iterations",
-                report=report("diverged"),
+                report=IterationReport(tuple(rows), "diverged"),
                 last_iterate=u_next,
             )
 
@@ -251,6 +233,6 @@ def dirichlet_iterate(
 
     raise IterationMaxIters(
         f"no convergence within {cfg.max_iters} iterations",
-        report=report("max_iters"),
+        report=IterationReport(tuple(rows), "max_iters"),
         last_iterate=u_prev,
     )

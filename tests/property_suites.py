@@ -17,6 +17,7 @@ from diriter import (
     NonFiniteData,
     NormConfig,
     build_grid,
+    c2alpha_observer,
     contraction_theory,
     dirichlet_iterate,
     gradient,
@@ -198,13 +199,16 @@ def suite_no_false_certificate(cases: int, seed: int = 7) -> int:
         spec = _random_spec(grid, rng)
         try:
             theory, norms = contraction_theory(grid, spec, cfg)
+            estimates, observe = c2alpha_observer(cfg.norm_cfg)
             try:
-                _, report = dirichlet_iterate(grid, spec, cfg)
+                _, report = dirichlet_iterate(grid, spec, cfg, observe=observe)
             except IterationFailure as exc:
                 report = exc.report
         except DiriterError:
             report = None
-        if report is not None and not _all_finite(report_payload(report, theory, norms)):
+        if report is not None and not _all_finite(
+            report_payload(report, estimates, theory, norms)
+        ):
             failures += 1
 
         name = str(rng.choice(_DATA_FIELDS[type(spec)]))

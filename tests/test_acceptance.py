@@ -21,6 +21,7 @@ from diriter import (
     MeanCurvature,
     PoissonSolver,
     build_grid,
+    c2alpha_observer,
     contraction_theory,
     dirichlet_iterate,
     domain_constants,
@@ -111,16 +112,17 @@ def criterion_4_run():
     grid = build_grid(UNIT, 1.0 / 64)
     spec = GradLipschitz(h=grid.constant(1.0), K=0.05, m=2.0)
     cfg = IterationConfig(h1_tol=1e-12, max_iters=80, lambda_value=2.0)
-    u, rep = dirichlet_iterate(grid, spec, cfg)
-    return grid, spec, cfg, u, rep
+    estimates, observe = c2alpha_observer(cfg.norm_cfg)
+    u, rep = dirichlet_iterate(grid, spec, cfg, observe=observe)
+    return grid, spec, cfg, u, rep, estimates
 
 
 def test_criterion_4_contraction_realized():
-    grid, spec, _, _, rep = criterion_4_run()
+    grid, spec, _, _, rep, estimates = criterion_4_run()
     assert rep.outcome == "converged"
     consts = domain_constants(UNIT)
     kappa = min(consts["kappa_volumetric"], consts["kappa_slab"])
-    bound = 2.0 * rep.C_empirical * spec.K * (kappa + 2 * grid.h) + 0.05
+    bound = 2.0 * max(estimates) * spec.K * (kappa + 2 * grid.h) + 0.05
     rhos = [r.rho_i for r in rep.rows if r.rho_i is not None]
     assert rhos and max(rhos) <= bound
     assert rep.rows[-1].residual_sup <= 1e-8
@@ -227,7 +229,7 @@ def test_criterion_9_property_suites(name):
 
 
 def test_criterion_10_uniqueness_ball_rerun():
-    grid, spec, cfg, u_ref, rep = criterion_4_run()
+    grid, spec, cfg, u_ref, _, _ = criterion_4_run()
     t_star = contraction_theory(grid, spec, cfg)[0].C
     assert t_star is not None and t_star > 0
     bump = grid.field_from(

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -283,6 +282,8 @@ def test_bad_expression_reports_usage_error(tmp_path):
          "variant = gamma_g\ngamma = 1\nh = 1\nm = 2\nk = nan\n"),
         ("exhaust", "h = 0.0625\n", "h = 0.3\n\n[exhaustion]\nd = 1\nn_start = 3\nn_max = 4\n"
          "compact_halfwidth = 1\n"),
+        *[("exhaust", "h = 0.0625\n", "h = 0.125\n\n[exhaustion]\nd = 1\nn_start = 3\nn_max = 4\n"
+           f"compact_halfwidth = 1\ncompact_tol = {tol}\n") for tol in ("nan", "-1", "inf")],
     ],
     ids=["alpha", "h", "K", "max_iters", "n_list", "lambda_trials", "schauder_trials",
          "schauder_d", "empty_n_list", "lambda_nan", "lambda_negative", "lambda_zero",
@@ -290,7 +291,8 @@ def test_bad_expression_reports_usage_error(tmp_path):
          "suite_size_negative", "lambda_seed_negative", "seed_flag_negative",
          "schauder_seed_negative", "a_inf", "a_nan", "h_nan", "K_nan", "sweep_K_negative",
          "sweep_K_nan", "sweep_H_amplitude_inf", "compact_halfwidth_nan",
-         "compact_halfwidth_negative", "m_nan", "m_inf", "gamma_g_k_nan", "exhaust_h_misaligned"],
+         "compact_halfwidth_negative", "m_nan", "m_inf", "gamma_g_k_nan", "exhaust_h_misaligned",
+         "compact_tol_nan", "compact_tol_negative", "compact_tol_inf"],
 )
 def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old, new):
     assert BASE.count(old) == 1
@@ -357,32 +359,12 @@ def test_sweep_on_four_by_four_nodes_iterates_with_estimated_lambda(tmp_path, ca
     assert not (tmp_path / "solve" / "report.json").exists()
 
 
-def test_run_sweep_rows_do_not_depend_on_the_estimate():
-    grid = build_grid(Domain.rectangle(1.0, 0.75), 1.0 / 16)
-    spec = nonlinearity.GradLipschitz(
-        h=grid.field_from(lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x)), K=0.0, m=2.0
-    )
-    base = IterationConfig(max_iters=60, lambda_value=2.0)
-    values = [0.0, 0.5, 1.0, 40.0]
-    results = [
-        run_sweep(grid, spec, dataclasses.replace(base, c2alpha=c2alpha), "K", values)
-        for c2alpha in (True, False)
-    ]
-    on, off = [
-        [[float.hex(v) if isinstance(v, float) else v for v in row] for row in r["rows"]]
-        for r in results
-    ]
-    assert off == on
-    assert [row[1] for row in on] == ["converged"] * 3 + ["diverged"]
-    assert results[1]["threshold"] == results[0]["threshold"] == 20.5
-
-
 def test_run_sweep_shares_one_solver(monkeypatch):
     grid = build_grid(Domain.rectangle(1.0, 0.75), 1.0 / 16)
     spec = nonlinearity.GradLipschitz(
         h=grid.field_from(lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x)), K=0.0, m=2.0
     )
-    cfg = IterationConfig(max_iters=60, lambda_value=2.0, c2alpha=False)
+    cfg = IterationConfig(max_iters=60, lambda_value=2.0)
     values = [0.0, 0.5, 1.0, 40.0]
     built = []
     original_init = poisson.PoissonSolver.__init__
@@ -400,6 +382,7 @@ def test_run_sweep_shares_one_solver(monkeypatch):
     per_run = run_sweep(grid, spec, cfg, "K", values)
     assert len(built) == 1 + 1 + len(values)  # run_sweep's unused one, then one per value
     assert [row[1] for row in shared["rows"]] == ["converged"] * 3 + ["diverged"]
+    assert shared["threshold"] == per_run["threshold"] == 20.5
     hexed = [
         [[float.hex(v) if isinstance(v, float) else v for v in row] for row in r["rows"]]
         for r in (shared, per_run)

@@ -1,5 +1,7 @@
-"""What importing the CLI loads: every command pays it in a fresh process."""
+"""What importing the CLI loads (every command pays it in a fresh process), and
+that each module reads every name it imports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def _run(code: str) -> str:
@@ -57,3 +60,38 @@ def test_star_import_binds_every_name_of_all_once_in_sorted_order():
     bound = {}
     exec("from diriter import *", bound)  # a stale entry raises AttributeError here
     assert all(bound[name] is getattr(diriter, name) for name in names)
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name a module's import statements bind, with the line that binds it."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def test_every_imported_name_is_read():
+    # the benchmark's traced run looks some names up in a module's globals,
+    # so a name perfbench/spans.py traces there is read even if the module is not
+    path = PERFBENCH / "spans.py"
+    spans = {"__name__": "perfbench_spans"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans)
+    traced = {(mod, attr) for _, attr, modules in spans["_SITES"] for mod in modules}
+    unread = []
+    for source in sorted((SRC / "diriter").glob("*.py")):
+        if source.name == "__init__.py":
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        unread += [
+            f"{source.name}:{line} {name}"
+            for name, line in _imported_names(tree).items()
+            if name not in read and (source.stem, name) not in traced
+        ]
+    assert unread == []

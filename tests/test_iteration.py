@@ -19,6 +19,7 @@ from diriter import (
     VectorField,
     build_grid,
     c2alpha_estimate,
+    c2alpha_observer,
     contraction_theory,
     dirichlet_iterate,
     domain_constants,
@@ -64,11 +65,13 @@ def test_iterates_keep_boundary_values(unit_grid_16):
 def test_contraction_chain(unit_grid_32, unit_square):
     K = 0.05
     spec = GradLipschitz(h=unit_grid_32.constant(1.0), K=K, m=2.0)
-    u, rep = dirichlet_iterate(unit_grid_32, spec, base_cfg())
+    cfg = base_cfg()
+    estimates, observe = c2alpha_observer(cfg.norm_cfg)
+    u, rep = dirichlet_iterate(unit_grid_32, spec, cfg, observe=observe)
     assert rep.outcome == "converged"
     consts = domain_constants(unit_square)
     kap = min(consts["kappa_volumetric"], consts["kappa_slab"]) + 2 * unit_grid_32.h
-    bound = 2.0 * rep.C_empirical * K * kap + 0.05
+    bound = 2.0 * max(estimates) * K * kap + 0.05
     rhos = [r.rho_i for r in rep.rows if r.rho_i is not None]
     assert rhos and max(rhos) <= bound
 
@@ -99,10 +102,13 @@ def test_linearity_at_k_zero(unit_grid_16):
 
 def test_report_is_deterministic(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.03, m=2.0)
-    _, r1 = dirichlet_iterate(unit_grid_16, spec, base_cfg())
-    _, r2 = dirichlet_iterate(unit_grid_16, spec, base_cfg())
+    cfg = base_cfg()
+    e1, o1 = c2alpha_observer(cfg.norm_cfg)
+    e2, o2 = c2alpha_observer(cfg.norm_cfg)
+    _, r1 = dirichlet_iterate(unit_grid_16, spec, cfg, observe=o1)
+    _, r2 = dirichlet_iterate(unit_grid_16, spec, cfg, observe=o2)
     assert r1.rows == r2.rows
-    assert r1.C_empirical == r2.C_empirical
+    assert e1 == e2
 
 
 def test_mce_blowup_diverges(unit_grid_32):
@@ -169,12 +175,13 @@ def test_residual_of_converged_iterate(unit_grid_32):
 def test_reported_residual_matches_unfused_residual(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.field_from(lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x)), K=0.2)
     cfg = base_cfg()
-    u, rep = dirichlet_iterate(unit_grid_16, spec, cfg)
+    estimates, observe = c2alpha_observer(cfg.norm_cfg)
+    u, rep = dirichlet_iterate(unit_grid_16, spec, cfg, observe=observe)
     assert rep.outcome == "converged" and len(rep.rows) > 3
     # the loop reuses the f of the next solve; recomputed from u alone it is the same bits
     assert rep.rows[-1].residual_sup == float(np.max(np.abs(residual_field(u, spec).values)))
-    # likewise the C^{2,alpha} estimate
-    assert rep.rows[-1].c2alpha_est == c2alpha_estimate(u, cfg.norm_cfg)
+    # likewise the C^{2,alpha} estimate the observer took of the last iterate
+    assert estimates[-1] == c2alpha_estimate(u, cfg.norm_cfg)
 
 
 def test_residual_truncation_order(unit_square):
@@ -189,14 +196,17 @@ def test_residual_truncation_order(unit_square):
     assert 3.2 <= errs[0] / errs[1] <= 4.8
 
 
-# --- the uniform C^{2,alpha} bound: C_empirical against the theory's C ----------
+# --- the uniform C^{2,alpha} bound: the largest estimate against the theory's C --
 
 
 def test_uniform_bound_empty_rhs(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.zeros(), K=0.0, m=2.0)
-    _, rep = dirichlet_iterate(unit_grid_16, spec, base_cfg())
-    assert all(r.c2alpha_est == 0.0 for r in rep.rows)
-    assert rep.C_empirical == 0.0
+    cfg = base_cfg()
+    estimates, observe = c2alpha_observer(cfg.norm_cfg)
+    _, rep = dirichlet_iterate(unit_grid_16, spec, cfg, observe=observe)
+    assert len(estimates) == len(rep.rows)
+    assert all(e == 0.0 for e in estimates)
+    assert max(estimates) == 0.0
 
 
 def test_uniform_bound_k_zero_vs_estimator(unit_grid_16):
@@ -206,24 +216,28 @@ def test_uniform_bound_k_zero_vs_estimator(unit_grid_16):
     h = random_trig_polynomial(unit_grid_16, rng)
     spec = GradLipschitz(h=h, K=0.0, m=2.0)
     cfg = base_cfg(lambda_value=None, lambda_trials=3, lambda_seed=5)
-    u, rep = dirichlet_iterate(unit_grid_16, spec, cfg)
+    estimates, observe = c2alpha_observer(cfg.norm_cfg)
+    u, rep = dirichlet_iterate(unit_grid_16, spec, cfg, observe=observe)
     theory, norms = contraction_theory(unit_grid_16, spec, cfg)
     c_theory = theory.C  # = Lambda_emp * h_alpha for K = 0
     assert c_theory is not None
     assert math.isclose(c_theory, theory.Lambda * norms["h_alpha"], rel_tol=1e-9)
-    assert rep.C_empirical <= c_theory * 1.1
+    assert max(estimates) <= c_theory * 1.1
     assert math.isclose(
-        rep.C_empirical, c2alpha_estimate(u, cfg.norm_cfg), rel_tol=1e-12
+        max(estimates), c2alpha_estimate(u, cfg.norm_cfg), rel_tol=1e-12
     )
 
 
 def test_uniform_bound_fails_on_blowup(unit_grid_32):
     spec = MeanCurvature(H=unit_grid_32.constant(2.0), n=2)
+    cfg = base_cfg(max_iters=40)
+    estimates, observe = c2alpha_observer(cfg.norm_cfg)
     try:
-        dirichlet_iterate(unit_grid_32, spec, base_cfg(max_iters=40))
+        dirichlet_iterate(unit_grid_32, spec, cfg, observe=observe)
         raise AssertionError("expected blow-up")
     except IterationFailure as exc:
-        assert not exc.report.C_empirical <= 5.0 * 1.1
+        assert len(estimates) == len(exc.report.rows)
+        assert not max(estimates) <= 5.0 * 1.1
 
 
 def test_rows_well_formed(unit_grid_16):
@@ -370,13 +384,17 @@ def _divergent_grad_lipschitz():
 def test_loop_is_bitwise_equal_to_unfused_reference(case):
     grid, spec, cfg = case()
     ref_rows, ref_outcome, ref_u = _reference_iterate(grid, spec, cfg)
+    estimates, observe = c2alpha_observer(cfg.norm_cfg)
     try:
-        u, rep = dirichlet_iterate(grid, spec, cfg)
+        u, rep = dirichlet_iterate(grid, spec, cfg, observe=observe)
     except IterationFailure as exc:
         u, rep = exc.last_iterate, exc.report
     assert rep.outcome == ref_outcome
     assert len(ref_rows) > 3
-    rows = [(r.i, r.sup_u, r.c2alpha_est, r.h1_diff, r.rho_i, r.residual_sup) for r in rep.rows]
+    rows = [
+        (r.i, r.sup_u, c, r.h1_diff, r.rho_i, r.residual_sup)
+        for r, c in zip(rep.rows, estimates, strict=True)
+    ]
     assert _hex_rows(rows) == _hex_rows(ref_rows)
     assert np.array_equal(u.values.view(np.int64), ref_u.values.view(np.int64))
 
@@ -403,17 +421,6 @@ def test_returned_fields_are_read_only_and_contiguous():
         _assert_owned(residual_field(u, rhs_spec).values)
     bc = BoundarySpec.prescribed(grid.field_from(lambda x, y: x + y))
     _assert_owned(PoissonSolver(grid).solve(grid.constant(1.0), bc).values)
-
-
-def test_residual_with_given_laplacian_is_bitwise_equal():
-    grid, spec, _ = _strip_mean_curvature()
-    u = grid.field_from(lambda x, y: 0.1 * np.cos(x) * (y * y - 0.25))
-    f = evaluate_rhs(spec, u)
-    lap = np.empty(grid.shape)
-    laplacian_apply(u, out=lap)
-    fused = residual_field(u, spec, f, lap)
-    assert np.array_equal(fused.values.view(np.int64), residual_field(u, spec).values.view(np.int64))
-    assert np.array_equal(lap.view(np.int64), laplacian_apply(u).values.view(np.int64))
 
 
 def test_solve_hands_its_guard_laplacian_on():
@@ -447,7 +454,7 @@ def test_one_laplacian_per_iterate(monkeypatch):
     assert len(calls) == len(rep.rows)
 
 
-# --- the C^{2,alpha} estimate is optional; one solver per run ------------------
+# --- the observer sees every iterate and changes nothing; one solver per run ----
 
 
 @pytest.mark.parametrize(
@@ -457,32 +464,33 @@ def test_one_laplacian_per_iterate(monkeypatch):
 )
 def test_skipping_the_estimate_changes_no_other_value(case, monkeypatch):
     grid, spec, cfg = case()
+    calls = []
+    estimate = iteration.c2alpha_estimate
+    monkeypatch.setattr(iteration, "c2alpha_estimate", lambda *a: calls.append(1) or estimate(*a))
     runs = []
-    for c2alpha in (True, False):
-        calls = []
-        estimate = iteration.c2alpha_estimate
+    for attach in (True, False):
+        estimates, c2alpha = c2alpha_observer(cfg.norm_cfg)
+        seen = []
 
-        def counted(*args, _estimate=estimate):
-            calls.append(1)
-            return _estimate(*args)
+        def observe(u, _seen=seen, _c2alpha=c2alpha):
+            _seen.append(u)
+            _c2alpha(u)
 
-        monkeypatch.setattr(iteration, "c2alpha_estimate", counted)
         try:
-            u, rep = dirichlet_iterate(grid, spec, dataclasses.replace(cfg, c2alpha=c2alpha))
+            u, rep = dirichlet_iterate(grid, spec, cfg, observe=observe if attach else None)
         except IterationFailure as exc:
             u, rep = exc.last_iterate, exc.report
-        monkeypatch.undo()
-        runs.append((u, rep, len(calls)))
-    (u_on, on, calls_on), (u_off, off, calls_off) = runs
-    assert calls_on == len(on.rows) and calls_off == 0
-    assert all(r.c2alpha_est is not None for r in on.rows) and on.C_empirical is not None
-    assert all(r.c2alpha_est is None for r in off.rows) and off.C_empirical is None
+        runs.append((u, rep, seen, estimates))
+    (u_on, on, seen_on, est_on), (u_off, off, seen_off, est_off) = runs
+    # one estimate per observed iterate, none without the observer
+    assert len(calls) == len(seen_on) == len(est_on) == len(on.rows)
+    assert seen_off == [] and est_off == []
+    # the last row's iterate is observed, the failing run's included
+    assert seen_on[-1] is u_on
     assert off.outcome == on.outcome
-
-    def rest(rows):
-        return _hex_rows([(r.i, r.sup_u, r.h1_diff, r.rho_i, r.residual_sup) for r in rows])
-
-    assert rest(off.rows) == rest(on.rows)
+    assert _hex_rows(map(dataclasses.astuple, off.rows)) == _hex_rows(
+        map(dataclasses.astuple, on.rows)
+    )
     assert np.array_equal(u_off.values.view(np.int64), u_on.values.view(np.int64))
 
 
@@ -515,13 +523,16 @@ def test_strip_run_holds_at_most_seven_grid_fields():
     # the H1 norm (while it is taken), and slab temporaries are alive: about
     # 6.2 fields
     grid = build_grid(Domain.strip_truncation(1.0, 2), 1 / 256)
+    cfg = base_cfg(h1_tol=1e-10)
     tracemalloc.start()
     try:
         spec = MeanCurvature(H=grid.constant(0.4), n=2)
-        _, rep = dirichlet_iterate(grid, spec, base_cfg(h1_tol=1e-10))
+        # solve's path: the C^{2,alpha} estimate of every iterate
+        estimates, observe = c2alpha_observer(cfg.norm_cfg)
+        _, rep = dirichlet_iterate(grid, spec, cfg, observe=observe)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert grid.shape == (1025, 257)
-    assert rep.outcome == "converged" and len(rep.rows) == 12
+    assert rep.outcome == "converged" and len(rep.rows) == len(estimates) == 12
     assert peak <= 7 * 8 * grid.nx * grid.ny

@@ -16,6 +16,7 @@ from diriter import (
     NormConfig,
     admissible_K_threshold,
     analyze,
+    build_grid,
     contraction_bound,
     data_norms,
     evaluate_rhs,
@@ -73,6 +74,23 @@ def test_rhs_mean_curvature_flat(unit_grid_16):
     u = unit_grid_16.zeros()
     f = evaluate_rhs(spec, u)
     assert np.allclose(f.values, 2 * 0.7, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "a, b, h", [(1.0, 1.0, 1 / 16), (1.0, 0.5, 1 / 64), (8.0, 1.0, 1 / 64)],
+    ids=["17x17", "65x33", "513x65_two_slabs"],
+)
+def test_rhs_mean_curvature_is_the_curvature_coupling_formula(n, a, b, h):
+    # curvature_coupling is the whole-grid reference of the slabbed branch
+    grid = build_grid(Domain.rectangle(a, b), h)
+    u = random_smooth(grid, np.random.default_rng(11))
+    H = grid.field_from(lambda x, y: 0.3 + 0.1 * np.sin(x) * y)
+    grad = gradient(u)
+    w = grad.vx**2 + grad.vy**2
+    expected = n * np.sqrt(1.0 + w) * H.values + curvature_coupling(grad) / (2.0 * (1.0 + w))
+    f = evaluate_rhs(MeanCurvature(H=H, n=n), u)
+    assert np.array_equal(f.values.view(np.int64), expected.view(np.int64))
 
 
 def test_rhs_gamma_g_nodewise():
