@@ -376,9 +376,10 @@ def run_sweep(
     The rows read no C^{2,alpha} estimate and no theory: no observer is
     attached, and Λ is neither read nor estimated. NaN or inf in a data field
     raises NonFiniteData, and a value the family rejects a ConfigError, before
-    any run. The runs share one ``PoissonSolver`` for ``grid``. A value whose
-    run raises a package error other than divergence or the iteration budget
-    gets an ``error:`` row.
+    any run. The runs share one ``PoissonSolver`` for ``grid`` and hold one
+    value's spec (for ``H_amplitude`` and ``gamma_sup`` a scaled copy of the
+    data) at a time. A value whose run raises a package error other than
+    divergence or the iteration budget gets an ``error:`` row.
     """
     if not values:
         raise ConfigError("sweep needs a nonempty ascending list of values")
@@ -386,13 +387,16 @@ def run_sweep(
         raise ConfigError("sweep values must be sorted ascending")
     check_finite_data(spec)
     with _rejected_values("sweep"):
-        specs = [_apply_sweep_value(spec, parameter, value) for value in values]
+        for value in values:
+            _apply_sweep_value(spec, parameter, value)
     solver = PoissonSolver(grid)
     rows = []
     outcomes = []
-    for value, spec_v in zip(values, specs):
+    for value in values:
+        spec_v = _apply_sweep_value(spec, parameter, value)
         try:
-            _, report = dirichlet_iterate(grid, spec_v, it_cfg, solver=solver)
+            # the final iterate is not kept: it would live on through the next run
+            report = dirichlet_iterate(grid, spec_v, it_cfg, solver=solver)[1]
         except IterationFailure as exc:
             report = exc.report
         except DiriterError as exc:
@@ -442,10 +446,8 @@ def cmd_poincare(cfg: configparser.ConfigParser, out: Path, seed: int | None) ->
     domain = build_domain(cfg)
     grid = _build_grid(domain, _get_float(_section(cfg, "grid"), "h"))
     it = _optional_section(cfg, "iteration")
-    if "phi" in it:
-        phi = _field_from_expr(it, "phi", grid)
-        if np.max(np.abs(phi.values[grid.boundary_mask()])) > 0:
-            raise NotConforming("the Poincaré suite needs zero boundary data, not a prescribed phi")
+    if "phi" in it and not _field_from_expr(it, "phi", grid).is_conforming():
+        raise NotConforming("the Poincaré suite needs zero boundary data, not a prescribed phi")
     an = _optional_section(cfg, "analysis")
     count = {"count": _get_int(an, "suite_size")} if "suite_size" in an else {}
     with _rejected_values("analysis"):
@@ -583,8 +585,10 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, out, args.seed)
+        # numpy's warnings would repeat on stderr what a non-finite value's outcome says
+        with np.errstate(all="ignore"):
+            cfg = _load_config(args.config)
+            return _COMMANDS[args.command](cfg, out, args.seed)
     except DiriterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,6 +18,9 @@ from .errors import SpacingTooCoarse
 RECTANGLE = "rectangle"
 STRIP = "strip-truncation"
 
+# the four edges of a grid array, in the order of GridField.boundary_values
+_EDGES = (np.s_[0], np.s_[-1], np.s_[1:-1, 0], np.s_[1:-1, -1])
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -100,7 +103,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor grid over a Domain with a boundary/interior node mask.
+    """Uniform tensor grid over a Domain; its boundary nodes are the four edges.
 
     Node counts are rounded so the realized extents are integer multiples of
     the spacing; realized extents (not the requested ones) feed every norm.
@@ -126,15 +129,9 @@ class Grid:
         return (self.ny - 1) * self.h
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.x, self.y, indexing="ij")
-
-    def interior_mask(self) -> np.ndarray:
-        m = np.zeros(self.shape, dtype=bool)
-        m[1:-1, 1:-1] = True
-        return m
-
-    def boundary_mask(self) -> np.ndarray:
-        return ~self.interior_mask()
+        """The open mesh, x as an (nx, 1) column and y as a (1, ny) row: an
+        expression in the two broadcasts to the grid, and only its result is full."""
+        return np.meshgrid(self.x, self.y, indexing="ij", sparse=True)
 
     def axis_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """The 1-D trapezoidal weights of each axis: h inside, h/2 at the ends."""
@@ -143,10 +140,6 @@ class Grid:
         wy = np.full(self.ny, self.h)
         wy[0] = wy[-1] = self.h / 2.0
         return wx, wy
-
-    def quad_weights(self) -> np.ndarray:
-        """Trapezoidal nodal weights: h^2 inside, halved per boundary axis."""
-        return np.outer(*self.axis_weights())
 
     def field(self, values) -> "GridField":
         values = np.asarray(values, dtype=float)
@@ -178,7 +171,7 @@ class Grid:
         a.flags.writeable = False
 
     def field_from(self, fn) -> "GridField":
-        """Sample fn(x, y) at the nodes (fn must accept numpy arrays)."""
+        """Sample fn(x, y) at the nodes: fn gets the open mesh, its result is broadcast."""
         X, Y = self.meshgrid()
         return self.field(np.broadcast_to(np.asarray(fn(X, Y), dtype=float), self.shape))
 
@@ -218,11 +211,13 @@ class GridField:
         return self.values.shape
 
     def boundary_values(self) -> np.ndarray:
-        return self.values[self.grid.boundary_mask()]
+        """The 2 (nx + ny) - 4 edge nodes, edge by edge: the rows x = x[0] and
+        x = x[-1], then the columns y = y[0] and y = y[-1] without the corners."""
+        return np.concatenate([self.values[edge] for edge in _EDGES])
 
     def is_conforming(self, bc: "BoundarySpec | None" = None, tol: float = 0.0) -> bool:
         """True when the boundary entries equal the prescribed ones (zero by default)."""
-        target = 0.0 if bc is None or bc.phi is None else bc.phi.values[self.grid.boundary_mask()]
+        target = 0.0 if bc is None or bc.phi is None else bc.phi.boundary_values()
         return bool(np.max(np.abs(self.boundary_values() - target)) <= tol)
 
 
@@ -258,6 +253,6 @@ class BoundarySpec:
         if self.phi is not None:
             if self.phi.grid.shape != grid.shape:
                 raise ValueError("boundary field lives on a different grid")
-            mask = grid.boundary_mask()
-            out[mask] = self.phi.values[mask]
+            for edge in _EDGES:
+                out[edge] = self.phi.values[edge]
         return out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,15 @@ def random_smooth(grid, rng, modes=3):
             2 * np.pi * sx + ph1
         )
     return grid.field(vals)
+
+
+def traced_peak_fields(grid, fn):
+    """Peak of the memory ``fn()`` allocates while it runs, in grid fields of
+    ``8 nx ny`` bytes (tracemalloc traces numpy's array buffers)."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * grid.nx * grid.ny)

@@ -25,7 +25,7 @@ from diriter import (
 from diriter import calculus
 from diriter.calculus import poincare_suite, schauder_ratio
 
-from conftest import random_conforming, random_smooth
+from conftest import random_conforming, random_smooth, traced_peak_fields
 
 CFG = NormConfig(alpha=0.5)
 
@@ -210,7 +210,7 @@ def test_holder_homogeneous(unit_grid_16, rng):
 
 def _all_pairs_holder(grid, values, alpha):
     """max |v(p) - v(q)| / |p - q|**alpha over every pair of nodes: the reference."""
-    X, Y = grid.meshgrid()
+    X, Y = np.broadcast_arrays(*grid.meshgrid())
     x, y, v = X.ravel(), Y.ravel(), values.ravel()
     best = 0.0
     for k in range(v.size - 1):
@@ -356,6 +356,15 @@ def test_schauder_estimate_deterministic(unit_grid_16):
     a = estimate_schauder_constant(unit_grid_16, CFG, trials=3, seed=7)
     b = estimate_schauder_constant(unit_grid_16, CFG, trials=3, seed=7)
     assert a == b
+
+
+def test_schauder_estimate_holds_at_most_six_grid_fields():
+    # each trial's right-hand side is summed from open-mesh basis rows; with
+    # the solver, its solution and the Hölder slices that is about 5.4 fields
+    grid = build_grid(Domain.strip_truncation(1.0, 2), 1 / 256)
+    assert grid.shape == (1025, 257)
+    peak = traced_peak_fields(grid, lambda: estimate_schauder_constant(grid, NormConfig(0.5), 3, 0))
+    assert peak <= 6
 
 
 def _bits(x: float) -> int:

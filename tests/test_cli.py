@@ -20,6 +20,9 @@ from diriter.cli import (
     write_csv,
     write_solution,
 )
+from diriter.expressions import compile_expression
+
+from conftest import traced_peak_fields
 
 BASE = """
 [domain]
@@ -95,9 +98,8 @@ def test_solve_mce_blowup_exit_2(tmp_path):
 
 
 def _solve_in_subprocess(tmp_path, text):
-    """Run ``solve`` on ``text`` in its own process: numpy's RuntimeWarnings
-    for overflowing iterates would be errors under this suite's warning
-    filter. Returns the process and the parsed report.json."""
+    """Run ``solve`` on ``text`` through ``python -m diriter.cli`` in its own
+    process, as a user runs it. Returns the process and the parsed report.json."""
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     src = Path(cli.__file__).resolve().parent.parent
@@ -149,7 +151,7 @@ def test_report_roundtrip_and_determinism(tmp_path):
 
 def _list_write_solution(path, u):
     """The solution writer as it was, one list of row lists: the reference."""
-    X, Y = u.grid.meshgrid()
+    X, Y = np.broadcast_arrays(*u.grid.meshgrid())
     rows = [
         [float(xv), float(yv), float(uv)]
         for xv, yv, uv in zip(X.ravel(), Y.ravel(), u.values.ravel())
@@ -215,7 +217,6 @@ def test_percent_format_spells_floats_as_format():
         assert ("%" + _FLOAT_SPEC) % v == format(v, _FLOAT_SPEC)
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_non_finite_data_is_usage_error(tmp_path, capsys):
     text = BASE.replace("h = 1\nK = 0", "h = 1/x\nK = 0")
     cfg = write_cfg(tmp_path, text + "\n[sweep]\nparameter = K\nvalues = 0 0.5\n")
@@ -224,6 +225,20 @@ def test_non_finite_data_is_usage_error(tmp_path, capsys):
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: data field 'h' holds NaN or inf\n"
         assert list(out.iterdir()) == []
+
+
+def test_overflowing_iterates_leave_stderr_empty(tmp_path, capsys):
+    # |grad u|^1e300 overflows in the first right-hand side: the run diverges,
+    # and numpy's overflow warning does not reach stderr (nor, under this
+    # suite's warning filter, become an error)
+    text = BASE.replace("h = 0.0625", "h = 0.125").replace(
+        "h = 1\nK = 0\nm = 2", "h = 30\nK = 1\nm = 1e300"
+    )
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "report.json").read_text())["outcome"] == "diverged"
 
 
 def test_inconsistent_fixed_point_is_usage_error(tmp_path, monkeypatch):
@@ -391,6 +406,20 @@ def test_run_sweep_shares_one_solver(monkeypatch):
     other = poisson.PoissonSolver(build_grid(Domain.rectangle(1.0, 0.75), 1.0 / 16))
     with pytest.raises(ValueError, match="different grid"):
         own(grid, spec, cfg, solver=other)
+
+
+def test_sweep_holds_one_scaled_data_field_at_a_time():
+    # each value's scaled copy of H is built for its run only, and no run's
+    # final iterate lives on through the next
+    grid = build_grid(Domain.strip_truncation(1.0, 2), 1 / 128)
+    spec = nonlinearity.MeanCurvature(H=grid.field_from(compile_expression("0.3 + 0.05*cos(x)")), n=2)
+    cfg = IterationConfig(max_iters=60, h1_tol=1e-10, lambda_value=2.0)
+    peaks = {}
+    for values in ([0.4], [0.04 * k for k in range(1, 11)]):
+        peaks[len(values)] = traced_peak_fields(
+            grid, lambda: run_sweep(grid, spec, cfg, "H_amplitude", values)
+        )
+    assert peaks[10] <= peaks[1] + 0.5
 
 
 def test_sweep_empty_values_is_usage_error(tmp_path):

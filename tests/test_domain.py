@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from diriter import Domain, SpacingTooCoarse, build_grid, domain_constants
+from diriter.expressions import compile_expression
+
+from conftest import traced_peak_fields
 
 
 def test_unit_square_grid_counts():
     grid = build_grid(Domain.rectangle(1, 1), 0.5)
     assert grid.shape == (3, 3)
-    assert grid.boundary_mask().sum() == 8
-    assert grid.interior_mask().sum() == 1
+    assert grid.zeros().boundary_values().size == 8
+    assert grid.zeros().values[1:-1, 1:-1].size == 1
 
 
 def test_quarter_spacing_interior_count():
     grid = build_grid(Domain.rectangle(1, 1), 0.25)
     assert grid.shape == (5, 5)
-    assert grid.interior_mask().sum() == 9
+    assert grid.zeros().values[1:-1, 1:-1].size == 9
 
 
 def test_strip_truncation_node_counts():
@@ -27,18 +30,41 @@ def test_strip_truncation_node_counts():
     assert math.isclose(grid.extent_y, 1.0)
 
 
-def test_mask_partition(unit_grid_16):
-    interior = unit_grid_16.interior_mask()
-    boundary = unit_grid_16.boundary_mask()
-    assert np.all(interior ^ boundary)
-    X, Y = unit_grid_16.meshgrid()
-    on_edge = (
-        np.isclose(X, unit_grid_16.x[0])
-        | np.isclose(X, unit_grid_16.x[-1])
-        | np.isclose(Y, unit_grid_16.y[0])
-        | np.isclose(Y, unit_grid_16.y[-1])
-    )
-    assert np.array_equal(boundary, on_edge)
+def test_meshgrid_is_the_open_mesh(unit_grid_16):
+    for grid in (unit_grid_16, build_grid(Domain.strip_truncation(1.0, 2.0), 0.25)):
+        X, Y = grid.meshgrid()
+        assert X.shape == (grid.nx, 1) and Y.shape == (1, grid.ny)
+        assert np.array_equal(X[:, 0], grid.x) and np.array_equal(Y[0], grid.y)
+
+
+def test_boundary_values_are_the_edge_nodes(unit_grid_16):
+    for grid in (unit_grid_16, build_grid(Domain.strip_truncation(1.0, 2.0), 0.25)):
+        # each node's value is its flat index, so the values name the nodes
+        index = grid.field(np.arange(grid.nx * grid.ny).reshape(grid.shape))
+        X, Y = np.broadcast_arrays(*grid.meshgrid())
+        on_edge = (
+            np.isclose(X, grid.x[0])
+            | np.isclose(X, grid.x[-1])
+            | np.isclose(Y, grid.y[0])
+            | np.isclose(Y, grid.y[-1])
+        )
+        edge = index.boundary_values()
+        assert edge.size == on_edge.sum() == 2 * (grid.nx + grid.ny) - 4
+        assert np.array_equal(np.sort(edge), index.values[on_edge])
+        # the documented order: rows x[0] and x[-1], then columns y[0] and y[-1]
+        i, j = np.divmod(edge.astype(int), grid.ny)
+        ny, m = grid.ny, grid.nx - 2
+        assert np.all(i[:ny] == 0) and np.all(i[ny : 2 * ny] == grid.nx - 1)
+        assert np.all(j[2 * ny : 2 * ny + m] == 0) and np.all(j[2 * ny + m :] == ny - 1)
+
+
+@pytest.mark.parametrize("text", ["0.4", "1 + 0.3 * sin(pi * x)"])
+def test_field_from_holds_only_its_result(text):
+    # a constant or an expression in x alone is evaluated on the open mesh,
+    # so the sampled field is the only full array
+    grid = build_grid(Domain.strip_truncation(1.0, 2), 1 / 256)
+    fn = compile_expression(text)
+    assert traced_peak_fields(grid, lambda: grid.field_from(fn)) <= 1.1
 
 
 def test_too_coarse_raises():

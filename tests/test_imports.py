@@ -1,5 +1,6 @@
-"""What importing the CLI loads (every command pays it in a fresh process), and
-that each module reads every name it imports."""
+"""What importing the CLI loads (every command pays it in a fresh process),
+that each module reads every name it imports, and that no module builds a
+dense coordinate mesh or a grid-sized boolean mask."""
 
 import ast
 import json
@@ -95,3 +96,37 @@ def test_every_imported_name_is_read():
             if name not in read and (source.stem, name) not in traced
         ]
     assert unread == []
+
+
+def _is_bool(node: ast.expr) -> bool:
+    """``bool``, ``np.bool``/``np.bool_`` or the string ``"bool"``/``"?"``."""
+    return (
+        (isinstance(node, ast.Name) and node.id == "bool")
+        or (isinstance(node, ast.Attribute) and node.attr in ("bool", "bool_"))
+        or (isinstance(node, ast.Constant) and node.value in ("bool", "?"))
+    )
+
+
+def test_no_dense_mesh_and_no_boolean_array():
+    # every grid is a tensor product: coordinates broadcast from the open mesh
+    # and boundaries are the four edge slices, so no module needs a full
+    # coordinate array or a grid-sized mask
+    found = []
+    for source in sorted((SRC / "diriter").glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            keywords = {k.arg: k.value for k in node.keywords}
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else None
+            on_numpy = isinstance(node.func, ast.Attribute) and isinstance(
+                node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
+            sparse = keywords.get("sparse")
+            if (on_numpy and name == "meshgrid"
+                    and not (isinstance(sparse, ast.Constant) and sparse.value is True)):
+                found.append(f"{source.name}:{node.lineno} meshgrid without sparse=True")
+            if ("dtype" in keywords and _is_bool(keywords["dtype"])) or (
+                name == "astype" and node.args and _is_bool(node.args[0])
+            ):
+                found.append(f"{source.name}:{node.lineno} boolean array")
+    assert found == []
