@@ -11,9 +11,7 @@ from .calculus import (
     NormConfig,
     c2alpha_estimate,
     estimate_schauder_constant,
-    flux_divergence,
     gradient,
-    h1_inner,
     holder_norm,
     holder_seminorm,
     laplacian_apply,
@@ -22,7 +20,7 @@ from .calculus import (
     norm_sup,
     verify_poincare,
 )
-from .domain import BoundarySpec, Domain, Grid, GridField, VectorField, build_grid, domain_constants
+from .domain import BoundarySpec, Domain, Grid, GridField, build_grid, domain_constants
 from .errors import (
     ConfigError,
     DiriterError,
@@ -44,7 +42,7 @@ from .iteration import (
     dirichlet_iterate,
     residual_field,
 )
-from .mce import ArcSolution, mc_divergence_residual
+from .mce import ArcSolution
 from .nonlinearity import (
     ContractionAnalysis,
     GammaG,
@@ -91,7 +89,6 @@ __all__ = [
     "NotConforming",
     "PoissonSolver",
     "SpacingTooCoarse",
-    "VectorField",
     "admissible_K_threshold",
     "analyze",
     "build_grid",
@@ -105,14 +102,11 @@ __all__ = [
     "estimate_schauder_constant",
     "evaluate_rhs",
     "exhaustion_solve",
-    "flux_divergence",
     "gradient",
-    "h1_inner",
     "holder_norm",
     "holder_seminorm",
     "k_zero",
     "laplacian_apply",
-    "mc_divergence_residual",
     "norm_h1semi",
     "norm_l2",
     "norm_sup",

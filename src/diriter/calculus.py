@@ -1,14 +1,12 @@
 """Discrete differential operators, norms and inequality checks.
 
 Gradients are second-order (central inside, one-sided at the boundary);
-integrals use the trapezoidal nodal rule, whose weights make the discrete
-integration-by-parts identity with the 5-point Laplacian exact (see
-``h1_inner``). Hölder-type quantities are maxima over the node pairs of a
-fixed set of displacements, each taken on a sub-lattice of bounded size, so
-they are lower bounds on the maxima over all node pairs and on their
-continuum counterparts. Sup norms are ``max(max v, -min v)`` (``sup_abs``):
-two reads of the array and no ``|v|`` temporary, equal to ``max |v|`` to the
-bit, NaN and signed zeros included.
+integrals use the trapezoidal nodal rule. Hölder-type quantities are maxima
+over the node pairs of a fixed set of displacements, each taken on a
+sub-lattice of bounded size, so they are lower bounds on the maxima over all
+node pairs and on their continuum counterparts. Sup norms are
+``max(max v, -min v)`` (``sup_abs``): two reads of the array and no ``|v|``
+temporary, equal to ``max |v|`` to the bit, NaN and signed zeros included.
 
 Operators return fields that own fresh read-only arrays (``Grid._own``), so
 no result is copied on its way out. The operators applied to every iterate
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, Grid, GridField, VectorField, domain_constants
+from .domain import Domain, Grid, GridField, domain_constants
 from .errors import GridTooCoarse, NotConforming
 
 @dataclass(frozen=True)
@@ -120,10 +118,12 @@ def gradient_slabs(values: np.ndarray, h: float, minus: np.ndarray | None = None
         yield rows, keep, _d_axis(v, h, 0), _d_axis(v, h, 1)
 
 
-def gradient(u: GridField) -> VectorField:
-    """Nodal gradient: central differences inside, one-sided at the boundary."""
-    g = u.grid
-    return g._own_vector(_d_axis(u.values, g.h, 0), _d_axis(u.values, g.h, 1))
+def gradient(u: GridField) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal gradient (ux, uy), two fresh read-only arrays: central
+    differences inside, one-sided at the boundary."""
+    ux, uy = _d_axis(u.values, u.grid.h, 0), _d_axis(u.values, u.grid.h, 1)
+    ux.flags.writeable = uy.flags.writeable = False
+    return ux, uy
 
 
 def dot_gradient(vx: np.ndarray, vy: np.ndarray, w: np.ndarray, h: float,
@@ -178,34 +178,6 @@ def laplacian_apply(u: GridField, out: np.ndarray | None = None) -> GridField:
     return GridField(g, view)
 
 
-def flux_divergence(u: GridField, face_scale) -> GridField:
-    """Divergence of (scale * grad u) with the gradient formed on cell faces.
-
-    The normal component on a face is the compact two-point difference, the
-    transverse one a four-point average; with ``face_scale`` identically 1
-    the result is ``laplacian_apply`` at interior nodes up to rounding (the
-    sums are grouped differently, so the last bits can differ).
-    ``face_scale`` receives the squared face-gradient magnitude.
-    """
-    g = u.grid
-    v = u.values
-    h = g.h
-
-    # x-faces (i+1/2, j), interior rows j only
-    gx_n = (v[1:, 1:-1] - v[:-1, 1:-1]) / h
-    gx_t = (v[1:, 2:] + v[:-1, 2:] - v[1:, :-2] - v[:-1, :-2]) / (4.0 * h)
-    fx = gx_n * face_scale(gx_n * gx_n + gx_t * gx_t)
-
-    # y-faces (i, j+1/2), interior columns i only
-    gy_n = (v[1:-1, 1:] - v[1:-1, :-1]) / h
-    gy_t = (v[2:, 1:] + v[2:, :-1] - v[:-2, 1:] - v[:-2, :-1]) / (4.0 * h)
-    fy = gy_n * face_scale(gy_t * gy_t + gy_n * gy_n)
-
-    out = np.zeros(g.shape)
-    out[1:-1, 1:-1] = (fx[1:, :] - fx[:-1, :]) / h + (fy[:, 1:] - fy[:, :-1]) / h
-    return g.field(out)
-
-
 def norm_l2(u: GridField) -> float:
     return math.sqrt(float(np.sum(np.outer(*u.grid.axis_weights()) * u.values**2)))
 
@@ -248,23 +220,6 @@ def norm_h1semi(u: GridField, v: GridField | None = None) -> float:
                 s = np.empty(grid.shape)
             s[rows] = sx
     return math.sqrt(float(np.sum(s)))
-
-
-def h1_inner(u: GridField, v: GridField) -> float:
-    """Face-difference Dirichlet form; the 5-point stencil's natural inner product.
-
-    For v vanishing on the boundary, h^2 * sum_interior v * (-laplacian u)
-    equals this exactly (discrete integration by parts).
-    """
-    g = u.grid
-    h = g.h
-    dxu = np.diff(u.values, axis=0) / h
-    dxv = np.diff(v.values, axis=0) / h
-    dyu = np.diff(u.values, axis=1) / h
-    dyv = np.diff(v.values, axis=1) / h
-    sx = np.sum(dxu[:, 1:-1] * dxv[:, 1:-1])
-    sy = np.sum(dyu[1:-1, :] * dyv[1:-1, :])
-    return float((sx + sy) * h * h)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calculus import NormConfig, estimate_schauder_constant, poincare_suite, verify_poincare
+from .calculus import NormConfig, estimate_schauder_constant, poincare_suite, sup_abs, verify_poincare
 from .domain import BoundarySpec, Domain, Grid, GridField, build_grid
 from .errors import ConfigError, DiriterError, IterationDiverged, IterationFailure, NotConforming
 from .expressions import ExpressionError, compile_expression
@@ -362,7 +362,7 @@ def _apply_sweep_value(spec: RhsSpec, parameter: str, value: float) -> RhsSpec:
     if not isinstance(spec, family):
         raise ConfigError(f"sweep parameter {parameter} needs the {variant} variant")
     data = data_fields(spec)[name]
-    base = np.max(np.abs(data.values))
+    base = sup_abs(data.values)
     if base == 0:
         raise ConfigError(f"configured {name} is identically zero; nothing to scale")
     return dataclasses.replace(spec, **{name: data.grid.field(data.values * (value / base))})
@@ -517,7 +517,7 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
         if arc.valid:
             vals = compact_values(result.u_final, halfwidth)
             ref = arc(result.u_final.grid.y)[None, :]
-            payload["compact_error_vs_arc"] = float(np.max(np.abs(vals - ref)))
+            payload["compact_error_vs_arc"] = sup_abs(vals - ref)
     write_json(out / "report.json", payload)
     return EXIT_OK
 

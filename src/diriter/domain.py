@@ -154,21 +154,12 @@ class Grid:
         of the grid's shape, and neither a view of another array nor held by
         anything else, so that no later write can reach the field.
         """
-        self._check_owned(values)
-        return GridField(self, values)
-
-    def _own_vector(self, vx: np.ndarray, vy: np.ndarray) -> "VectorField":
-        """``_own`` for the two components of a vector field."""
-        self._check_owned(vx)
-        self._check_owned(vy)
-        return VectorField(self, vx, vy)
-
-    def _check_owned(self, a: np.ndarray) -> None:
-        if (a.shape != self.shape or a.dtype != np.float64 or not a.flags.c_contiguous
-                or a.base is not None):
+        if (values.shape != self.shape or values.dtype != np.float64
+                or not values.flags.c_contiguous or values.base is not None):
             raise ValueError("an owned field must be a fresh C-contiguous float64 array "
                              "of the grid's shape")
-        a.flags.writeable = False
+        values.flags.writeable = False
+        return GridField(self, values)
 
     def field_from(self, fn) -> "GridField":
         """Sample fn(x, y) at the nodes: fn gets the open mesh, its result is broadcast."""
@@ -219,18 +210,6 @@ class GridField:
         """True when the boundary entries equal the prescribed ones (zero by default)."""
         target = 0.0 if bc is None or bc.phi is None else bc.phi.boundary_values()
         return bool(np.max(np.abs(self.boundary_values() - target)) <= tol)
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Two components per grid node (n = 2)."""
-
-    grid: Grid
-    vx: np.ndarray = field(repr=False)
-    vy: np.ndarray = field(repr=False)
-
-    def magnitude(self) -> np.ndarray:
-        return np.hypot(self.vx, self.vy)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Mean-curvature checks: divergence-form residual and the circular-arc profile.
+"""Mean curvature on a strip: the circular-arc profile.
 
 Across a strip of width d, the graph solving div(grad u / sqrt(1 + |grad u|^2))
 = n H for constant H is a circular arc of radius 1 / (n H); it exists only
@@ -12,22 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .calculus import flux_divergence
-from .domain import GridField
-
-
-def mc_divergence_residual(u: GridField, H: GridField, n: int = 2) -> GridField:
-    """div(grad u / sqrt(1 + |grad u|^2)) - n * H on interior nodes.
-
-    Fluxes are built on cell faces (normal component by compact differences,
-    transverse by averaging), so the operator degenerates to the 5-point
-    Laplacian when the gradient is small.
-    """
-    div = flux_divergence(u, face_scale=lambda w2: 1.0 / np.sqrt(1.0 + w2))
-    out = np.zeros(u.grid.shape)
-    out[1:-1, 1:-1] = div.values[1:-1, 1:-1] - n * H.values[1:-1, 1:-1]
-    return u.grid.field(out)
 
 
 @dataclass(frozen=True)

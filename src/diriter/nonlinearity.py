@@ -5,8 +5,9 @@ Three families are supported:
 * ``GradLipschitz``   f = h(x) + K * |grad u|^m;
 * ``GammaG``          f = gamma(x) * g(u) * |grad u|^m + h(x),
                       g(s) = sign(s) * |s|^(k+1) / (k+1), so that g'(s) = |s|^k;
-* ``MeanCurvature``   f = n * sqrt(1 + |grad u|^2) * H(x) + G_u / (1 + |grad u|^2),
-                      the expanded graph mean-curvature equation.
+* ``MeanCurvature``   f = n * sqrt(1 + |grad u|^2) * H(x) + G_u / (2 * (1 + |grad u|^2)),
+                      G_u = <grad u, grad |grad u|^2>: the expanded graph
+                      mean-curvature equation.
 
 Each family carries a growth majorant psi(t) for the data norm of f; the
 smallest fixed point of Lambda * psi bounds the iterates and doubles as the
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import NormConfig, dot_gradient, gradient_slabs, holder_norm, norm_sup
-from .domain import Domain, GridField, VectorField, domain_constants
+from .domain import Domain, GridField, domain_constants
 from .errors import FixedPointInconsistent, MissingNorm, NonFiniteData
 
 
@@ -73,25 +74,16 @@ class MeanCurvature:
 RhsSpec = GradLipschitz | GammaG | MeanCurvature
 
 
-def curvature_coupling(grad_u: VectorField) -> np.ndarray:
-    """G_u = 2 * du^mu du^nu d_{mu nu} u, assembled as <grad u, grad |grad u|^2>.
-
-    Differencing |grad u|^2 once instead of forming the three second
-    derivatives keeps the term symmetric and exactly cubic under scaling.
-    The expanded graph equation uses G_u / (2 * (1 + |grad u|^2)): expanding
-    div(grad u / sqrt(1 + |grad u|^2)) by the quotient rule produces the half
-    factor, and only with it does the iterate satisfy the divergence form.
-    """
-    vx, vy = grad_u.vx, grad_u.vy
-    w = vx**2 + vy**2
-    return dot_gradient(vx, vy.copy(), w, grad_u.grid.h, np.empty_like(w))
-
-
 def evaluate_rhs(spec: RhsSpec, u: GridField) -> GridField:
     """Nodal samples of f(x, u(x), grad u(x)) for the given family.
 
     grad u, and for ``MeanCurvature`` its coupling term, are formed a row
     slab at a time (``calculus.gradient_slabs``), never for the whole grid.
+    The coupling term G_u = 2 u_i u_j u_ij is <grad u, grad |grad u|^2>:
+    differencing |grad u|^2 once keeps it symmetric and exactly cubic under
+    scaling. Expanding div(grad u / sqrt(1 + |grad u|^2)) by the quotient
+    rule gives the half in G_u / (2 * (1 + |grad u|^2)); only with it does
+    the iterate satisfy the divergence form.
     """
     if not isinstance(spec, (GradLipschitz, GammaG, MeanCurvature)):
         raise TypeError(f"unknown rhs spec {type(spec).__name__}")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .calculus import sup_abs
 from .domain import BoundarySpec, Domain, Grid, GridField, build_grid
 from .errors import IterationFailure
 from .iteration import IterationConfig, IterationReport, dirichlet_iterate
@@ -115,7 +116,7 @@ def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig, h: float) -> Exhausti
         reports.append(rep)
         previous, window = window, compact_values(u, cfg.compact_halfwidth)
         if previous is not None:
-            tail.append(float(np.max(np.abs(previous - window))))
+            tail.append(sup_abs(previous - window))
     return ExhaustionResult(
         u_final=u, tail=tuple(tail), reports=tuple(reports), truncations=tuple(ns)
     )

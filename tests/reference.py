@@ -1,0 +1,85 @@
+"""Reference operators the tests check the library against.
+
+No command computes these. Each is an independent discretization (the
+flux-form divergence and the face-difference Dirichlet form) or the
+whole-grid form of a term the library builds a row slab at a time (the
+mean-curvature coupling).
+"""
+
+import numpy as np
+
+from diriter import GridField
+from diriter.calculus import dot_gradient
+
+
+def flux_divergence(u: GridField, face_scale) -> GridField:
+    """Divergence of (scale * grad u) with the gradient formed on cell faces.
+
+    The normal component on a face is the compact two-point difference, the
+    transverse one a four-point average; with ``face_scale`` identically 1
+    the result is ``laplacian_apply`` at interior nodes up to rounding (the
+    sums are grouped differently, so the last bits can differ).
+    ``face_scale`` receives the squared face-gradient magnitude.
+    """
+    g = u.grid
+    v = u.values
+    h = g.h
+
+    # x-faces (i+1/2, j), interior rows j only
+    gx_n = (v[1:, 1:-1] - v[:-1, 1:-1]) / h
+    gx_t = (v[1:, 2:] + v[:-1, 2:] - v[1:, :-2] - v[:-1, :-2]) / (4.0 * h)
+    fx = gx_n * face_scale(gx_n * gx_n + gx_t * gx_t)
+
+    # y-faces (i, j+1/2), interior columns i only
+    gy_n = (v[1:-1, 1:] - v[1:-1, :-1]) / h
+    gy_t = (v[2:, 1:] + v[2:, :-1] - v[:-2, 1:] - v[:-2, :-1]) / (4.0 * h)
+    fy = gy_n * face_scale(gy_t * gy_t + gy_n * gy_n)
+
+    out = np.zeros(g.shape)
+    out[1:-1, 1:-1] = (fx[1:, :] - fx[:-1, :]) / h + (fy[:, 1:] - fy[:, :-1]) / h
+    return g.field(out)
+
+
+def h1_inner(u: GridField, v: GridField) -> float:
+    """Face-difference Dirichlet form; the 5-point stencil's natural inner product.
+
+    For v vanishing on the boundary, h^2 * sum_interior v * (-laplacian u)
+    equals this exactly (discrete integration by parts).
+    """
+    g = u.grid
+    h = g.h
+    dxu = np.diff(u.values, axis=0) / h
+    dxv = np.diff(v.values, axis=0) / h
+    dyu = np.diff(u.values, axis=1) / h
+    dyv = np.diff(v.values, axis=1) / h
+    sx = np.sum(dxu[:, 1:-1] * dxv[:, 1:-1])
+    sy = np.sum(dyu[1:-1, :] * dyv[1:-1, :])
+    return float((sx + sy) * h * h)
+
+
+def mc_divergence_residual(u: GridField, H: GridField, n: int = 2) -> GridField:
+    """div(grad u / sqrt(1 + |grad u|^2)) - n * H on interior nodes.
+
+    Fluxes are built on cell faces (normal component by compact differences,
+    transverse by averaging), so the operator degenerates to the 5-point
+    Laplacian when the gradient is small.
+    """
+    div = flux_divergence(u, face_scale=lambda w2: 1.0 / np.sqrt(1.0 + w2))
+    out = np.zeros(u.grid.shape)
+    out[1:-1, 1:-1] = div.values[1:-1, 1:-1] - n * H.values[1:-1, 1:-1]
+    return u.grid.field(out)
+
+
+def curvature_coupling(grad_u: tuple[np.ndarray, np.ndarray], h: float) -> np.ndarray:
+    """G_u = 2 * du^mu du^nu d_{mu nu} u, assembled as <grad u, grad |grad u|^2>
+    from the components ``(ux, uy)`` of grad u on a grid of spacing h.
+
+    Differencing |grad u|^2 once instead of forming the three second
+    derivatives keeps the term symmetric and exactly cubic under scaling.
+    The expanded graph equation uses G_u / (2 * (1 + |grad u|^2)): expanding
+    div(grad u / sqrt(1 + |grad u|^2)) by the quotient rule produces the half
+    factor, and only with it does the iterate satisfy the divergence form.
+    """
+    vx, vy = grad_u
+    w = vx**2 + vy**2
+    return dot_gradient(vx, vy.copy(), w, h, np.empty_like(w))

@@ -157,7 +157,8 @@ def test_maximum_principle(unit_grid_16, rng):
 def test_integration_by_parts_identity(unit_grid_16, rng):
     # sum_h v * (-laplacian u) equals the Dirichlet form for v = 0 on the boundary;
     # rerun of the calculus identity through solver outputs
-    from diriter import h1_inner, laplacian_apply
+    from diriter import laplacian_apply
+    from reference import h1_inner
 
     f = random_smooth(unit_grid_16, rng)
     u = PoissonSolver(unit_grid_16).solve(f)
