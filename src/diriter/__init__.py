@@ -20,7 +20,7 @@ from .calculus import (
     norm_sup,
     verify_poincare,
 )
-from .domain import BoundarySpec, Domain, Grid, GridField, build_grid, domain_constants
+from .domain import Domain, Grid, GridField, build_grid, domain_constants
 from .errors import (
     ConfigError,
     DiriterError,
@@ -64,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcSolution",
-    "BoundarySpec",
     "ConfigError",
     "ContractionAnalysis",
     "DiriterError",

@@ -403,12 +403,11 @@ def random_trig_polynomial(grid: Grid, rng: np.random.Generator) -> GridField:
     return grid.field(vals)
 
 
-def schauder_ratio(grid: Grid, f: GridField, cfg: NormConfig, solver=None) -> float:
+def schauder_ratio(f: GridField, cfg: NormConfig) -> float:
     """c2alpha_estimate(u) / holder_norm(f) for the homogeneous solve of f."""
     from .poisson import PoissonSolver
 
-    solver = solver or PoissonSolver(grid)
-    u = solver.solve(f)
+    u = PoissonSolver(f.grid).solve(f)
     denom = holder_norm(f, cfg)
     if denom == 0.0:
         return 0.0
@@ -418,16 +417,13 @@ def schauder_ratio(grid: Grid, f: GridField, cfg: NormConfig, solver=None) -> fl
 def estimate_schauder_constant(grid: Grid, cfg: NormConfig, trials: int, seed: int) -> float:
     """Empirical bound-constant estimate: max solve-to-data norm ratio over
     seeded random trigonometric right-hand sides."""
-    from .poisson import PoissonSolver
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     # numpy.random loads on this first use (as in poincare_suite), so commands
     # that estimate no Λ do not pay its import
     rng = np.random.default_rng(seed)
-    solver = PoissonSolver(grid)
     best = 0.0
     for _ in range(trials):
         f = random_trig_polynomial(grid, rng)
-        best = max(best, schauder_ratio(grid, f, cfg, solver=solver))
+        best = max(best, schauder_ratio(f, cfg))
     return best

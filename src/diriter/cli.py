@@ -9,9 +9,9 @@ Commands and exit codes:
 
 Config sections: [domain] (kind, a, b | d, n_trunc), [grid] (h), [rhs]
 (variant + parameters, data fields as expressions in x and y), [iteration],
-[analysis] (alpha, lambda = estimate | number), [sweep], [exhaustion],
-[schauder], [output]. The mean-curvature variant follows the expanded
-equation: the configured H is multiplied by the dimension factor n.
+[analysis] (alpha, lambda = estimate | number), [sweep], [exhaustion] and
+[schauder]. The mean-curvature variant follows the expanded equation: the
+configured H is multiplied by the dimension factor n.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import NormConfig, estimate_schauder_constant, poincare_suite, sup_abs, verify_poincare
-from .domain import BoundarySpec, Domain, Grid, GridField, build_grid
+from .domain import Domain, Grid, GridField, build_grid
 from .errors import ConfigError, DiriterError, IterationDiverged, IterationFailure, NotConforming
 from .expressions import ExpressionError, compile_expression
 from .iteration import (
@@ -50,7 +50,6 @@ from .nonlinearity import (
     check_finite_data,
     data_fields,
 )
-from .poisson import PoissonSolver
 from .slab import ExhaustionConfig, compact_values, exhaustion_solve
 
 EXIT_OK = 0
@@ -189,7 +188,7 @@ def build_iteration_config(
         it, max_iters=_get_int, h1_tol=_get_float, blowup_sup=_get_float, start=_get_str
     )
     if "phi" in it:
-        iteration["boundary"] = BoundarySpec.prescribed(_field_from_expr(it, "phi", grid))
+        iteration["phi"] = _field_from_expr(it, "phi", grid)
 
     analysis = _given(an, lambda_trials=_get_int, lambda_seed=_get_int)
     lam_text = an.get("lambda", "estimate").strip()
@@ -376,10 +375,10 @@ def run_sweep(
     The rows read no C^{2,alpha} estimate and no theory: no observer is
     attached, and Λ is neither read nor estimated. NaN or inf in a data field
     raises NonFiniteData, and a value the family rejects a ConfigError, before
-    any run. The runs share one ``PoissonSolver`` for ``grid`` and hold one
-    value's spec (for ``H_amplitude`` and ``gamma_sup`` a scaled copy of the
-    data) at a time. A value whose run raises a package error other than
-    divergence or the iteration budget gets an ``error:`` row.
+    any run. The runs hold one value's spec at a time (for ``H_amplitude``
+    and ``gamma_sup`` a scaled copy of the data). A value whose run raises a
+    package error other than divergence or the iteration budget gets an
+    ``error:`` row.
     """
     if not values:
         raise ConfigError("sweep needs a nonempty ascending list of values")
@@ -389,14 +388,13 @@ def run_sweep(
     with _rejected_values("sweep"):
         for value in values:
             _apply_sweep_value(spec, parameter, value)
-    solver = PoissonSolver(grid)
     rows = []
     outcomes = []
     for value in values:
         spec_v = _apply_sweep_value(spec, parameter, value)
         try:
             # the final iterate is not kept: it would live on through the next run
-            report = dirichlet_iterate(grid, spec_v, it_cfg, solver=solver)[1]
+            report = dirichlet_iterate(grid, spec_v, it_cfg)[1]
         except IterationFailure as exc:
             report = exc.report
         except DiriterError as exc:
@@ -583,7 +581,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         # numpy's warnings would repeat on stderr what a non-finite value's outcome says
         with np.errstate(all="ignore"):

@@ -197,41 +197,12 @@ class GridField:
     grid: Grid
     values: np.ndarray = field(repr=False)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
     def boundary_values(self) -> np.ndarray:
         """The 2 (nx + ny) - 4 edge nodes, edge by edge: the rows x = x[0] and
         x = x[-1], then the columns y = y[0] and y = y[-1] without the corners."""
         return np.concatenate([self.values[edge] for edge in _EDGES])
 
-    def is_conforming(self, bc: "BoundarySpec | None" = None, tol: float = 0.0) -> bool:
-        """True when the boundary entries equal the prescribed ones (zero by default)."""
-        target = 0.0 if bc is None or bc.phi is None else bc.phi.boundary_values()
+    def is_conforming(self, phi: GridField | None = None, tol: float = 0.0) -> bool:
+        """True when the boundary entries equal phi's (zero by default)."""
+        target = 0.0 if phi is None else phi.boundary_values()
         return bool(np.max(np.abs(self.boundary_values() - target)) <= tol)
-
-
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Zero (``phi`` None) or prescribed boundary values for the Dirichlet problems."""
-
-    phi: GridField | None = None
-
-    @classmethod
-    def homogeneous(cls) -> "BoundarySpec":
-        return cls()
-
-    @classmethod
-    def prescribed(cls, phi: GridField) -> "BoundarySpec":
-        return cls(phi=phi)
-
-    def values_on(self, grid: Grid) -> np.ndarray:
-        """Full-shape array whose boundary entries are the prescribed values."""
-        out = np.zeros(grid.shape)
-        if self.phi is not None:
-            if self.phi.grid.shape != grid.shape:
-                raise ValueError("boundary field lives on a different grid")
-            for edge in _EDGES:
-                out[edge] = self.phi.values[edge]
-        return out

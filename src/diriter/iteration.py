@@ -25,7 +25,7 @@ from .calculus import (
     norm_h1semi,
     norm_sup,
 )
-from .domain import BoundarySpec, Grid, GridField
+from .domain import Grid, GridField
 from .errors import IterationDiverged, IterationMaxIters, NotConforming
 from .nonlinearity import (
     ContractionAnalysis,
@@ -48,15 +48,16 @@ _STALL_WINDOW = 10  # consecutive expanding ratios that count as divergence
 class IterationConfig:
     """Settings of one ``dirichlet_iterate`` run and of its ``contraction_theory``.
 
-    ``lambda_value``, ``lambda_trials`` and ``lambda_seed`` are read only by
-    ``contraction_theory`` (Λ is estimated when ``lambda_value`` is None);
-    ``norm_cfg`` by both.
+    ``phi`` gives every iterate's boundary values (zero when None). The last
+    four fields are read by ``contraction_theory`` alone (Λ is estimated when
+    ``lambda_value`` is None), and ``norm_cfg`` also by the caller's
+    ``c2alpha_observer``; ``dirichlet_iterate`` reads none of them.
     """
 
     max_iters: int = 200
     h1_tol: float = 1e-12
     blowup_sup: float = 1e6
-    boundary: BoundarySpec = field(default_factory=BoundarySpec.homogeneous)
+    phi: GridField | None = None
     start: str = START_ZERO
     norm_cfg: NormConfig = field(default_factory=NormConfig)
     lambda_value: float | None = None
@@ -139,7 +140,7 @@ def _start_field(grid: Grid, spec: RhsSpec, cfg: IterationConfig, solver: Poisso
         return grid.zeros()
     # the lift solves on the loop's own solver: laplacian(u0) = h, u0 = phi
     h_rhs = data_fields(spec).get("h") or grid.zeros()
-    return solver.solve(h_rhs, cfg.boundary)
+    return solver.solve(h_rhs, cfg.phi)
 
 
 def dirichlet_iterate(
@@ -147,7 +148,6 @@ def dirichlet_iterate(
     spec: RhsSpec,
     cfg: IterationConfig,
     u0: GridField | None = None,
-    solver: PoissonSolver | None = None,
     observe: Callable[[GridField], None] | None = None,
 ) -> tuple[GridField, IterationReport]:
     """Run the iteration; returns the converged iterate and its report.
@@ -160,9 +160,6 @@ def dirichlet_iterate(
     failed run's last iterate is observed too; rows and iterates are the
     same with or without it. No C^{2,alpha} estimate (``c2alpha_observer``),
     data norm, Λ or fixed point is computed here (``contraction_theory``).
-    ``solver``, a ``PoissonSolver`` bound to ``grid`` itself, lets runs on
-    one grid share one; by default the run builds its own. The iterates are
-    the same either way.
 
     Grid fields alive at once, besides the data and the solver's array: the
     previous iterate, the right-hand side and the new iterate while a solve
@@ -174,13 +171,10 @@ def dirichlet_iterate(
     slab at a time, never whole.
     """
     check_finite_data(spec)
-    if solver is None:
-        solver = PoissonSolver(grid)
-    elif solver.grid is not grid:
-        raise ValueError("solver is bound to a different grid")
+    solver = PoissonSolver(grid)
 
     if u0 is not None:
-        if not u0.is_conforming(cfg.boundary, tol=1e-12 * (1.0 + norm_sup(u0))):
+        if not u0.is_conforming(cfg.phi, tol=1e-12 * (1.0 + norm_sup(u0))):
             raise NotConforming("u0 must carry the configured boundary values")
         u_prev = u0
     else:
@@ -197,7 +191,7 @@ def dirichlet_iterate(
     # solver keeps laplacian(u_next) from its check, which the residual reads.
     f = evaluate_rhs(spec, u_prev)
     for i in range(1, cfg.max_iters + 1):
-        u_next = solver.solve(f, cfg.boundary)
+        u_next = solver.solve(f, cfg.phi)
         del f
         h1_diff = norm_h1semi(u_next, u_prev)
         del u_prev

@@ -16,7 +16,7 @@ import numpy as np
 import numpy.fft
 
 from .calculus import laplacian_apply, sup_abs
-from .domain import BoundarySpec, Grid, GridField
+from .domain import Grid, GridField
 from .errors import NoConvergence
 
 
@@ -102,8 +102,8 @@ class PoissonSolver:
             else:
                 np.multiply(dst, scale, out=dest)
 
-    def solve(self, f: GridField, bc: BoundarySpec | None = None) -> GridField:
-        """u with laplacian(u) = f inside and u = bc on the boundary.
+    def solve(self, f: GridField, phi: GridField | None = None) -> GridField:
+        """u with laplacian(u) = f inside and u = phi (zero if None) on the boundary.
 
         The solve is checked by applying the 5-point Laplacian to u and
         requiring max |laplacian(u) - f| over the interior to be at most
@@ -116,6 +116,8 @@ class PoissonSolver:
         grid = self.grid
         if f.grid.shape != grid.shape:
             raise ValueError("right-hand side lives on a different grid")
+        if phi is not None and phi.grid.shape != grid.shape:
+            raise ValueError("boundary field lives on a different grid")
         f_in = f.values[1:-1, 1:-1]
         self._solved = None
 
@@ -123,13 +125,15 @@ class PoissonSolver:
         # as contrib - f, which is the same sum to the bit; it goes into the
         # coefficient array, on which the transform runs
         rhs = self._coef
-        if bc is None or bc.phi is None:
+        if phi is None:
             np.subtract(0.0, f_in, out=rhs)
             out = np.empty(grid.shape)
             out[0] = out[-1] = 0.0
             out[:, 0] = out[:, -1] = 0.0
         else:
-            out = bc.values_on(grid)  # fresh; its interior is overwritten below
+            out = np.zeros(grid.shape)  # phi's edges go on; the interior is overwritten below
+            out[0], out[-1] = phi.values[0], phi.values[-1]
+            out[:, 0], out[:, -1] = phi.values[:, 0], phi.values[:, -1]
             np.add(out[:-2, 1:-1], out[2:, 1:-1], out=rhs)
             rhs += out[1:-1, :-2]
             rhs += out[1:-1, 2:]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import sup_abs
-from .domain import BoundarySpec, Domain, Grid, GridField, build_grid
+from .domain import Domain, Grid, GridField, build_grid
 from .errors import IterationFailure
 from .iteration import IterationConfig, IterationReport, dirichlet_iterate
 from .nonlinearity import RhsSpec, data_fields
@@ -86,16 +86,15 @@ def _spec_on(spec: RhsSpec, grid: Grid) -> RhsSpec:
 
 def _iteration_on(cfg: IterationConfig, grid: Grid) -> IterationConfig:
     """Rebind a prescribed boundary field to a smaller aligned grid."""
-    phi = cfg.boundary.phi
-    if phi is None:
+    if cfg.phi is None:
         return cfg
-    return dataclasses.replace(cfg, boundary=BoundarySpec.prescribed(restrict_field(phi, grid)))
+    return dataclasses.replace(cfg, phi=restrict_field(cfg.phi, grid))
 
 
 def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig, h: float) -> ExhaustionResult:
     """Iterate on each truncation [-n, n] x (-d/2, d/2), n = n_start..n_max.
 
-    ``spec``, and a boundary field prescribed by ``cfg.iteration``, carry
+    ``spec``, and a boundary field ``cfg.iteration.phi``, carry
     data on the largest truncation. tail[j] is the sup over the compact
     window of the difference between consecutive solutions. Raises
     ValueError, before any solve, where ``cfg.check_spacing(h)`` does.

@@ -339,7 +339,7 @@ def test_schauder_ratio_forced_rhs(unit_square):
     # the discrete estimators on the closed-form u must match the solver path
     grid = build_grid(unit_square, 1.0 / 32)
     f = sinsin(grid)
-    got = schauder_ratio(grid, f, CFG)
+    got = schauder_ratio(f, CFG)
     u_exact = grid.field(-f.values / (2 * np.pi**2))
     expected = c2alpha_estimate(u_exact, CFG) / holder_norm(f, CFG)
     assert math.isclose(got, expected, rel_tol=5e-2)
@@ -359,7 +359,8 @@ def test_schauder_estimate_deterministic(unit_grid_16):
 
 def test_schauder_estimate_holds_at_most_six_grid_fields():
     # each trial's right-hand side is summed from open-mesh basis rows; with
-    # the solver, its solution and the Hölder slices that is about 5.4 fields
+    # its solution and the Hölder slices that is about 4.0 fields (the
+    # trial's solver goes once its solve returns)
     grid = build_grid(Domain.strip_truncation(1.0, 2), 1 / 256)
     assert grid.shape == (1025, 257)
     peak = traced_peak_fields(grid, lambda: estimate_schauder_constant(grid, NormConfig(0.5), 3, 0))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diriter import Domain, IterationConfig, build_grid, cli, iteration, nonlinearity, poisson
+from diriter import Domain, IterationConfig, build_grid, cli, iteration, nonlinearity
 from diriter.cli import (
     _FLOAT_SPEC,
     _load_config,
@@ -251,6 +251,16 @@ def test_missing_config_usage_error(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 1
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["a-file", "under-a-file"])
+def test_unusable_out_directory_is_one_error_line(tmp_path, capsys, out):
+    cfg = write_cfg(tmp_path, BASE)
+    (tmp_path / "afile").write_text("")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot create output directory {tmp_path / out}: ")
+
+
 def test_bad_expression_reports_usage_error(tmp_path):
     cfg = write_cfg(tmp_path, BASE.replace("h = 1\nK = 0", "h = sqrt(2)\nK = 0"))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -372,40 +382,6 @@ def test_sweep_on_four_by_four_nodes_iterates_with_estimated_lambda(tmp_path, ca
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 1
     assert "c2alpha_estimate needs at least 5 nodes per axis" in capsys.readouterr().err
     assert not (tmp_path / "solve" / "report.json").exists()
-
-
-def test_run_sweep_shares_one_solver(monkeypatch):
-    grid = build_grid(Domain.rectangle(1.0, 0.75), 1.0 / 16)
-    spec = nonlinearity.GradLipschitz(
-        h=grid.field_from(lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x)), K=0.0, m=2.0
-    )
-    cfg = IterationConfig(max_iters=60, lambda_value=2.0)
-    values = [0.0, 0.5, 1.0, 40.0]
-    built = []
-    original_init = poisson.PoissonSolver.__init__
-
-    def counted_init(self, *args, **kwargs):
-        built.append(self)
-        original_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(poisson.PoissonSolver, "__init__", counted_init)
-    shared = run_sweep(grid, spec, cfg, "K", values)
-    assert len(built) == 1
-    # the reference: every run builds its own solver
-    own = cli.dirichlet_iterate
-    monkeypatch.setattr(cli, "dirichlet_iterate", lambda *args, solver: own(*args))
-    per_run = run_sweep(grid, spec, cfg, "K", values)
-    assert len(built) == 1 + 1 + len(values)  # run_sweep's unused one, then one per value
-    assert [row[1] for row in shared["rows"]] == ["converged"] * 3 + ["diverged"]
-    assert shared["threshold"] == per_run["threshold"] == 20.5
-    hexed = [
-        [[float.hex(v) if isinstance(v, float) else v for v in row] for row in r["rows"]]
-        for r in (shared, per_run)
-    ]
-    assert hexed[0] == hexed[1]
-    other = poisson.PoissonSolver(build_grid(Domain.rectangle(1.0, 0.75), 1.0 / 16))
-    with pytest.raises(ValueError, match="different grid"):
-        own(grid, spec, cfg, solver=other)
 
 
 def test_sweep_holds_one_scaled_data_field_at_a_time():

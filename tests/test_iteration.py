@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from diriter import (
-    BoundarySpec,
     Domain,
     GammaG,
     GradLipschitz,
@@ -52,9 +51,8 @@ def test_pure_poisson_converges_immediately(unit_grid_32):
 
 def test_iterates_keep_boundary_values(unit_grid_16):
     phi = unit_grid_16.field_from(lambda x, y: 0.2 * x + 0.1 * y)
-    bc = BoundarySpec.prescribed(phi)
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.02, m=2.0)
-    cfg = base_cfg(boundary=bc, start="boundary-lift")
+    cfg = base_cfg(phi=phi, start="boundary-lift")
     u, rep = dirichlet_iterate(unit_grid_16, spec, cfg)
     assert rep.outcome == "converged"
     assert np.array_equal(u.boundary_values(), phi.boundary_values())
@@ -330,7 +328,7 @@ def _reference_iterate(grid, spec, cfg):
     rows, prev_h1, expanding = [], None, 0
     f = _ref_rhs(spec, u_prev, _ref_gradient(u_prev))
     for i in range(1, cfg.max_iters + 1):
-        u_next = solver.solve(f, cfg.boundary)
+        u_next = solver.solve(f, cfg.phi)
         grad = _ref_gradient(u_next)
         f = _ref_rhs(spec, u_next, grad)
         h1_diff = _ref_h1semi(grid.field(u_next.values - u_prev.values))
@@ -368,7 +366,7 @@ def _rectangle_gamma_g_prescribed():
         gamma=grid.field_from(lambda x, y: 0.2 + 0.1 * x * y),
         h=grid.field_from(lambda x, y: 1.0 + 0.2 * np.sin(np.pi * x)),
     )
-    return grid, spec, base_cfg(boundary=BoundarySpec.prescribed(phi), h1_tol=1e-11)
+    return grid, spec, base_cfg(phi=phi, h1_tol=1e-11)
 
 
 def _divergent_grad_lipschitz():
@@ -419,8 +417,8 @@ def test_returned_fields_are_read_only_and_contiguous():
                      GammaG(gamma=grid.constant(0.2), h=grid.constant(1.0))):
         _assert_owned(evaluate_rhs(rhs_spec, u).values)
         _assert_owned(residual_field(u, rhs_spec).values)
-    bc = BoundarySpec.prescribed(grid.field_from(lambda x, y: x + y))
-    _assert_owned(PoissonSolver(grid).solve(grid.constant(1.0), bc).values)
+    phi = grid.field_from(lambda x, y: x + y)
+    _assert_owned(PoissonSolver(grid).solve(grid.constant(1.0), phi).values)
 
 
 def test_solve_hands_its_guard_laplacian_on():
@@ -497,7 +495,7 @@ def test_skipping_the_estimate_changes_no_other_value(case, monkeypatch):
 def test_boundary_lift_reuses_the_loops_solver(unit_grid_16, monkeypatch):
     phi = unit_grid_16.field_from(lambda x, y: 0.2 * x + 0.1 * np.cos(3.0 * y))
     spec = GradLipschitz(h=unit_grid_16.field_from(lambda x, y: 1.0 + x * y), K=0.02, m=2.0)
-    cfg = base_cfg(boundary=BoundarySpec.prescribed(phi), start="boundary-lift")
+    cfg = base_cfg(phi=phi, start="boundary-lift")
     built = []
     init = poisson.PoissonSolver.__init__
 
@@ -513,7 +511,7 @@ def test_boundary_lift_reuses_the_loops_solver(unit_grid_16, monkeypatch):
 
     solver = PoissonSolver(unit_grid_16)
     start = iteration._start_field(unit_grid_16, spec, cfg, solver)
-    lifted = PoissonSolver(unit_grid_16).solve(spec.h, cfg.boundary)
+    lifted = PoissonSolver(unit_grid_16).solve(spec.h, phi)
     assert np.array_equal(start.values.view(np.int64), lifted.values.view(np.int64))
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from diriter import (
-    BoundarySpec,
     Domain,
     NoConvergence,
     PoissonSolver,
@@ -51,8 +50,7 @@ def test_strip_mid_profile():
 
 def test_solution_has_exact_boundary_values(unit_grid_16):
     phi = unit_grid_16.field_from(lambda x, y: np.cos(3 * x) + y)
-    bc = BoundarySpec.prescribed(phi)
-    u = PoissonSolver(unit_grid_16).solve(unit_grid_16.constant(2.0), bc)
+    u = PoissonSolver(unit_grid_16).solve(unit_grid_16.constant(2.0), phi)
     assert np.array_equal(u.boundary_values(), phi.boundary_values())
 
 
@@ -67,7 +65,16 @@ def test_deterministic_bitwise(unit_grid_16, rng):
     assert np.array_equal(u1.values, u3.values)
 
 
-def scipy_reference(grid, f, bc):
+def boundary_array(grid, phi):
+    """Zeros with phi's four edges, or all zeros when phi is None."""
+    out = np.zeros(grid.shape)
+    if phi is not None:
+        for edge in (np.s_[0], np.s_[-1], np.s_[1:-1, 0], np.s_[1:-1, -1]):
+            out[edge] = phi.values[edge]
+    return out
+
+
+def scipy_reference(grid, f, phi):
     """The solve as it was on scipy.fft's DST-I: the bitwise reference."""
     scipy_fft = pytest.importorskip("scipy.fft")
 
@@ -76,7 +83,7 @@ def scipy_reference(grid, f, bc):
         return (2.0 - 2.0 * np.cos(np.pi * k / (m + 1))) / (grid.h * grid.h)
 
     eig = eigenvalues(grid.nx - 2)[:, None] + eigenvalues(grid.ny - 2)[None, :]
-    bvals = bc.values_on(grid)
+    bvals = boundary_array(grid, phi)
     contrib = (
         bvals[:-2, 1:-1] + bvals[2:, 1:-1] + bvals[1:-1, :-2] + bvals[1:-1, 2:]
     ) / (grid.h * grid.h)
@@ -98,18 +105,15 @@ def test_bitwise_equal_to_scipy_dst(interior, prescribed, rng):
     grid = build_grid(Domain.rectangle((interior[0] + 1) * h, (interior[1] + 1) * h), h)
     assert (grid.nx - 2, grid.ny - 2) == interior
     f = random_smooth(grid, rng)
-    if prescribed:
-        bc = BoundarySpec.prescribed(grid.field_from(lambda x, y: np.cos(3 * x) + y + 2.0))
-    else:
-        bc = BoundarySpec.homogeneous()
-    u = PoissonSolver(grid).solve(f, bc)
-    ref = scipy_reference(grid, f, bc)
+    phi = grid.field_from(lambda x, y: np.cos(3 * x) + y + 2.0) if prescribed else None
+    u = PoissonSolver(grid).solve(f, phi)
+    ref = scipy_reference(grid, f, phi)
     assert np.array_equal(u.values, ref)
     # array_equal cannot tell -0.0 from 0.0; the bit patterns can
     assert np.array_equal(u.values.view(np.int64), ref.view(np.int64))
 
 
-def dense_reference(grid, f, bc):
+def dense_reference(grid, f, phi):
     """Interior nodes of the 5-point Dirichlet solution from a dense solve (x-major)."""
     mx, my = grid.nx - 2, grid.ny - 2
 
@@ -120,7 +124,7 @@ def dense_reference(grid, f, bc):
         np.kron(second_difference(mx), np.eye(my)) + np.kron(np.eye(mx), second_difference(my))
     ) / grid.h**2
     # known boundary values move to the right-hand side
-    bvals = bc.values_on(grid)
+    bvals = boundary_array(grid, phi)
     contrib = (bvals[:-2, 1:-1] + bvals[2:, 1:-1] + bvals[1:-1, :-2] + bvals[1:-1, 2:]) / grid.h**2
     rhs = -f.values[1:-1, 1:-1] + contrib
     return np.linalg.solve(neg_lap, rhs.ravel()).reshape(mx, my)
@@ -138,12 +142,9 @@ def dense_reference(grid, f, bc):
 def test_matches_dense_solve(domain, h, prescribed, rng):
     grid = build_grid(domain, h)
     f = random_smooth(grid, rng)
-    if prescribed:
-        bc = BoundarySpec.prescribed(grid.field_from(lambda x, y: np.cos(3 * x) + y + 2.0))
-    else:
-        bc = BoundarySpec.homogeneous()
-    ref = dense_reference(grid, f, bc)
-    u = PoissonSolver(grid).solve(f, bc)
+    phi = grid.field_from(lambda x, y: np.cos(3 * x) + y + 2.0) if prescribed else None
+    ref = dense_reference(grid, f, phi)
+    u = PoissonSolver(grid).solve(f, phi)
     assert np.max(np.abs(u.values[1:-1, 1:-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -245,21 +246,18 @@ def test_nan_rhs_raises(unit_grid_16):
 
 
 def test_lift_zero_data(unit_grid_16):
-    bc = BoundarySpec.prescribed(unit_grid_16.zeros())
-    u0 = PoissonSolver(unit_grid_16).solve(unit_grid_16.zeros(), bc)
+    u0 = PoissonSolver(unit_grid_16).solve(unit_grid_16.zeros(), unit_grid_16.zeros())
     assert np.max(np.abs(u0.values)) == 0.0
 
 
 def test_lift_linear_phi_is_exact(unit_grid_16):
     phi = unit_grid_16.field_from(lambda x, y: x + y)
-    bc = BoundarySpec.prescribed(phi)
-    u0 = PoissonSolver(unit_grid_16).solve(unit_grid_16.zeros(), bc)
+    u0 = PoissonSolver(unit_grid_16).solve(unit_grid_16.zeros(), phi)
     assert np.max(np.abs(u0.values - phi.values)) <= 1e-11
 
 
 def test_lift_constant_phi(unit_grid_16):
-    bc = BoundarySpec.prescribed(unit_grid_16.constant(1.0))
-    u0 = PoissonSolver(unit_grid_16).solve(unit_grid_16.zeros(), bc)
+    u0 = PoissonSolver(unit_grid_16).solve(unit_grid_16.zeros(), unit_grid_16.constant(1.0))
     assert np.max(np.abs(u0.values - 1.0)) <= 1e-11
 
 

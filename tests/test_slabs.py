@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from diriter import (
-    BoundarySpec,
     Domain,
     GammaG,
     GradLipschitz,
@@ -35,8 +34,8 @@ def _results(grid, seed):
     arrays = [evaluate_rhs(spec, u).values for spec in specs]
     scalars = [c2alpha_estimate(u, NormConfig(alpha=0.4)), norm_h1semi(u), norm_h1semi(u, v)]
     solver = PoissonSolver(grid)
-    for bc in (None, BoundarySpec.prescribed(v)):
-        w = solver.solve(grid.field(arrays[2]), bc)
+    for phi in (None, v):
+        w = solver.solve(grid.field(arrays[2]), phi)
         arrays.append(w.values)
         scalars += [solver.residual_sup(w, grid.field(a)) for a in arrays[:3]]
     return arrays, scalars
