@@ -364,7 +364,7 @@ def _apply_sweep_value(spec: RhsSpec, parameter: str, value: float) -> RhsSpec:
     base = sup_abs(data.values)
     if base == 0:
         raise ConfigError(f"configured {name} is identically zero; nothing to scale")
-    return dataclasses.replace(spec, **{name: data.grid.field(data.values * (value / base))})
+    return dataclasses.replace(spec, **{name: data.grid._own(data.values * (value / base))})
 
 
 def run_sweep(
@@ -376,9 +376,11 @@ def run_sweep(
     attached, and Λ is neither read nor estimated. NaN or inf in a data field
     raises NonFiniteData, and a value the family rejects a ConfigError, before
     any run. The runs hold one value's spec at a time (for ``H_amplitude``
-    and ``gamma_sup`` a scaled copy of the data). A value whose run raises a
-    package error other than divergence or the iteration budget gets an
-    ``error:`` row.
+    and ``gamma_sup`` a scaled copy of the data). Only K is checked value by
+    value before the runs: a scaled field takes any finite value, and the
+    first run's spec makes the checks that do not depend on it, so no field
+    is scaled before that run. A value whose run raises a package error
+    other than divergence or the iteration budget gets an ``error:`` row.
     """
     if not values:
         raise ConfigError("sweep needs a nonempty ascending list of values")
@@ -386,10 +388,9 @@ def run_sweep(
         raise ConfigError("sweep values must be sorted ascending")
     check_finite_data(spec)
     with _rejected_values("sweep"):
-        for value in values:
+        for value in values if parameter == "K" else ():
             _apply_sweep_value(spec, parameter, value)
     rows = []
-    outcomes = []
     for value in values:
         spec_v = _apply_sweep_value(spec, parameter, value)
         try:
@@ -399,18 +400,13 @@ def run_sweep(
             report = exc.report
         except DiriterError as exc:
             rows.append([value, f"error: {exc}", 0, None, None])
-            outcomes.append("error")
             continue
         max_rho = max((r.rho_i for r in report.rows if r.rho_i is not None), default=None)
         rows.append(
             [value, report.outcome, len(report.rows), max_rho, report.rows[-1].residual_sup]
         )
-        outcomes.append(report.outcome)
-    threshold = None
-    for j in range(len(values) - 1):
-        if outcomes[j] == "converged" and outcomes[j + 1] != "converged":
-            threshold = 0.5 * (values[j] + values[j + 1])
-            break
+    threshold = next((0.5 * (a[0] + b[0]) for a, b in zip(rows, rows[1:])
+                      if a[1] == "converged" and b[1] != "converged"), None)
     return {"rows": rows, "threshold": threshold, "parameter": parameter}
 
 
@@ -593,6 +589,9 @@ def main(argv: list[str] | None = None) -> int:
             return _COMMANDS[args.command](cfg, out, args.seed)
     except DiriterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # reading the config is a ConfigError: this is an output file
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

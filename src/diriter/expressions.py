@@ -1,15 +1,21 @@
 """Tiny closed expression grammar for nodal data in experiment configs.
 
 Supported: numeric literals, the coordinates x and y, the constant pi,
-sin / cos / exp / abs, |expr|, parentheses, unary minus, and + - * / ^.
-Expressions compile to vectorized callables fn(x, y); no Python evaluation
-of config text ever happens.
+sin / cos / exp / abs, |expr|, parentheses, unary minus, and + - * / ^, with
+Python's precedence, so Python's parser reads them. A token pass spells each
+checked token as Python (``^`` as ``**``, the k-th number as the name ``_k``,
+a bar as ``_bar[`` where an operand is due and ``]`` after one), ``ast.parse``
+parses that text, and a builder turns each node of the grammar into a
+vectorized closure fn(x, y). No config text is ever compiled or evaluated as
+Python; any other node, a syntax error and nesting beyond Python's limits are
+ExpressionErrors.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +27,8 @@ _TOKEN = re.compile(
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
 _CONSTS = {"pi": np.pi}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
 class ExpressionError(ValueError):
@@ -31,132 +39,72 @@ class ExpressionError(ValueError):
         self.pos = pos
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    pos: int
+def _const(v: float):
+    return lambda x, y: v + 0.0 * x
 
 
-def _tokenize(src: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m or m.end() == pos:
-            while pos < len(src) and src[pos].isspace():
-                pos += 1
-            if pos >= len(src):
-                break
-            raise ExpressionError(f"unexpected character {src[pos]!r}", pos)
-        if m.group("num") is not None:
-            tokens.append(_Token("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(_Token("name", m.group("name"), m.start("name")))
+def _spell(src: str) -> tuple[str, list[int], dict]:
+    """The Python text of ``src``, one token and a space at a time; the source
+    position of each character's token (and len(src) for the end); and the
+    closure of each name that is an operand."""
+    words, where, numbers, unknown = [], [], {}, None
+    operand, pos = False, 0  # operand: whether the last token ends an operand
+    while m := _TOKEN.match(src, pos):
+        kind, token, pos = m.lastgroup, m[m.lastgroup], m.end()
+        if kind == "num":
+            word = f"_{len(numbers)}"
+            numbers[word] = float(token)
+        elif token == "|":
+            word = "]" if operand else "_bar["
         else:
-            op = "^" if m.group("op") == "**" else m.group("op")
-            tokens.append(_Token("op", op, m.start("op")))
-        pos = m.end()
-    return tokens
+            word = "**" if token == "^" else token
+            if kind == "name" and token not in ("x", "y", *_CONSTS, *_FUNCS):
+                unknown = unknown or ExpressionError(f"unknown name {token!r}", m.start(kind))
+        operand = kind != "op" or token == ")" or word == "]"
+        words.append(word + " ")
+        where += [m.start(kind)] * len(words[-1])
+    pos += len(src[pos:]) - len(src[pos:].lstrip())
+    if pos < len(src):  # reported before any other fault
+        raise ExpressionError(f"unexpected character {src[pos]!r}", pos)
+    if unknown:
+        raise unknown
+    leaves = {name: _const(v) for name, v in {**_CONSTS, **numbers}.items()}
+    return "".join(words), where + [len(src)], {"x": lambda x, y: x, "y": lambda x, y: y, **leaves}
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], src_len: int):
-        self.tokens = tokens
-        self.k = 0
-        self.src_len = src_len
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
-
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression", self.src_len)
-        self.k += 1
-        return tok
-
-    def expect_op(self, text: str):
-        tok = self.take()
-        if tok.kind != "op" or tok.text != text:
-            raise ExpressionError(f"expected {text!r}", tok.pos)
-
-    def expr(self):
-        node = self.term()
-        while (tok := self.peek()) and tok.kind == "op" and tok.text in "+-":
-            self.take()
-            rhs = self.term()
-            node = (lambda a, b: lambda x, y: a(x, y) + b(x, y))(node, rhs) if tok.text == "+" else (
-                lambda a, b: lambda x, y: a(x, y) - b(x, y)
-            )(node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while (tok := self.peek()) and tok.kind == "op" and tok.text in "*/":
-            self.take()
-            rhs = self.factor()
-            node = (lambda a, b: lambda x, y: a(x, y) * b(x, y))(node, rhs) if tok.text == "*" else (
-                lambda a, b: lambda x, y: a(x, y) / b(x, y)
-            )(node, rhs)
-        return node
-
-    def factor(self):
-        # unary minus binds looser than the power: -2^2 = -(2^2)
-        tok = self.peek()
-        if tok and tok.kind == "op" and tok.text == "-":
-            self.take()
-            inner = self.factor()
-            return lambda x, y, a=inner: -a(x, y)
-        return self.power()
-
-    def power(self):
-        base = self.primary()
-        tok = self.peek()
-        if tok and tok.kind == "op" and tok.text == "^":
-            self.take()
-            exponent = self.factor()  # right-associative
-            return lambda x, y, a=base, b=exponent: a(x, y) ** b(x, y)
-        return base
-
-    def primary(self):
-        tok = self.take()
-        if tok.kind == "num":
-            val = float(tok.text)
-            return lambda x, y, v=val: v + 0.0 * x
-        if tok.kind == "name":
-            if tok.text == "x":
-                return lambda x, y: x
-            if tok.text == "y":
-                return lambda x, y: y
-            if tok.text in _CONSTS:
-                val = _CONSTS[tok.text]
-                return lambda x, y, v=val: v + 0.0 * x
-            if tok.text in _FUNCS:
-                fn = _FUNCS[tok.text]
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return lambda x, y, f=fn, a=inner: f(a(x, y))
-            raise ExpressionError(f"unknown name {tok.text!r}", tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        if tok.kind == "op" and tok.text == "|":
-            inner = self.expr()
-            self.expect_op("|")
-            return lambda x, y, a=inner: np.abs(a(x, y))
-        raise ExpressionError(f"unexpected token {tok.text!r}", tok.pos)
+def _build(node: ast.expr, leaves: dict):
+    """The closure of ``node``, recursing one frame per level of nesting. A
+    node outside the grammar is a SyntaxError at its column (a call's at its
+    parenthesis)."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op, a, b = _BINARY[type(node.op)], _build(node.left, leaves), _build(node.right, leaves)
+        return lambda x, y: op(a(x, y), b(x, y))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        a = _build(node.operand, leaves)
+        return lambda x, y: -a(x, y)
+    if isinstance(node, ast.Subscript):  # _bar[e]: the token pass spells no other subscript
+        a = _build(node.slice, leaves)
+        return lambda x, y: np.abs(a(x, y))
+    if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FUNCS
+            and len(node.args) == 1 and not node.keywords):
+        f, a = _FUNCS[node.func.id], _build(node.args[0], leaves)
+        return lambda x, y: f(a(x, y))
+    if isinstance(node, ast.Name) and node.id in leaves:
+        return leaves[node.id]
+    col = node.func.end_col_offset + 1 if isinstance(node, ast.Call) else node.col_offset
+    raise SyntaxError("outside the grammar", ("", 1, col + 1, ""))
 
 
 def compile_expression(src: str):
     """Compile a data expression to a vectorized callable fn(x, y)."""
-    tokens = _tokenize(src)
-    if not tokens:
-        raise ExpressionError("empty expression", 0)
-    parser = _Parser(tokens, len(src))
-    fn = parser.expr()
-    if parser.peek() is not None:
-        raise ExpressionError(f"trailing input {parser.peek().text!r}", parser.peek().pos)
-    return fn
+    text, where, leaves = _spell(src)
+    try:
+        return _build(ast.parse(text, mode="eval").body, leaves)
+    except SyntaxError as exc:
+        pos = where[min(exc.offset or len(where), len(where)) - 1]  # offset 0: at the end
+        if "nested" in exc.msg:  # more than Python's 200 open brackets
+            raise ExpressionError("expression nested too deeply", pos) from None
+        m = _TOKEN.match(src, pos)
+        raise ExpressionError(f"unexpected {repr(m[0]) if m else 'end of expression'}", pos) from None
+    except (RecursionError, MemoryError):  # MemoryError: the parser's stack overflowed
+        raise ExpressionError("expression nested too deeply", 0) from None

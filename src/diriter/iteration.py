@@ -153,9 +153,10 @@ def dirichlet_iterate(
     """Run the iteration; returns the converged iterate and its report.
 
     Raises NonFiniteData before any solve when a data field holds NaN or inf,
-    and IterationDiverged / IterationMaxIters with the partial report and
-    last iterate attached. ``u0`` overrides the configured start (it must
-    already carry the boundary values). ``observe(u)``, if given, runs on
+    ValueError when one lives on another grid, and IterationDiverged /
+    IterationMaxIters with the partial report and last iterate attached.
+    ``u0`` overrides the configured start (it must already carry the
+    boundary values). ``observe(u)``, if given, runs on
     every iterate once its row is appended, before the stop rules, so a
     failed run's last iterate is observed too; rows and iterates are the
     same with or without it. No C^{2,alpha} estimate (``c2alpha_observer``),
@@ -171,6 +172,9 @@ def dirichlet_iterate(
     slab at a time, never whole.
     """
     check_finite_data(spec)
+    for name, data in data_fields(spec).items():
+        if data.grid.shape != grid.shape:
+            raise ValueError(f"data field {name!r} lives on a different grid")
     solver = PoissonSolver(grid)
 
     if u0 is not None:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from diriter.cli import (
 from diriter.expressions import compile_expression
 
 from conftest import traced_peak_fields
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BASE = """
 [domain]
@@ -261,6 +264,16 @@ def test_unusable_out_directory_is_one_error_line(tmp_path, capsys, out):
     assert lines[0].startswith(f"error: cannot create output directory {tmp_path / out}: ")
 
 
+@pytest.mark.parametrize("command, output", [("solve", "report.json"), ("sweep", "sweep.csv")])
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, command, output):
+    config = GOLDEN / {"solve": "solve-t-star-gamma-g.ini", "sweep": "sweep-rect.ini"}[command]
+    (tmp_path / output).mkdir()  # a directory where the command writes a file
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
+    assert str(tmp_path / output) in lines[0]
+
+
 def test_bad_expression_reports_usage_error(tmp_path):
     cfg = write_cfg(tmp_path, BASE.replace("h = 1\nK = 0", "h = sqrt(2)\nK = 0"))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -398,6 +411,46 @@ def test_sweep_holds_one_scaled_data_field_at_a_time():
     assert peaks[10] <= peaks[1] + 0.5
 
 
+def test_one_sweep_value_holds_one_scaled_field():
+    # the scaled product is the field: no copy of it is taken
+    grid = build_grid(Domain.strip_truncation(1.0, 2), 1 / 128)
+    spec = nonlinearity.MeanCurvature(H=grid.field_from(compile_expression("0.3 + 0.05*cos(x)")), n=2)
+    peak = traced_peak_fields(grid, lambda: cli._apply_sweep_value(spec, "H_amplitude", 0.4))
+    assert peak <= 1.1
+
+
+def test_sweep_checks_its_values_without_scaling_a_field(monkeypatch):
+    # the traced peak between the check of the data and the first run's spec
+    # is that of the check of the values; the run itself is cut off
+    grid = build_grid(Domain.strip_truncation(1.0, 2), 1 / 128)
+    spec = nonlinearity.MeanCurvature(H=grid.field_from(compile_expression("0.3 + 0.05*cos(x)")), n=2)
+    cfg = IterationConfig(max_iters=60, h1_tol=1e-10, lambda_value=2.0)
+    entry_peaks = []
+    apply, check_data = cli._apply_sweep_value, cli.check_finite_data
+
+    def checked_data(spec):
+        check_data(spec)
+        tracemalloc.reset_peak()
+
+    def traced_apply(*args):
+        entry_peaks.append(tracemalloc.get_traced_memory()[1])
+        return apply(*args)
+
+    class FirstRun(Exception):
+        pass
+
+    def first_run(*args, **kwargs):
+        raise FirstRun
+
+    monkeypatch.setattr(cli, "check_finite_data", checked_data)
+    monkeypatch.setattr(cli, "_apply_sweep_value", traced_apply)
+    monkeypatch.setattr(cli, "dirichlet_iterate", first_run)
+    values = [0.04 * k for k in range(1, 11)]
+    traced_peak_fields(grid, lambda: pytest.raises(FirstRun, run_sweep, grid, spec, cfg,
+                                                   "H_amplitude", values))
+    assert entry_peaks[-1] / (8 * grid.nx * grid.ny) <= 0.1
+
+
 def test_sweep_empty_values_is_usage_error(tmp_path):
     text = BASE + "\n[sweep]\nparameter = K\nvalues =\n"
     cfg = write_cfg(tmp_path, text)
@@ -473,6 +526,16 @@ n_max = 8
 compact_halfwidth = 2
 compact_tol = 1e-6
 """
+
+
+def test_failed_exhaustion_is_one_line_and_writes_nothing(tmp_path, capsys):
+    text = (GOLDEN / "exhaust-arc.ini").read_text()
+    cfg = write_cfg(tmp_path, re.sub(r"^H = .*$", "H = 2.0", text, flags=re.M))
+    out = tmp_path / "out"
+    assert main(["exhaust", "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("exhaustion failed: truncation n = 3: ")
+    assert list(out.iterdir()) == []
 
 
 def test_exhaust_tails_below_tolerance(tmp_path):

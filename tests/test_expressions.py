@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from diriter import cli
 from diriter.expressions import ExpressionError, compile_expression
 
 
@@ -24,6 +26,10 @@ def test_arithmetic_precedence():
     assert ev("2 ^ 3 ^ 2") == 512.0  # right-associative power
     assert ev("-2 ^ 2") == -4.0
     assert ev("1 - 2 - 3") == -4.0
+    assert ev("2^-1") == 0.5
+    assert ev("-x^2", x=3.0) == -9.0  # the power binds tighter than unary minus
+    assert ev("2*-3") == -6.0
+    assert ev("-2^-2") == -0.25
 
 
 def test_functions_and_abs():
@@ -33,6 +39,9 @@ def test_functions_and_abs():
     assert ev("abs(0 - 3)") == 3.0
     assert ev("|0 - 3|") == 3.0
     assert ev("2 * |x| + 1", x=-2.0) == 5.0
+    assert ev("|x - |y||", x=1.0, y=-3.0) == 2.0  # a bar after an operand closes, else it opens
+    assert ev("||x||", x=-2.0) == 2.0
+    assert ev("|-x|^2", x=3.0) == 9.0
 
 
 def test_vectorized_evaluation():
@@ -63,3 +72,43 @@ def test_errors_carry_positions():
         compile_expression("sqrt(2)")  # not part of the grammar
     with pytest.raises(ExpressionError):
         compile_expression("z + 1")
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["+1", "x y", "2|x|", "sin x", "sin()", "sin(x)(y)", "pi(1)", "| 2)", "(|x)|", "0x1", "1_0",
+     "not x", "x if y else 1", "__import__", "_bar", "_0"],
+)
+def test_rejections_speak_the_grammar(src):
+    # the Python spelling of the tokens never shows through a message
+    with pytest.raises(ExpressionError) as err:
+        compile_expression(src)
+    message = str(err.value)
+    for spelling in ("_bar", "[", "]", "**"):
+        assert spelling not in message or spelling in src
+    assert not re.search(r"_\d", message) or re.search(r"_\d", src)
+    assert 0 <= err.value.pos <= len(src)
+
+
+DEEP = {
+    "parentheses": "(" * 250 + "x" + ")" * 250,
+    "bars": "|" * 250 + "x" + "|" * 250,
+    "sum": "+".join(["x"] * 1200),
+    "minuses": "-" * 20000 + "x",
+}
+
+
+@pytest.mark.parametrize("src", DEEP.values(), ids=DEEP.keys())
+def test_nesting_beyond_pythons_limits_is_an_expression_error(src):
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        compile_expression(src)
+
+
+@pytest.mark.parametrize("src", DEEP.values(), ids=DEEP.keys())
+def test_nesting_beyond_pythons_limits_is_one_error_line(src, tmp_path, capsys):
+    cfg = tmp_path / "deep.ini"
+    cfg.write_text("[domain]\na = 1\nb = 1\n[grid]\nh = 0.25\n"
+                   f"[rhs]\nvariant = grad_lipschitz\nh = {src}\n")
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [rhs] h: ")

@@ -534,3 +534,18 @@ def test_strip_run_holds_at_most_seven_grid_fields():
     assert grid.shape == (1025, 257)
     assert rep.outcome == "converged" and len(rep.rows) == len(estimates) == 12
     assert peak <= 7 * 8 * grid.nx * grid.ny
+
+
+@pytest.mark.parametrize("shape", ["wider", "taller"])
+def test_data_on_another_grid_is_rejected_before_any_solve(unit_grid_16, monkeypatch, shape):
+    # a 33x17 field once ran on its first 17 rows; a 17x33 one failed to broadcast
+    a, b = (2.0, 1.0) if shape == "wider" else (1.0, 2.0)
+    other = build_grid(Domain.rectangle(a, b), 1 / 16)
+    spec = GradLipschitz(h=other.constant(1.0), K=0.05)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(poisson.PoissonSolver, "solve", no_solve)
+    with pytest.raises(ValueError, match="data field 'h' lives on a different grid"):
+        dirichlet_iterate(unit_grid_16, spec, base_cfg())
