@@ -20,7 +20,7 @@ from .calculus import (
     norm_sup,
     verify_poincare,
 )
-from .domain import Domain, Grid, GridField, build_grid, domain_constants
+from .domain import Domain, Grid, GridField, build_grid
 from .errors import (
     ConfigError,
     DiriterError,
@@ -97,7 +97,6 @@ __all__ = [
     "contraction_theory",
     "data_norms",
     "dirichlet_iterate",
-    "domain_constants",
     "estimate_schauder_constant",
     "evaluate_rhs",
     "exhaustion_solve",

@@ -31,7 +31,7 @@ import numpy as np
 
 from .calculus import NormConfig, estimate_schauder_constant, poincare_suite, sup_abs, verify_poincare
 from .domain import Domain, Grid, GridField, build_grid
-from .errors import ConfigError, DiriterError, IterationDiverged, IterationFailure, NotConforming
+from .errors import ConfigError, DiriterError, IterationFailure, NotConforming
 from .expressions import ExpressionError, compile_expression
 from .iteration import (
     IterationConfig,
@@ -491,7 +491,7 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
         result = exhaustion_solve(spec, ex_cfg, h)
     except IterationFailure as exc:
         print(f"exhaustion failed: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED if isinstance(exc, IterationDiverged) else EXIT_MAX_ITERS
+        return _OUTCOME_EXIT[exc.report.outcome]
 
     rows = []
     for j, n in enumerate(result.truncations):

@@ -1,9 +1,10 @@
-"""Continuous domains (rectangles, truncated strips) and their uniform grids.
+"""Continuous domains and their uniform grids.
 
-Coordinates: rectangles live on [0, a] x [0, b]; a strip truncation of width d
-and half-length n lives on [-n, n] x (-d/2, d/2), so the bounded direction is
-centred on y = 0. Grids are uniform with the same spacing on both axes, and
-every type here is immutable after construction.
+A domain is an axis-parallel box, given by its origin (lower-left corner) and
+its extents. A rectangle a x b lives on [0, a] x [0, b]; a strip truncation of
+width d and half-length n lives on [-n, n] x (-d/2, d/2), so the bounded
+direction is centred on y = 0. Grids are uniform with the same spacing on both
+axes, and every type here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -15,84 +16,44 @@ import numpy as np
 
 from .errors import SpacingTooCoarse
 
-RECTANGLE = "rectangle"
-STRIP = "strip-truncation"
-
 # the four edges of a grid array, in the order of GridField.boundary_values
 _EDGES = (np.s_[0], np.s_[-1], np.s_[1:-1, 0], np.s_[1:-1, -1])
 
 
 @dataclass(frozen=True)
 class Domain:
-    """A rectangle a x b or a truncated strip [-n_trunc, n_trunc] x (-d/2, d/2)."""
+    """The box [x0, x0 + ex] x [y0, y0 + ey], with origin (x0, y0) and extents (ex, ey)."""
 
-    kind: str
-    a: float = 0.0
-    b: float = 0.0
-    d: float = 0.0
-    n_trunc: float = 0.0
+    origin: tuple[float, float]
+    extents: tuple[float, float]
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if self.kind == RECTANGLE:
-            if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
-                raise ValueError(f"rectangle extents a = {self.a} and b = {self.b} "
-                                 "must be positive and finite")
-        elif self.kind == STRIP:
-            if not (0.0 < self.d < math.inf and 0.0 < self.n_trunc < math.inf):
-                raise ValueError(f"strip width d = {self.d} and half-length n_trunc = "
-                                 f"{self.n_trunc} must be positive and finite")
-        else:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
+        if not all(0.0 < e < math.inf for e in self.extents):  # NaN fails
+            raise ValueError(f"extents {self.extents} must be positive and finite")
 
     @classmethod
     def rectangle(cls, a: float, b: float) -> "Domain":
-        return cls(kind=RECTANGLE, a=float(a), b=float(b))
+        return cls((0.0, 0.0), (float(a), float(b)))
 
     @classmethod
     def strip_truncation(cls, d: float, n_trunc: float) -> "Domain":
-        return cls(kind=STRIP, d=float(d), n_trunc=float(n_trunc))
-
-    @property
-    def extents(self) -> tuple[float, float]:
-        """(x extent, y extent) of the bounding box."""
-        if self.kind == RECTANGLE:
-            return (self.a, self.b)
-        return (2.0 * self.n_trunc, self.d)
-
-    @property
-    def origin(self) -> tuple[float, float]:
-        if self.kind == RECTANGLE:
-            return (0.0, 0.0)
-        return (-self.n_trunc, -self.d / 2.0)
+        n, d = float(n_trunc), float(d)
+        return cls((-n, -d / 2.0), (2.0 * n, d))
 
     def slab_diameter(self) -> float:
         """Smallest gap between two parallel lines enclosing the domain."""
-        if self.kind == RECTANGLE:
-            return min(self.a, self.b)
-        return self.d
+        return min(self.extents)
 
-    def volume(self) -> float:
+    @property
+    def kappa_volumetric(self) -> float:
+        """Poincaré constant (|domain| / omega_2)^(1/2), omega_2 = pi the area of the unit disc."""
         ex, ey = self.extents
-        return ex * ey
+        return (ex * ey / math.pi) ** 0.5
 
-
-def domain_constants(domain: Domain) -> dict:
-    """Measure, slab diameter and the two Poincaré constants of the domain.
-
-    kappa_volumetric = (|domain| / omega_2)^(1/2) with omega_2 = pi, the area of
-    the unit disc; kappa_slab = delta / sqrt(2).
-    """
-    vol = domain.volume()
-    delta = domain.slab_diameter()
-    kappa_vol = (vol / math.pi) ** 0.5
-    kappa_slab = delta / math.sqrt(2.0)
-    return {
-        "volume": vol,
-        "slab_diameter": delta,
-        "kappa_volumetric": kappa_vol,
-        "kappa_slab": kappa_slab,
-    }
+    @property
+    def kappa_slab(self) -> float:
+        """Poincaré constant delta / sqrt(2), delta the slab diameter."""
+        return self.slab_diameter() / math.sqrt(2.0)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -180,6 +141,8 @@ def build_grid(domain: Domain, h: float) -> Grid:
     ex, ey = domain.extents
     if h > min(ex, ey) / 2.0:
         raise SpacingTooCoarse(f"h = {h} exceeds half the smallest extent {min(ex, ey)}")
+    if not math.isfinite(max(ex, ey) / h):
+        raise ValueError(f"spacing h = {h} is too fine for the extents {domain.extents}")
     nx = int(round(ex / h)) + 1
     ny = int(round(ey / h)) + 1
     if nx < 3 or ny < 3:

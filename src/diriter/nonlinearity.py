@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import NormConfig, dot_gradient, gradient_slabs, holder_norm, norm_sup
-from .domain import Domain, GridField, domain_constants
+from .calculus import NormConfig, dot_gradient, gradient_slabs, holder_norm, norm_sup, sup_abs
+from .domain import Domain, GridField
 from .errors import FixedPointInconsistent, MissingNorm, NonFiniteData
 
 
@@ -143,7 +143,7 @@ def check_finite_data(spec: RhsSpec) -> None:
     """Raise NonFiniteData when a data field holds NaN or inf: its norm would be
     NaN, every bound derived from it meaningless, and every iterate non-finite."""
     for name, data in data_fields(spec).items():
-        if not np.all(np.isfinite(data.values)):
+        if not math.isfinite(sup_abs(data.values)):  # NaN and inf reach the sup
             raise NonFiniteData(f"data field {name!r} holds NaN or inf")
 
 
@@ -291,7 +291,7 @@ def admissible_K_threshold(spec: GradLipschitz, domain: Domain, C: float, K0: fl
     """Largest admissible Lipschitz constant under the volumetric Poincaré constant."""
     if C <= 0:
         raise ValueError("C must be positive")
-    kappa = domain_constants(domain)["kappa_volumetric"]
+    kappa = domain.kappa_volumetric
     slope = _times_powers(spec.m, (C, spec.m - 1.0))  # 0 where it underflows
     return min((1.0 / slope) / kappa if slope else math.inf, K0)
 
@@ -328,19 +328,13 @@ class ContractionAnalysis:
     partial: bool = False
 
 
-def select_kappa(domain: Domain) -> float:
-    """The smaller of the volumetric and slab Poincaré constants."""
-    consts = domain_constants(domain)
-    return min(consts["kappa_volumetric"], consts["kappa_slab"])
-
-
 def analyze(spec: RhsSpec, domain: Domain, norms: dict, lam: float) -> ContractionAnalysis:
     """Bundle fixed point, contraction factor and admissibility thresholds.
 
-    kappa is ``select_kappa(domain)``; ``K_threshold`` is
-    ``admissible_K_threshold``'s, under the volumetric constant.
+    kappa is the smaller of the domain's two Poincaré constants;
+    ``K_threshold`` is ``admissible_K_threshold``'s, under the volumetric one.
     """
-    kappa = select_kappa(domain)
+    kappa = min(domain.kappa_volumetric, domain.kappa_slab)
     c_star = smallest_fixed_point(spec, domain, norms, lam)
     rho = None
     k_threshold = None

@@ -46,6 +46,8 @@ class ExhaustionConfig:
             raise ValueError(f"spacing h = {h} must be positive and finite")
         for gap in range(1, self.n_max - self.n_start + 1):
             steps = gap / h
+            if not math.isfinite(steps):
+                raise ValueError(f"spacing h = {h} is too fine for the gap {gap} between truncations")
             if abs(steps - round(steps)) > 1e-6:
                 raise ValueError(f"h = {h} does not divide {gap}, the gap between "
                                  f"truncations n = {self.n_max - gap} and n_max = {self.n_max}")

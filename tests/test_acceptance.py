@@ -24,7 +24,6 @@ from diriter import (
     c2alpha_observer,
     contraction_theory,
     dirichlet_iterate,
-    domain_constants,
     norm_h1semi,
     smallest_fixed_point,
     verify_poincare,
@@ -66,7 +65,7 @@ def test_criterion_2_slab_poincare_suite():
     checked = 0
     for dom, h in ((UNIT, 1.0 / 32), (Domain.strip_truncation(1.0, 2.0), 1.0 / 32)):
         grid = build_grid(dom, h)
-        kappa_slab = domain_constants(dom)["kappa_slab"]
+        kappa_slab = dom.kappa_slab
         for name, u in poincare_suite(grid, count=12, seed=1):
             lhs = verify_poincare(u, dom)["lhs"]
             gn = norm_h1semi(u)
@@ -120,8 +119,7 @@ def criterion_4_run():
 def test_criterion_4_contraction_realized():
     grid, spec, _, _, rep, estimates = criterion_4_run()
     assert rep.outcome == "converged"
-    consts = domain_constants(UNIT)
-    kappa = min(consts["kappa_volumetric"], consts["kappa_slab"])
+    kappa = min(UNIT.kappa_volumetric, UNIT.kappa_slab)
     bound = 2.0 * max(estimates) * spec.K * (kappa + 2 * grid.h) + 0.05
     rhos = [r.rho_i for r in rep.rows if r.rho_i is not None]
     assert rhos and max(rhos) <= bound

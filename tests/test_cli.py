@@ -322,6 +322,9 @@ def test_bad_expression_reports_usage_error(tmp_path):
          "compact_halfwidth = 1\n"),
         *[("exhaust", "h = 0.0625\n", "h = 0.125\n\n[exhaustion]\nd = 1\nn_start = 3\nn_max = 4\n"
            f"compact_halfwidth = 1\ncompact_tol = {tol}\n") for tol in ("nan", "-1", "inf")],
+        ("solve", "h = 0.0625", "h = 5e-324"),
+        ("solve", "a = 1\nb = 1\n\n[grid]\n", "a = 1e308\nb = 1\n\n[grid]\n"),
+        ("solve", "kind = rectangle\na = 1\nb = 1\n", "kind = strip\nd = 1\nn_trunc = 1e308\n"),
     ],
     ids=["alpha", "h", "K", "max_iters", "n_list", "lambda_trials", "schauder_trials",
          "schauder_d", "empty_n_list", "lambda_nan", "lambda_negative", "lambda_zero",
@@ -330,7 +333,8 @@ def test_bad_expression_reports_usage_error(tmp_path):
          "schauder_seed_negative", "a_inf", "a_nan", "h_nan", "K_nan", "sweep_K_negative",
          "sweep_K_nan", "sweep_H_amplitude_inf", "compact_halfwidth_nan",
          "compact_halfwidth_negative", "m_nan", "m_inf", "gamma_g_k_nan", "exhaust_h_misaligned",
-         "compact_tol_nan", "compact_tol_negative", "compact_tol_inf"],
+         "compact_tol_nan", "compact_tol_negative", "compact_tol_inf", "h_too_fine_for_extents",
+         "a_too_long_for_h", "n_trunc_extent_overflows"],
 )
 def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old, new):
     assert BASE.count(old) == 1
@@ -528,13 +532,21 @@ compact_tol = 1e-6
 """
 
 
-def test_failed_exhaustion_is_one_line_and_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "key, value, code, line",
+    [
+        ("H", "2.0", 2, r"exhaustion failed: truncation n = 3: .+"),
+        ("max_iters", "2", 3, r"exhaustion failed: truncation n = 3: no convergence within 2 iterations"),
+    ],
+    ids=["diverged", "max_iters"],
+)
+def test_failed_exhaustion_is_one_line_and_writes_nothing(tmp_path, capsys, key, value, code, line):
     text = (GOLDEN / "exhaust-arc.ini").read_text()
-    cfg = write_cfg(tmp_path, re.sub(r"^H = .*$", "H = 2.0", text, flags=re.M))
+    cfg = write_cfg(tmp_path, re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
     out = tmp_path / "out"
-    assert main(["exhaust", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["exhaust", "--config", cfg, "--out", str(out)]) == code
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("exhaustion failed: truncation n = 3: ")
+    assert len(lines) == 1 and re.fullmatch(line, lines[0])
     assert list(out.iterdir()) == []
 
 

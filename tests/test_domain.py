@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from diriter import Domain, SpacingTooCoarse, build_grid, domain_constants
+from diriter import Domain, SpacingTooCoarse, build_grid
 from diriter.expressions import compile_expression
 
 from conftest import traced_peak_fields
@@ -76,28 +77,38 @@ def test_too_coarse_raises():
 
 
 def test_unit_square_constants(unit_square):
-    consts = domain_constants(unit_square)
-    assert consts["volume"] == 1.0
-    assert consts["slab_diameter"] == 1.0
-    assert math.isclose(consts["kappa_volumetric"], (1.0 / math.pi) ** 0.5, rel_tol=1e-12)
-    assert math.isclose(consts["kappa_volumetric"], 0.564190, abs_tol=1e-6)
-    assert math.isclose(consts["kappa_slab"], 1.0 / math.sqrt(2.0), rel_tol=1e-12)
-    assert math.isclose(consts["kappa_slab"], 0.707107, abs_tol=1e-6)
+    assert math.prod(unit_square.extents) == 1.0
+    assert unit_square.slab_diameter() == 1.0
+    assert math.isclose(unit_square.kappa_volumetric, (1.0 / math.pi) ** 0.5, rel_tol=1e-12)
+    assert math.isclose(unit_square.kappa_volumetric, 0.564190, abs_tol=1e-6)
+    assert math.isclose(unit_square.kappa_slab, 1.0 / math.sqrt(2.0), rel_tol=1e-12)
+    assert math.isclose(unit_square.kappa_slab, 0.707107, abs_tol=1e-6)
 
 
 def test_flat_rectangle_constants():
-    consts = domain_constants(Domain.rectangle(2.0, 0.5))
-    assert consts["slab_diameter"] == 0.5
-    assert math.isclose(consts["kappa_slab"], 0.353553, abs_tol=1e-6)
+    dom = Domain.rectangle(2.0, 0.5)
+    assert dom.slab_diameter() == 0.5
+    assert math.isclose(dom.kappa_slab, 0.353553, abs_tol=1e-6)
 
 
 def test_strip_diameter_independent_of_truncation():
     for n_trunc in [1.0, 2.0, 5.0, 17.0, 133.0]:
         dom = Domain.strip_truncation(d=1.0, n_trunc=n_trunc)
         assert dom.slab_diameter() == 1.0
-        assert math.isclose(
-            domain_constants(dom)["kappa_slab"], 1.0 / math.sqrt(2.0), rel_tol=1e-12
-        )
+        assert math.isclose(dom.kappa_slab, 1.0 / math.sqrt(2.0), rel_tol=1e-12)
+
+
+def test_strip_shorter_than_wide_has_its_length_as_slab_diameter():
+    # the smallest gap between parallel lines enclosing [-0.25, 0.25] x (-0.5, 0.5)
+    assert Domain.strip_truncation(1.0, 0.25).slab_diameter() == 0.5
+
+
+def test_a_domain_is_an_origin_and_extents():
+    assert [f.name for f in dataclasses.fields(Domain)] == ["origin", "extents"]
+    rect = Domain.rectangle(2, 0.5)
+    assert (rect.origin, rect.extents) == ((0.0, 0.0), (2.0, 0.5))
+    strip = Domain.strip_truncation(d=1.0, n_trunc=3.0)
+    assert (strip.origin, strip.extents) == ((-3.0, -0.5), (6.0, 1.0))
 
 
 def test_kappas_positive_finite():
@@ -107,9 +118,8 @@ def test_kappas_positive_finite():
         Domain.rectangle(10, 0.1),
         Domain.strip_truncation(2.0, 3.0),
     ]:
-        consts = domain_constants(dom)
-        assert 0 < consts["kappa_volumetric"] < math.inf
-        assert 0 < consts["kappa_slab"] < math.inf
+        assert 0 < dom.kappa_volumetric < math.inf
+        assert 0 < dom.kappa_slab < math.inf
 
 
 def test_invalid_domains():
@@ -117,6 +127,8 @@ def test_invalid_domains():
         Domain.rectangle(-1.0, 1.0)
     with pytest.raises(ValueError):
         Domain.strip_truncation(0.0, 1.0)
+    with pytest.raises(ValueError):
+        Domain.strip_truncation(1.0, 1e308)  # finite n_trunc, but its extent 2 n_trunc is not
 
 
 def test_field_shape_guard(unit_grid_16):

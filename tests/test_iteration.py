@@ -20,7 +20,6 @@ from diriter import (
     c2alpha_observer,
     contraction_theory,
     dirichlet_iterate,
-    domain_constants,
     evaluate_rhs,
     gradient,
     laplacian_apply,
@@ -65,8 +64,7 @@ def test_contraction_chain(unit_grid_32, unit_square):
     estimates, observe = c2alpha_observer(cfg.norm_cfg)
     u, rep = dirichlet_iterate(unit_grid_32, spec, cfg, observe=observe)
     assert rep.outcome == "converged"
-    consts = domain_constants(unit_square)
-    kap = min(consts["kappa_volumetric"], consts["kappa_slab"]) + 2 * unit_grid_32.h
+    kap = min(unit_square.kappa_volumetric, unit_square.kappa_slab) + 2 * unit_grid_32.h
     bound = 2.0 * max(estimates) * K * kap + 0.05
     rhos = [r.rho_i for r in rep.rows if r.rho_i is not None]
     assert rhos and max(rhos) <= bound

@@ -28,7 +28,7 @@ from diriter import (
 from diriter import nonlinearity
 from diriter.nonlinearity import gamma_g_combination, is_partial_bound
 
-from conftest import random_smooth
+from conftest import random_smooth, traced_peak_fields
 from reference import curvature_coupling
 
 DOM = Domain.rectangle(1.0, 1.0)
@@ -419,7 +419,7 @@ def test_every_field_reaches_rhs_and_theory(unit_grid_16, family):
     grid = unit_grid_16
     u = grid.field_from(lambda x, y: 0.8 * np.sin(np.pi * x) * np.sin(np.pi * y) + 0.3 * x)
     cfg = NormConfig(alpha=0.5)
-    kappa = nonlinearity.select_kappa(DOM)
+    kappa = min(DOM.kappa_volumetric, DOM.kappa_slab)
 
     def outputs(spec):
         f = evaluate_rhs(spec, u).values
@@ -535,3 +535,20 @@ def test_data_norms_reject_non_finite_fields(unit_grid_16, bad):
     ):
         with pytest.raises(NonFiniteData):
             data_norms(spec, cfg)
+
+
+def test_finite_data_check_allocates_no_grid():
+    # on the 1025 x 129 strip a boolean isfinite grid alone is 0.125 fields
+    grid = build_grid(Domain.strip_truncation(1.0, 4.0), 1.0 / 128)
+    spec = GammaG(gamma=grid.constant(1.0), h=grid.constant(0.5))
+    assert traced_peak_fields(grid, lambda: nonlinearity.check_finite_data(spec)) <= 0.01
+
+
+def test_short_strip_kappa_is_its_slab_constant():
+    # [-0.25, 0.25] x (-0.5, 0.5): the slab diameter is the length 0.5, not the width 1
+    dom = Domain.strip_truncation(1.0, 0.25)
+    grid = build_grid(dom, 1.0 / 16)
+    spec = GradLipschitz(h=grid.constant(1.0), K=0.05, m=2.0)
+    theory = analyze(spec, dom, {"h_alpha": 1.0}, lam=2.0)
+    assert theory.kappa == 0.5 / math.sqrt(2.0)
+    assert theory.rho == contraction_bound(spec, theory.C, 0.5 / math.sqrt(2.0))

@@ -142,6 +142,9 @@ def test_exhaustion_rejects_a_spacing_off_the_largest_grid():
         with pytest.raises(ValueError, match="positive and finite"):
             cfg.check_spacing(h)
     cfg.check_spacing(0.25)
+    # 1 / 5e-324 is inf, whose round() would raise OverflowError
+    with pytest.raises(ValueError, match="too fine"):
+        cfg.check_spacing(5e-324)
     # a single truncation has no gap to divide
     dataclasses.replace(cfg, n_start=4).check_spacing(0.3)
 
