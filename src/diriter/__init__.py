@@ -21,19 +21,7 @@ from .calculus import (
     verify_poincare,
 )
 from .domain import Domain, Grid, GridField, build_grid
-from .errors import (
-    ConfigError,
-    DiriterError,
-    FixedPointInconsistent,
-    GridTooCoarse,
-    IterationDiverged,
-    IterationMaxIters,
-    MissingNorm,
-    NoConvergence,
-    NonFiniteData,
-    NotConforming,
-    SpacingTooCoarse,
-)
+from .errors import DiriterError, IterationFailure, NotConforming
 from .iteration import (
     IterationConfig,
     IterationReport,
@@ -64,30 +52,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcSolution",
-    "ConfigError",
     "ContractionAnalysis",
     "DiriterError",
     "Domain",
     "ExhaustionConfig",
     "ExhaustionResult",
-    "FixedPointInconsistent",
     "GammaG",
     "GradLipschitz",
     "Grid",
     "GridField",
-    "GridTooCoarse",
     "IterationConfig",
-    "IterationDiverged",
-    "IterationMaxIters",
+    "IterationFailure",
     "IterationReport",
     "MeanCurvature",
-    "MissingNorm",
-    "NoConvergence",
-    "NonFiniteData",
     "NormConfig",
     "NotConforming",
     "PoissonSolver",
-    "SpacingTooCoarse",
     "admissible_K_threshold",
     "analyze",
     "build_grid",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain, Grid, GridField
-from .errors import GridTooCoarse, NotConforming
+from .errors import DiriterError, NotConforming
 
 @dataclass(frozen=True)
 class NormConfig:
@@ -298,7 +298,7 @@ def c2alpha_estimate(u: GridField, cfg: NormConfig) -> float:
     """
     g = u.grid
     if min(g.shape) < 5:
-        raise GridTooCoarse("c2alpha_estimate needs at least 5 nodes per axis")
+        raise DiriterError("c2alpha_estimate needs at least 5 nodes per axis")
     h = g.h
     work = np.empty(g.shape)
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .calculus import NormConfig, estimate_schauder_constant, poincare_suite, sup_abs, verify_poincare
 from .domain import Domain, Grid, GridField, build_grid
-from .errors import ConfigError, DiriterError, IterationFailure, NotConforming
+from .errors import DiriterError, IterationFailure, NotConforming
 from .expressions import ExpressionError, compile_expression
 from .iteration import (
     IterationConfig,
@@ -71,15 +71,16 @@ def _load_config(path: str) -> configparser.ConfigParser:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
+        raise DiriterError(f"cannot read config {path}: {exc}") from exc
+    except configparser.Error as exc:  # its message may span lines; the error line may not
+        flat = " ".join(line.strip() for line in str(exc).splitlines())
+        raise DiriterError(f"config parse error: {flat}") from exc
     return parser
 
 
 def _section(cfg: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
     if not cfg.has_section(name):
-        raise ConfigError(f"missing [{name}] section")
+        raise DiriterError(f"missing [{name}] section")
     return cfg[name]
 
 
@@ -88,67 +89,56 @@ def _optional_section(cfg: configparser.ConfigParser, name: str) -> configparser
     return cfg[name] if cfg.has_section(name) else configparser.SectionProxy(cfg, name)
 
 
-def _get_float(sec, key, default=None) -> float:
+def _get(sec, key, kind=float, default=None):
+    """``kind(value)`` of ``key`` (float, int or str), or ``default`` when the
+    section does not set it; a missing key without a default is an error."""
     if key not in sec:
         if default is None:
-            raise ConfigError(f"[{sec.name}] is missing key {key!r}")
+            raise DiriterError(f"[{sec.name}] is missing key {key!r}")
         return default
     try:
-        return float(sec[key])
+        return kind(sec[key])
     except ValueError as exc:
-        raise ConfigError(f"[{sec.name}] {key} = {sec[key]!r} is not a number") from exc
+        noun = "an integer" if kind is int else "a number"
+        raise DiriterError(f"[{sec.name}] {key} = {sec[key]!r} is not {noun}") from exc
 
 
-def _get_int(sec, key, default=None) -> int:
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"[{sec.name}] is missing key {key!r}")
-        return default
-    try:
-        return int(sec[key])
-    except ValueError as exc:
-        raise ConfigError(f"[{sec.name}] {key} = {sec[key]!r} is not an integer") from exc
-
-
-def _get_str(sec, key) -> str:
-    return sec[key].strip()
-
-
-def _given(sec, **readers) -> dict:
-    """``{key: read(sec, key)}`` for each key the section sets. A key it does
-    not set is left out, so the default of the callee is the only copy."""
-    return {key: read(sec, key) for key, read in readers.items() if key in sec}
+def _given(sec, **kinds) -> dict:
+    """``{key: _get(sec, key, kind)}`` for each key the section sets. A key it
+    does not set is left out, so the default of the callee is the only copy."""
+    return {key: _get(sec, key, kind) for key, kind in kinds.items() if key in sec}
 
 
 def _field_from_expr(sec, key: str, grid: Grid, default: str | None = None) -> GridField:
     text = sec.get(key, default)
     if text is None:
-        raise ConfigError(f"[{sec.name}] is missing expression {key!r}")
+        raise DiriterError(f"[{sec.name}] is missing expression {key!r}")
     try:
         fn = compile_expression(text)
     except ExpressionError as exc:
-        raise ConfigError(f"[{sec.name}] {key}: {exc}") from exc
+        raise DiriterError(f"[{sec.name}] {key}: {exc}") from exc
     return grid.field_from(fn)
 
 
 @contextlib.contextmanager
 def _rejected_values(section: str):
-    """Report a configured value that a constructor rejects as a ConfigError."""
+    """Report a configured value that a constructor rejects as a DiriterError
+    naming its section."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from exc
+        raise DiriterError(f"[{section}] {exc}") from exc
 
 
 def build_domain(cfg: configparser.ConfigParser) -> Domain:
     sec = _section(cfg, "domain")
-    kind = sec.get("kind", "rectangle").strip()
+    kind = sec.get("kind", "rectangle")
     with _rejected_values("domain"):
         if kind == "rectangle":
-            return Domain.rectangle(_get_float(sec, "a"), _get_float(sec, "b"))
+            return Domain.rectangle(_get(sec, "a"), _get(sec, "b"))
         if kind in ("strip", "strip-truncation"):
-            return Domain.strip_truncation(_get_float(sec, "d"), _get_float(sec, "n_trunc"))
-    raise ConfigError(f"[domain] unknown kind {kind!r}")
+            return Domain.strip_truncation(_get(sec, "d"), _get(sec, "n_trunc"))
+    raise DiriterError(f"[domain] unknown kind {kind!r}")
 
 
 def _build_grid(domain: Domain, h: float) -> Grid:
@@ -158,24 +148,24 @@ def _build_grid(domain: Domain, h: float) -> Grid:
 
 def build_rhs(cfg: configparser.ConfigParser, grid: Grid) -> RhsSpec:
     sec = _section(cfg, "rhs")
-    variant = sec.get("variant", "").strip()
+    variant = sec.get("variant", "")
     with _rejected_values("rhs"):
         if variant == "grad_lipschitz":
             return GradLipschitz(
                 h=_field_from_expr(sec, "h", grid, default="0"),
-                K=_get_float(sec, "K", 0.0),
-                **_given(sec, m=_get_float),
+                K=_get(sec, "K", default=0.0),
+                **_given(sec, m=float),
             )
         if variant == "gamma_g":
             return GammaG(
                 gamma=_field_from_expr(sec, "gamma", grid),
                 h=_field_from_expr(sec, "h", grid, default="0"),
-                **_given(sec, m=_get_float, k=_get_float),
+                **_given(sec, m=float, k=float),
             )
         if variant == "mean_curvature":
-            return MeanCurvature(H=_field_from_expr(sec, "H", grid), **_given(sec, n=_get_int))
-    raise ConfigError(f"[rhs] unknown variant {variant!r} "
-                      "(expected grad_lipschitz | gamma_g | mean_curvature)")
+            return MeanCurvature(H=_field_from_expr(sec, "H", grid), **_given(sec, n=int))
+    raise DiriterError(f"[rhs] unknown variant {variant!r} "
+                       "(expected grad_lipschitz | gamma_g | mean_curvature)")
 
 
 def build_iteration_config(
@@ -184,19 +174,13 @@ def build_iteration_config(
     it = _optional_section(cfg, "iteration")
     an = _optional_section(cfg, "analysis")
 
-    iteration = _given(
-        it, max_iters=_get_int, h1_tol=_get_float, blowup_sup=_get_float, start=_get_str
-    )
+    iteration = _given(it, max_iters=int, h1_tol=float, blowup_sup=float, start=str)
     if "phi" in it:
         iteration["phi"] = _field_from_expr(it, "phi", grid)
 
-    analysis = _given(an, lambda_trials=_get_int, lambda_seed=_get_int)
-    lam_text = an.get("lambda", "estimate").strip()
-    if lam_text != "estimate":
-        try:
-            analysis["lambda_value"] = float(lam_text)
-        except ValueError as exc:
-            raise ConfigError(f"[analysis] lambda = {lam_text!r} is not a number") from exc
+    analysis = _given(an, lambda_trials=int, lambda_seed=int)
+    if _get(an, "lambda", str, "estimate") != "estimate":
+        analysis["lambda_value"] = _get(an, "lambda")
     if seed_override is not None:
         analysis["lambda_seed"] = seed_override
 
@@ -205,7 +189,7 @@ def build_iteration_config(
     # replace() checks every field again; only the [analysis] ones can fail now
     with _rejected_values("analysis"):
         return dataclasses.replace(
-            it_cfg, norm_cfg=NormConfig(**_given(an, alpha=_get_float)), **analysis
+            it_cfg, norm_cfg=NormConfig(**_given(an, alpha=float)), **analysis
         )
 
 
@@ -324,7 +308,7 @@ def write_solution(path: Path, u: GridField) -> None:
 
 def cmd_solve(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
     domain = build_domain(cfg)
-    grid = _build_grid(domain, _get_float(_section(cfg, "grid"), "h"))
+    grid = _build_grid(domain, _get(_section(cfg, "grid"), "h"))
     spec = build_rhs(cfg, grid)
     it_cfg = build_iteration_config(cfg, grid, seed)
 
@@ -353,17 +337,17 @@ _SUP_PARAMETERS = {
 def _apply_sweep_value(spec: RhsSpec, parameter: str, value: float) -> RhsSpec:
     if parameter == "K":
         if not isinstance(spec, GradLipschitz):
-            raise ConfigError("sweep parameter K needs the grad_lipschitz variant")
+            raise DiriterError("[sweep] sweep parameter K needs the grad_lipschitz variant")
         return dataclasses.replace(spec, K=value)
     if parameter not in _SUP_PARAMETERS:
-        raise ConfigError(f"unknown sweep parameter {parameter!r}")
+        raise DiriterError(f"[sweep] unknown sweep parameter {parameter!r}")
     family, variant, name = _SUP_PARAMETERS[parameter]
     if not isinstance(spec, family):
-        raise ConfigError(f"sweep parameter {parameter} needs the {variant} variant")
+        raise DiriterError(f"[sweep] sweep parameter {parameter} needs the {variant} variant")
     data = data_fields(spec)[name]
     base = sup_abs(data.values)
     if base == 0:
-        raise ConfigError(f"configured {name} is identically zero; nothing to scale")
+        raise DiriterError(f"[sweep] configured {name} is identically zero; nothing to scale")
     return dataclasses.replace(spec, **{name: data.grid._own(data.values * (value / base))})
 
 
@@ -374,7 +358,7 @@ def run_sweep(
 
     The rows read no C^{2,alpha} estimate and no theory: no observer is
     attached, and Λ is neither read nor estimated. NaN or inf in a data field
-    raises NonFiniteData, and a value the family rejects a ConfigError, before
+    raises DiriterError, and so does a value the family rejects, before
     any run. The runs hold one value's spec at a time (for ``H_amplitude``
     and ``gamma_sup`` a scaled copy of the data). Only K is checked value by
     value before the runs: a scaled field takes any finite value, and the
@@ -383,9 +367,9 @@ def run_sweep(
     other than divergence or the iteration budget gets an ``error:`` row.
     """
     if not values:
-        raise ConfigError("sweep needs a nonempty ascending list of values")
+        raise DiriterError("[sweep] sweep needs a nonempty ascending list of values")
     if sorted(values) != list(values):
-        raise ConfigError("sweep values must be sorted ascending")
+        raise DiriterError("[sweep] sweep values must be sorted ascending")
     check_finite_data(spec)
     with _rejected_values("sweep"):
         for value in values if parameter == "K" else ():
@@ -412,17 +396,17 @@ def run_sweep(
 
 def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
     domain = build_domain(cfg)
-    grid = _build_grid(domain, _get_float(_section(cfg, "grid"), "h"))
+    grid = _build_grid(domain, _get(_section(cfg, "grid"), "h"))
     spec = build_rhs(cfg, grid)
     it_cfg = build_iteration_config(cfg, grid, seed)
     sw = _section(cfg, "sweep")
-    parameter = sw.get("parameter", "").strip()
+    parameter = sw.get("parameter", "")
     try:
         values = [float(tok) for tok in sw.get("values", "").replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"[sweep] values: {exc}") from exc
+        raise DiriterError(f"[sweep] values: {exc}") from exc
     if not all(map(math.isfinite, values)):
-        raise ConfigError(f"[sweep] values = {sw.get('values')!r} must all be finite")
+        raise DiriterError(f"[sweep] values = {sw.get('values')!r} must all be finite")
     result = run_sweep(grid, spec, it_cfg, parameter, values)
     write_csv(
         out / "sweep.csv",
@@ -438,12 +422,13 @@ def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> in
 
 def cmd_poincare(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
     domain = build_domain(cfg)
-    grid = _build_grid(domain, _get_float(_section(cfg, "grid"), "h"))
+    grid = _build_grid(domain, _get(_section(cfg, "grid"), "h"))
     it = _optional_section(cfg, "iteration")
     if "phi" in it and not _field_from_expr(it, "phi", grid).is_conforming():
-        raise NotConforming("the Poincaré suite needs zero boundary data, not a prescribed phi")
+        raise NotConforming(
+            "[iteration] phi: the Poincaré suite needs zero boundary data, not a prescribed phi")
     an = _optional_section(cfg, "analysis")
-    count = {"count": _get_int(an, "suite_size")} if "suite_size" in an else {}
+    count = {"count": _get(an, "suite_size", int)} if "suite_size" in an else {}
     with _rejected_values("analysis"):
         suite = poincare_suite(grid, seed=seed or 0, **count)
     rows = []
@@ -464,12 +449,12 @@ def cmd_poincare(cfg: configparser.ConfigParser, out: Path, seed: int | None) ->
 
 def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
     ex = _section(cfg, "exhaustion")
-    d = _get_float(ex, "d")
-    n_start = _get_int(ex, "n_start")
-    n_max = _get_int(ex, "n_max")
-    halfwidth = _get_float(ex, "compact_halfwidth")
-    compact_tol = _get_float(ex, "compact_tol", 1e-6)
-    h = _get_float(_section(cfg, "grid"), "h")
+    d = _get(ex, "d")
+    n_start = _get(ex, "n_start", int)
+    n_max = _get(ex, "n_max", int)
+    halfwidth = _get(ex, "compact_halfwidth")
+    compact_tol = _get(ex, "compact_tol", default=1e-6)
+    h = _get(_section(cfg, "grid"), "h")
 
     with _rejected_values("exhaustion"):
         big_domain = Domain.strip_truncation(d, n_max)
@@ -487,6 +472,9 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
             iteration=it_cfg,
         )
         ex_cfg.check_spacing(h)
+    # check_spacing's tolerance lets an h just above 1 divide the gap 1, but
+    # the truncation n_start = 1 is only 2 long
+    _build_grid(Domain.strip_truncation(d, n_start), h)
     try:
         result = exhaustion_solve(spec, ex_cfg, h)
     except IterationFailure as exc:
@@ -518,13 +506,13 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
 
 def cmd_schauder(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
     sc = _optional_section(cfg, "schauder")
-    trials = _get_int(sc, "trials", 5)
-    base_seed = _get_int(sc, "seed", 0)
+    trials = _get(sc, "trials", int, 5)
+    base_seed = _get(sc, "seed", int, 0)
     if seed is not None:
         base_seed = seed
     with _rejected_values("analysis"):
-        norm_cfg = NormConfig(**_given(_optional_section(cfg, "analysis"), alpha=_get_float))
-    h = _get_float(_section(cfg, "grid"), "h")
+        norm_cfg = NormConfig(**_given(_optional_section(cfg, "analysis"), alpha=float))
+    h = _get(_section(cfg, "grid"), "h")
 
     grids = None  # the truncations [schauder] n_list names, if it names any
     with _rejected_values("schauder"):
@@ -533,7 +521,7 @@ def cmd_schauder(cfg: configparser.ConfigParser, out: Path, seed: int | None) ->
         if trials < 1:
             raise ValueError(f"trials = {trials} must be >= 1")
         if "n_list" in sc:
-            d = _get_float(sc, "d")
+            d = _get(sc, "d")
             n_list = [int(tok) for tok in sc.get("n_list").replace(",", " ").split()]
             if not n_list:
                 raise ValueError("n_list must be nonempty")
@@ -590,7 +578,7 @@ def main(argv: list[str] | None = None) -> int:
     except DiriterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # reading the config is a ConfigError: this is an output file
+    except OSError as exc:  # _load_config reports its own: this is an output file
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpacingTooCoarse
-
 # the four edges of a grid array, in the order of GridField.boundary_values
 _EDGES = (np.s_[0], np.s_[-1], np.s_[1:-1, 0], np.s_[1:-1, -1])
 
@@ -135,18 +133,20 @@ class Grid:
 
 
 def build_grid(domain: Domain, h: float) -> Grid:
-    """Uniform grid with spacing h; node counts rounded to fit the extents."""
+    """Uniform grid with spacing h; node counts rounded to fit the extents.
+
+    ValueError unless h is positive, at most half the smallest extent (so
+    every axis has at least 3 nodes) and coarse enough for finite node counts.
+    """
     if not 0.0 < h < math.inf:  # NaN fails
         raise ValueError(f"spacing h = {h} must be positive and finite")
     ex, ey = domain.extents
     if h > min(ex, ey) / 2.0:
-        raise SpacingTooCoarse(f"h = {h} exceeds half the smallest extent {min(ex, ey)}")
+        raise ValueError(f"h = {h} exceeds half the smallest extent {min(ex, ey)}")
     if not math.isfinite(max(ex, ey) / h):
         raise ValueError(f"spacing h = {h} is too fine for the extents {domain.extents}")
-    nx = int(round(ex / h)) + 1
+    nx = int(round(ex / h)) + 1  # at least 3, since ex / h >= 2
     ny = int(round(ey / h)) + 1
-    if nx < 3 or ny < 3:
-        raise SpacingTooCoarse(f"grid {nx}x{ny} has fewer than 3 nodes on an axis")
     ox, oy = domain.origin
     x = ox + h * np.arange(nx)
     y = oy + h * np.arange(ny)

@@ -1,54 +1,24 @@
-"""Exception hierarchy shared across the package."""
+"""The package's exceptions: one type per ``except`` clause that names it.
+
+Every rejected input and every failed check is a DiriterError, which the CLI
+reports as one ``error:`` line; a subclass exists only where some caller
+handles that case apart from the rest.
+"""
 
 
 class DiriterError(Exception):
     """Base class for all package errors."""
 
 
-class SpacingTooCoarse(DiriterError):
-    """Grid spacing leaves fewer than 3 nodes on some axis."""
-
-
-class GridTooCoarse(DiriterError):
-    """Operation needs more nodes per axis than the grid has."""
-
-
 class NotConforming(DiriterError):
     """Field violates the boundary values required by the operation."""
 
 
-class NoConvergence(DiriterError):
-    """Linear solve stopped before reaching the residual tolerance."""
-
-
-class MissingNorm(DiriterError):
-    """A data norm required by the selected nonlinearity is absent."""
-
-
-class NonFiniteData(DiriterError):
-    """A data field of the right-hand side holds NaN or inf."""
-
-
-class FixedPointInconsistent(DiriterError):
-    """The computed fixed point of the growth majorant fails its self-consistency check."""
-
-
 class IterationFailure(DiriterError):
-    """Base for outer-iteration failures; carries the partial report and last iterate."""
+    """The outer iteration stopped without converging. ``report.outcome``
+    (``diverged`` or ``max_iters``) says how; ``last_iterate`` is its final iterate."""
 
-    def __init__(self, message, report=None, last_iterate=None):
+    def __init__(self, message, report, last_iterate):
         super().__init__(message)
         self.report = report
         self.last_iterate = last_iterate
-
-
-class IterationDiverged(IterationFailure):
-    """Iterates blew up in sup norm or ratios stayed above 1."""
-
-
-class IterationMaxIters(IterationFailure):
-    """Iteration budget exhausted without meeting the stopping tolerance."""
-
-
-class ConfigError(DiriterError):
-    """Experiment configuration file is malformed or incomplete."""

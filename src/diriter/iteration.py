@@ -26,7 +26,7 @@ from .calculus import (
     norm_sup,
 )
 from .domain import Grid, GridField
-from .errors import IterationDiverged, IterationMaxIters, NotConforming
+from .errors import IterationFailure, NotConforming
 from .nonlinearity import (
     ContractionAnalysis,
     RhsSpec,
@@ -125,8 +125,8 @@ def contraction_theory(
 
     ``analyze``'s t* and rho for Λ = ``cfg.lambda_value``, or for Λ estimated on
     ``grid`` when that is None, and the Hölder data norms they rest on. Raises
-    NonFiniteData for NaN or inf data, and GridTooCoarse when Λ is estimated
-    on fewer than 5 nodes per axis.
+    DiriterError for NaN or inf data, and when Λ is estimated on fewer than 5
+    nodes per axis.
     """
     norms = data_norms(spec, cfg.norm_cfg)
     lam = cfg.lambda_value
@@ -152,9 +152,10 @@ def dirichlet_iterate(
 ) -> tuple[GridField, IterationReport]:
     """Run the iteration; returns the converged iterate and its report.
 
-    Raises NonFiniteData before any solve when a data field holds NaN or inf,
-    ValueError when one lives on another grid, and IterationDiverged /
-    IterationMaxIters with the partial report and last iterate attached.
+    Raises DiriterError before any solve when a data field holds NaN or inf,
+    ValueError when one lives on another grid, and IterationFailure with the
+    partial report, whose ``outcome`` is ``diverged`` or ``max_iters``, and the
+    last iterate attached.
     ``u0`` overrides the configured start (it must already carry the
     boundary values). ``observe(u)``, if given, runs on
     every iterate once its row is appended, before the stop rules, so a
@@ -213,24 +214,24 @@ def dirichlet_iterate(
         # written so that a NaN sup norm counts as a blow-up; a non-finite
         # residual means f(u_next) is not finite, which the next solve cannot take
         if not (rows[-1].sup_u <= cfg.blowup_sup and np.isfinite(res_sup)):
-            raise IterationDiverged(
+            raise IterationFailure(
                 f"blow-up at iteration {i}: sup|u| {rows[-1].sup_u:.3e}, residual {res_sup:.3e}",
-                report=IterationReport(tuple(rows), "diverged"),
-                last_iterate=u_next,
+                IterationReport(tuple(rows), "diverged"),
+                u_next,
             )
         expanding = expanding + 1 if (rho is not None and rho > 1.0) else 0
         if expanding >= _STALL_WINDOW and h1_diff > cfg.h1_tol * 1e3:
-            raise IterationDiverged(
+            raise IterationFailure(
                 f"difference ratios above 1 for {_STALL_WINDOW} consecutive iterations",
-                report=IterationReport(tuple(rows), "diverged"),
-                last_iterate=u_next,
+                IterationReport(tuple(rows), "diverged"),
+                u_next,
             )
 
         u_prev = u_next
         prev_h1 = h1_diff
 
-    raise IterationMaxIters(
+    raise IterationFailure(
         f"no convergence within {cfg.max_iters} iterations",
-        report=IterationReport(tuple(rows), "max_iters"),
-        last_iterate=u_prev,
+        IterationReport(tuple(rows), "max_iters"),
+        u_prev,
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .calculus import NormConfig, dot_gradient, gradient_slabs, holder_norm, norm_sup, sup_abs
 from .domain import Domain, GridField
-from .errors import FixedPointInconsistent, MissingNorm, NonFiniteData
+from .errors import DiriterError
 
 
 @dataclass(frozen=True)
@@ -140,23 +140,23 @@ def data_fields(spec: RhsSpec) -> dict[str, GridField]:
 
 
 def check_finite_data(spec: RhsSpec) -> None:
-    """Raise NonFiniteData when a data field holds NaN or inf: its norm would be
+    """Raise DiriterError when a data field holds NaN or inf: its norm would be
     NaN, every bound derived from it meaningless, and every iterate non-finite."""
     for name, data in data_fields(spec).items():
         if not math.isfinite(sup_abs(data.values)):  # NaN and inf reach the sup
-            raise NonFiniteData(f"data field {name!r} holds NaN or inf")
+            raise DiriterError(f"data field {name!r} holds NaN or inf")
 
 
 def data_norms(spec: RhsSpec, cfg: NormConfig) -> dict:
     """Hölder norms ``{name}_alpha`` of the data fields the majorant psi needs;
-    raises NonFiniteData as ``check_finite_data`` does."""
+    raises DiriterError as ``check_finite_data`` does."""
     check_finite_data(spec)
     return {f"{name}_alpha": holder_norm(data, cfg) for name, data in data_fields(spec).items()}
 
 
 def _require(norms: dict, key: str) -> float:
     if key not in norms or norms[key] is None:
-        raise MissingNorm(f"norm {key!r} is required for this nonlinearity")
+        raise DiriterError(f"norm {key!r} is required for this nonlinearity")
     return float(norms[key])
 
 
@@ -342,7 +342,7 @@ def analyze(spec: RhsSpec, domain: Domain, norms: dict, lam: float) -> Contracti
     if c_star is not None:
         fp_gap = abs(lam * psi(spec, domain, norms, c_star) - c_star)
         if not fp_gap <= 1e-10 * max(1.0, abs(c_star)):  # a NaN gap fails
-            raise FixedPointInconsistent(
+            raise DiriterError(
                 f"fixed point failed its self-consistency check: gap {fp_gap:g}"
             )
         rho = contraction_bound(spec, c_star, kappa)

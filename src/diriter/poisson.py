@@ -17,7 +17,7 @@ import numpy.fft
 
 from .calculus import laplacian_apply, sup_abs
 from .domain import Grid, GridField
-from .errors import NoConvergence
+from .errors import DiriterError
 
 
 def _dst_eigenvalues(m: int, h: float) -> np.ndarray:
@@ -108,7 +108,7 @@ class PoissonSolver:
         The solve is checked by applying the 5-point Laplacian to u and
         requiring max |laplacian(u) - f| over the interior to be at most
         1e-10 * (1 + sup|f|) + 32 * eps * sup|u| / h^2 (NaN fails); otherwise
-        NoConvergence is raised. The second term covers the rounding of an
+        DiriterError is raised. The second term covers the rounding of an
         exact solve, which the stencil amplifies by 1/h^2: measured against
         a reference DST, it is 7.5 to 17.3 times eps * sup|u| / h^2 for
         h = 1/64 ... 1/2048.
@@ -162,7 +162,7 @@ class PoissonSolver:
         self._solved = weakref.ref(u)
         res = self.residual_sup(u, f)
         if not res <= tol:  # a NaN residual fails too
-            raise NoConvergence(f"direct solve residual {res:.3e} exceeds tolerance {tol:.3e}")
+            raise DiriterError(f"direct solve residual {res:.3e} exceeds tolerance {tol:.3e}")
         return u
 
     def residual_sup(self, u: GridField, f: GridField) -> float:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from diriter import (
+    DiriterError,
     Domain,
-    GridTooCoarse,
     NormConfig,
     NotConforming,
     build_grid,
@@ -266,7 +266,7 @@ def test_c2alpha_needs_five_nodes():
     grid = build_grid(Domain.rectangle(1, 1), 0.25)  # 5x5 is fine
     c2alpha_estimate(grid.zeros(), CFG)
     small = build_grid(Domain.rectangle(1, 1), 1.0 / 3)
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(DiriterError, match="at least 5 nodes per axis"):
         c2alpha_estimate(small.zeros(), CFG)
 
 

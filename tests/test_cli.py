@@ -264,6 +264,19 @@ def test_unusable_out_directory_is_one_error_line(tmp_path, capsys, out):
     assert lines[0].startswith(f"error: cannot create output directory {tmp_path / out}: ")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[domain]\na = 1\n[broken\n", "a = 1\n", "[grid]\nh = 1\n[grid]\nh = 2\n"],
+    ids=["parsing_error", "no_section_header", "duplicate_section"],
+)
+def test_malformed_config_is_one_error_line(tmp_path, capsys, text):
+    # configparser's message for the first two spans several lines
+    cfg = write_cfg(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config parse error: ")
+
+
 @pytest.mark.parametrize("command, output", [("solve", "report.json"), ("sweep", "sweep.csv")])
 def test_unwritable_output_is_one_error_line(tmp_path, capsys, command, output):
     config = GOLDEN / {"solve": "solve-t-star-gamma-g.ini", "sweep": "sweep-rect.ini"}[command]
@@ -325,6 +338,16 @@ def test_bad_expression_reports_usage_error(tmp_path):
         ("solve", "h = 0.0625", "h = 5e-324"),
         ("solve", "a = 1\nb = 1\n\n[grid]\n", "a = 1e308\nb = 1\n\n[grid]\n"),
         ("solve", "kind = rectangle\na = 1\nb = 1\n", "kind = strip\nd = 1\nn_trunc = 1e308\n"),
+        ("solve", "h = 0.0625", "h = 0.6"),
+        ("sweep", "lambda = 2.0\n", "lambda = 2.0\n\n[sweep]\nparameter = K\nvalues =\n"),
+        ("sweep", "lambda = 2.0\n", "lambda = 2.0\n\n[sweep]\nparameter = K\nvalues = 0.1 0\n"),
+        ("sweep", "lambda = 2.0\n", "lambda = 2.0\n\n[sweep]\nparameter = foo\nvalues = 1\n"),
+        ("sweep", "variant = grad_lipschitz\nh = 1\nK = 0\nm = 2\n",
+         "variant = mean_curvature\nH = 1\n\n[sweep]\nparameter = K\nvalues = 0.1\n"),
+        ("sweep", "lambda = 2.0\n", "lambda = 2.0\n\n[sweep]\nparameter = H_amplitude\nvalues = 1\n"),
+        ("sweep", "variant = grad_lipschitz\nh = 1\nK = 0\nm = 2\n",
+         "variant = mean_curvature\nH = 0\n\n[sweep]\nparameter = H_amplitude\nvalues = 0.1\n"),
+        ("poincare", "max_iters = 60", "max_iters = 60\nphi = 1 + x"),
     ],
     ids=["alpha", "h", "K", "max_iters", "n_list", "lambda_trials", "schauder_trials",
          "schauder_d", "empty_n_list", "lambda_nan", "lambda_negative", "lambda_zero",
@@ -334,7 +357,10 @@ def test_bad_expression_reports_usage_error(tmp_path):
          "sweep_K_nan", "sweep_H_amplitude_inf", "compact_halfwidth_nan",
          "compact_halfwidth_negative", "m_nan", "m_inf", "gamma_g_k_nan", "exhaust_h_misaligned",
          "compact_tol_nan", "compact_tol_negative", "compact_tol_inf", "h_too_fine_for_extents",
-         "a_too_long_for_h", "n_trunc_extent_overflows"],
+         "a_too_long_for_h", "n_trunc_extent_overflows", "h_too_coarse", "sweep_no_values",
+         "sweep_values_unsorted", "sweep_unknown_parameter", "sweep_K_needs_grad_lipschitz",
+         "sweep_H_amplitude_needs_mean_curvature", "sweep_H_identically_zero",
+         "poincare_prescribed_phi"],
 )
 def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old, new):
     assert BASE.count(old) == 1
@@ -347,6 +373,17 @@ def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old,
                or re.findall(r"^\[(\w+)\]", BASE[: BASE.index(old)], re.M))[-1]
     assert len(lines) == 1 and lines[0].startswith(f"error: [{section}] ")
     assert list((tmp_path / "o").iterdir()) == []  # nothing is written
+
+
+def test_spacing_too_coarse_for_the_shortest_truncation_is_one_grid_error_line(tmp_path, capsys):
+    # h = 1 + 1e-7 divides the gap 1 within check_spacing's tolerance, but
+    # the truncation n = 1 is 2 long; the largest one, n = 2, takes the h
+    text = BASE + "\n[exhaustion]\nd = 4\nn_start = 1\nn_max = 2\ncompact_halfwidth = 0\n"
+    cfg = write_cfg(tmp_path, text.replace("h = 0.0625", "h = 1.0000001"))
+    assert main(["exhaust", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: [grid] h = 1.0000001 exceeds half the smallest extent 2.0"]
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 @pytest.mark.parametrize("sections", ["", "[iteration]\n[analysis]\n"], ids=["absent", "empty"])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from diriter import Domain, SpacingTooCoarse, build_grid
+from diriter import Domain, build_grid
 from diriter.expressions import compile_expression
 
 from conftest import traced_peak_fields
@@ -69,11 +69,22 @@ def test_field_from_holds_only_its_result(text):
 
 
 def test_too_coarse_raises():
-    with pytest.raises(SpacingTooCoarse):
+    with pytest.raises(ValueError, match="exceeds half"):
         build_grid(Domain.rectangle(1, 1), 0.6)
-    with pytest.raises(SpacingTooCoarse):
+    with pytest.raises(ValueError, match="exceeds half"):
         build_grid(Domain.rectangle(1.0, 0.05), 0.025)  # only 3 nodes across is ok...
         build_grid(Domain.rectangle(1.0, 0.02), 0.02)  # ...but 2 is not
+
+
+@pytest.mark.parametrize("extents", [(1.0, 1.0), (1.0, 0.05), (7.1, 0.3), (1e-300, 3e-300)])
+def test_half_the_smallest_extent_is_the_coarsest_spacing(extents):
+    # at h = min(extents) / 2 the short axis has 3 nodes and the next double
+    # up is rejected, so no grid has fewer than 3 nodes on an axis
+    dom = Domain(origin=(0.0, 0.0), extents=extents)
+    h = min(extents) / 2
+    assert min(build_grid(dom, h).shape) == 3
+    with pytest.raises(ValueError, match="exceeds half"):
+        build_grid(dom, math.nextafter(h, math.inf))
 
 
 def test_unit_square_constants(unit_square):

@@ -1,9 +1,11 @@
 """What importing the CLI loads (every command pays it in a fresh process),
 that each module reads every name it imports, that every library definition
-has a caller in the library, and that no module builds a dense coordinate
-mesh or a grid-sized boolean mask."""
+has a caller in the library, that every exception type is caught by name,
+and that no module builds a dense coordinate mesh or a grid-sized boolean
+mask."""
 
 import ast
+import builtins
 import json
 import os
 import subprocess
@@ -165,6 +167,33 @@ def test_every_library_definition_has_a_caller_in_the_library():
             if not read_elsewhere and (module, node.name) not in called:
                 uncalled.append(f"{module}.py:{node.lineno} {node.name}")
     assert uncalled == []
+
+
+def _caught_names(handler: ast.ExceptHandler) -> set[str]:
+    """The names an ``except`` clause catches, alone or in a tuple."""
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.id if isinstance(t, ast.Name) else t.attr for t in types
+            if isinstance(t, (ast.Name, ast.Attribute))}
+
+
+def test_every_exception_type_is_caught_in_the_package():
+    # a caller that cannot tell one package error from another needs one
+    # type: a subclass earns its place by an ``except`` clause that names it
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((SRC / "diriter").glob("*.py"))]
+    classes = {node.name: {b.id if isinstance(b, ast.Name) else b.attr for b in node.bases
+                           if isinstance(b, (ast.Name, ast.Attribute))}
+               for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    exceptions = {name for name in dir(builtins)
+                  if isinstance(getattr(builtins, name), type)
+                  and issubclass(getattr(builtins, name), Exception)}
+    while grown := {name for name, bases in classes.items()
+                    if bases & exceptions and name not in exceptions}:
+        exceptions |= grown
+    caught = set().union(*(_caught_names(node) for tree in trees for node in ast.walk(tree)
+                           if isinstance(node, ast.ExceptHandler) and node.type is not None))
+    defined = set(classes) & exceptions
+    assert defined >= {"DiriterError", "ExpressionError", "IterationFailure", "NotConforming"}
+    assert sorted(defined - caught) == []
 
 
 def _is_bool(node: ast.expr) -> bool:

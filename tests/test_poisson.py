@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from diriter import (
+    DiriterError,
     Domain,
-    NoConvergence,
     PoissonSolver,
     build_grid,
     laplacian_apply,
@@ -207,7 +207,7 @@ def _four_mode_rhs(grid):
 def test_fine_grid_exact_solve_passes_the_residual_check(unit_square):
     # the rounding residual of an exact solve grows like eps sup|u| / h^2: at
     # h = 1/2048 it exceeds 1e-10 (1 + sup|f|), the whole rule of earlier
-    # versions, which raised NoConvergence here
+    # versions, which failed the solve here
     grid = build_grid(unit_square, 1.0 / 2048)
     f = _four_mode_rhs(grid)
     u = PoissonSolver(grid).solve(f)
@@ -230,7 +230,7 @@ def test_residual_check_catches_one_node_off_by_1e_minus_8(unit_square, monkeypa
 
     # the check now sees a u that is off by 1e-8 sup|u| at one interior node
     monkeypatch.setattr(poisson, "laplacian_apply", off_at_one_node)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(DiriterError, match="direct solve residual"):
         PoissonSolver(grid).solve(f)
 
 
@@ -238,7 +238,7 @@ def test_nan_rhs_raises(unit_grid_16):
     f, _ = manufactured(unit_grid_16)
     values = f.values.copy()
     values[5, 7] = np.nan
-    with pytest.raises(NoConvergence):
+    with pytest.raises(DiriterError, match="direct solve residual"):
         PoissonSolver(unit_grid_16).solve(unit_grid_16.field(values))
 
 
