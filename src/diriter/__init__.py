@@ -23,6 +23,7 @@ from .calculus import (
 from .domain import Domain, Grid, GridField, build_grid
 from .errors import DiriterError, IterationFailure, NotConforming
 from .iteration import (
+    AnalysisConfig,
     IterationConfig,
     IterationReport,
     c2alpha_observer,
@@ -51,6 +52,7 @@ from .slab import ExhaustionConfig, ExhaustionResult, exhaustion_solve
 __version__ = "0.1.0"
 
 __all__ = [
+    "AnalysisConfig",
     "ArcSolution",
     "ContractionAnalysis",
     "DiriterError",

@@ -34,6 +34,7 @@ from .domain import Domain, Grid, GridField, build_grid
 from .errors import DiriterError, IterationFailure, NotConforming
 from .expressions import ExpressionError, compile_expression
 from .iteration import (
+    AnalysisConfig,
     IterationConfig,
     IterationReport,
     c2alpha_observer,
@@ -168,9 +169,19 @@ def build_rhs(cfg: configparser.ConfigParser, grid: Grid) -> RhsSpec:
                        "(expected grad_lipschitz | gamma_g | mean_curvature)")
 
 
+def _norm_config(cfg: configparser.ConfigParser) -> NormConfig:
+    """The Hölder norms' settings, from ``[analysis] alpha``."""
+    alpha = _given(_optional_section(cfg, "analysis"), alpha=float)
+    with _rejected_values("analysis"):
+        return NormConfig(**alpha)
+
+
 def build_iteration_config(
     cfg: configparser.ConfigParser, grid: Grid, seed_override: int | None
-) -> IterationConfig:
+) -> tuple[IterationConfig, AnalysisConfig]:
+    """The loop's settings, from ``[iteration]``, and its analysis's, from
+    ``[analysis]`` and ``--seed``, the former checked first. ``sweep`` and
+    ``exhaust`` check both and use only the loop's."""
     it = _optional_section(cfg, "iteration")
     an = _optional_section(cfg, "analysis")
 
@@ -186,11 +197,9 @@ def build_iteration_config(
 
     with _rejected_values("iteration"):
         it_cfg = IterationConfig(**iteration)
-    # replace() checks every field again; only the [analysis] ones can fail now
+    norm_cfg = _norm_config(cfg)
     with _rejected_values("analysis"):
-        return dataclasses.replace(
-            it_cfg, norm_cfg=NormConfig(**_given(an, alpha=float)), **analysis
-        )
+        return it_cfg, AnalysisConfig(norm_cfg=norm_cfg, **analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +319,10 @@ def cmd_solve(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> in
     domain = build_domain(cfg)
     grid = _build_grid(domain, _get(_section(cfg, "grid"), "h"))
     spec = build_rhs(cfg, grid)
-    it_cfg = build_iteration_config(cfg, grid, seed)
+    it_cfg, analysis = build_iteration_config(cfg, grid, seed)
 
-    theory, norms = contraction_theory(grid, spec, it_cfg)
-    c2alpha, observe = c2alpha_observer(it_cfg.norm_cfg)
+    theory, norms = contraction_theory(grid, spec, analysis)
+    c2alpha, observe = c2alpha_observer(analysis.norm_cfg)
     try:
         u, report = dirichlet_iterate(grid, spec, it_cfg, observe=observe)
     except IterationFailure as exc:
@@ -398,7 +407,7 @@ def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> in
     domain = build_domain(cfg)
     grid = _build_grid(domain, _get(_section(cfg, "grid"), "h"))
     spec = build_rhs(cfg, grid)
-    it_cfg = build_iteration_config(cfg, grid, seed)
+    it_cfg = build_iteration_config(cfg, grid, seed)[0]
     sw = _section(cfg, "sweep")
     parameter = sw.get("parameter", "")
     try:
@@ -460,7 +469,7 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
         big_domain = Domain.strip_truncation(d, n_max)
     big = _build_grid(big_domain, h)
     spec = build_rhs(cfg, big)
-    it_cfg = build_iteration_config(cfg, big, seed)
+    it_cfg = build_iteration_config(cfg, big, seed)[0]
     with _rejected_values("exhaustion"):
         if not 0.0 <= compact_tol < math.inf:  # NaN fails
             raise ValueError(f"compact_tol = {compact_tol} must be >= 0 and finite")
@@ -510,8 +519,7 @@ def cmd_schauder(cfg: configparser.ConfigParser, out: Path, seed: int | None) ->
     base_seed = _get(sc, "seed", int, 0)
     if seed is not None:
         base_seed = seed
-    with _rejected_values("analysis"):
-        norm_cfg = NormConfig(**_given(_optional_section(cfg, "analysis"), alpha=float))
+    norm_cfg = _norm_config(cfg)
     h = _get(_section(cfg, "grid"), "h")
 
     grids = None  # the truncations [schauder] n_list names, if it names any

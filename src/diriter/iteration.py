@@ -46,12 +46,9 @@ _STALL_WINDOW = 10  # consecutive expanding ratios that count as divergence
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Settings of one ``dirichlet_iterate`` run and of its ``contraction_theory``.
+    """Settings of one ``dirichlet_iterate`` run.
 
-    ``phi`` gives every iterate's boundary values (zero when None). The last
-    four fields are read by ``contraction_theory`` alone (Λ is estimated when
-    ``lambda_value`` is None), and ``norm_cfg`` also by the caller's
-    ``c2alpha_observer``; ``dirichlet_iterate`` reads none of them.
+    ``phi`` gives every iterate's boundary values (zero when None).
     """
 
     max_iters: int = 200
@@ -59,10 +56,6 @@ class IterationConfig:
     blowup_sup: float = 1e6
     phi: GridField | None = None
     start: str = START_ZERO
-    norm_cfg: NormConfig = field(default_factory=NormConfig)
-    lambda_value: float | None = None
-    lambda_trials: int = 3
-    lambda_seed: int = 0
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -70,16 +63,32 @@ class IterationConfig:
             raise ValueError(f"h1_tol = {self.h1_tol} must be positive and finite")
         if not self.blowup_sup > 0.0:
             raise ValueError(f"blowup_sup = {self.blowup_sup} must be positive")
-        if self.lambda_value is not None and not 0.0 < self.lambda_value < math.inf:
-            raise ValueError(f"lambda = {self.lambda_value} must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.start not in (START_ZERO, START_LIFT):
+            raise ValueError(f"unknown start mode {self.start!r}")
+
+
+@dataclass(frozen=True)
+class AnalysisConfig:
+    """Settings of ``contraction_theory``: the Hölder norms' exponent and Λ's
+    source, ``lambda_value`` or, when that is None, an estimate from
+    ``lambda_trials`` random right-hand sides seeded by ``lambda_seed``.
+    ``norm_cfg`` also serves ``c2alpha_observer``.
+    """
+
+    norm_cfg: NormConfig = field(default_factory=NormConfig)
+    lambda_value: float | None = None
+    lambda_trials: int = 3
+    lambda_seed: int = 0
+
+    def __post_init__(self):
+        if self.lambda_value is not None and not 0.0 < self.lambda_value < math.inf:  # NaN fails
+            raise ValueError(f"lambda = {self.lambda_value} must be positive and finite")
         if self.lambda_trials < 1:
             raise ValueError("lambda_trials must be >= 1")
         if self.lambda_seed < 0:
             raise ValueError(f"lambda_seed = {self.lambda_seed} must be >= 0")
-        if self.start not in (START_ZERO, START_LIFT):
-            raise ValueError(f"unknown start mode {self.start!r}")
 
 
 @dataclass(frozen=True)
@@ -119,19 +128,20 @@ def residual_field(u: GridField, spec: RhsSpec) -> GridField:
 
 
 def contraction_theory(
-    grid: Grid, spec: RhsSpec, cfg: IterationConfig
+    grid: Grid, spec: RhsSpec, analysis: AnalysisConfig
 ) -> tuple[ContractionAnalysis, dict]:
-    """The a priori analysis of ``dirichlet_iterate(grid, spec, cfg)``, which reads none of it.
+    """The a priori analysis of ``dirichlet_iterate`` on ``grid``, which reads none of it.
 
-    ``analyze``'s t* and rho for Λ = ``cfg.lambda_value``, or for Λ estimated on
-    ``grid`` when that is None, and the Hölder data norms they rest on. Raises
-    DiriterError for NaN or inf data, and when Λ is estimated on fewer than 5
-    nodes per axis.
+    ``analyze``'s t* and rho for Λ = ``analysis.lambda_value``, or for Λ
+    estimated on ``grid`` when that is None, and the Hölder data norms they
+    rest on. Raises DiriterError for NaN or inf data, and when Λ is estimated
+    on fewer than 5 nodes per axis.
     """
-    norms = data_norms(spec, cfg.norm_cfg)
-    lam = cfg.lambda_value
+    norms = data_norms(spec, analysis.norm_cfg)
+    lam = analysis.lambda_value
     if lam is None:
-        lam = estimate_schauder_constant(grid, cfg.norm_cfg, cfg.lambda_trials, cfg.lambda_seed)
+        lam = estimate_schauder_constant(
+            grid, analysis.norm_cfg, analysis.lambda_trials, analysis.lambda_seed)
     return analyze(spec, grid.domain, norms, lam), norms
 
 

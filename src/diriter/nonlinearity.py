@@ -230,9 +230,11 @@ def smallest_fixed_point(spec: RhsSpec, domain: Domain, norms: dict, lam: float)
 
     gap(t) = lam * psi(t) - t is convex with gap(0) >= 0, so Newton steps
     from t = 0 stay left of its smallest root; each advances at least one
-    double. A point with gap > 0 and gap' >= 0 proves that there is no root.
-    The first point with gap <= 0 closes a bracket, which bisection narrows
-    until the returned t has gap(t) <= 0 < gap at the double below it.
+    double. A point with gap > 0 and gap' >= 0 proves that there is no root,
+    and so does a step past the largest double (as when lam * psi(0) is
+    inf): the root lies beyond it. The first point with gap <= 0 closes a
+    bracket, which bisection narrows until the returned t has
+    gap(t) <= 0 < gap at the double below it.
     """
     if not 0.0 < lam < math.inf:  # NaN fails
         raise ValueError(f"lam = {lam} must be positive and finite")
@@ -246,6 +248,8 @@ def smallest_fixed_point(spec: RhsSpec, domain: Domain, norms: dict, lam: float)
         if not slope < 0.0:
             return None  # convexity: gap >= g > 0 everywhere
         lo, hi = hi, max(math.nextafter(hi, math.inf), hi - g / slope)
+        if hi == math.inf:
+            return None
 
     # gap(lo) > 0 >= gap(hi), or lo = hi = 0
     while lo < (mid := 0.5 * (lo + hi)) < hi:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from diriter import (
+    AnalysisConfig,
     DiriterError,
     Domain,
     IterationConfig,
@@ -194,12 +195,12 @@ def suite_no_false_certificate(cases: int, seed: int = 7) -> int:
     failures = 0
     for _ in range(cases):
         grid = _grid(rng)
-        cfg = IterationConfig(max_iters=12, h1_tol=1e-10, norm_cfg=CFG,
-                              lambda_value=rng.uniform(0.5, 3.0))
+        cfg = IterationConfig(max_iters=12, h1_tol=1e-10)
+        analysis = AnalysisConfig(norm_cfg=CFG, lambda_value=rng.uniform(0.5, 3.0))
         spec = _random_spec(grid, rng)
         try:
-            theory, norms = contraction_theory(grid, spec, cfg)
-            estimates, observe = c2alpha_observer(cfg.norm_cfg)
+            theory, norms = contraction_theory(grid, spec, analysis)
+            estimates, observe = c2alpha_observer(analysis.norm_cfg)
             try:
                 _, report = dirichlet_iterate(grid, spec, cfg, observe=observe)
             except IterationFailure as exc:

@@ -83,3 +83,32 @@ def curvature_coupling(grad_u: tuple[np.ndarray, np.ndarray], h: float) -> np.nd
     vx, vy = grad_u
     w = vx**2 + vy**2
     return dot_gradient(vx, vy.copy(), w, h, np.empty_like(w))
+
+
+def cole_hopf_square(K: float, c: float, x: np.ndarray, y: np.ndarray,
+                     modes: int = 801) -> np.ndarray:
+    """The solution of laplacian(u) = c + K |grad u|^2 on the unit square with
+    u = 0 on the boundary, at the nodes (x[i], y[j]) of two coordinate vectors.
+
+    w = exp(-K u) turns the equation into laplacian(w) + K c w = 0 with w = 1
+    on the boundary (Cole-Hopf), so u = -ln(1 + v) / K, where v is the double
+    sine series of laplacian(v) + K c v = -K c over the odd modes j, k up to
+    ``modes``, with coefficients K b_jk / (pi^2 (j^2 + k^2) - K c) and
+    b_jk = 16 c / (pi^2 j k) those of c. It exists while K c < 2 pi^2.
+    """
+    j = np.arange(1, modes + 1, 2, dtype=float)
+    coeffs = (16.0 * K * c / np.pi**2) / (
+        np.outer(j, j) * (np.pi**2 * (j[:, None] ** 2 + j[None, :] ** 2) - K * c))
+    sx = np.sin(np.pi * x[:, None] * j)  # (len(x), modes)
+    sy = np.sin(np.pi * y[:, None] * j)  # (len(y), modes)
+    return -np.log1p(sx @ coeffs @ sy.T) / K
+
+
+def cole_hopf_slab_profile(K: float, c: float, d: float, y: np.ndarray) -> np.ndarray:
+    """The x-independent solution of laplacian(u) = c + K |grad u|^2 on the slab
+    R x (-d/2, d/2) with u = 0 on its walls: u(y) = -ln(cos(s y) / cos(s d/2)) / K
+    with s = sqrt(K c), which exists while K c < pi^2 / d^2. Truncations
+    [-n, n] x (-d/2, d/2) approach it at the rate mu = sqrt(pi^2 / d^2 - K c)
+    per unit of n, the lowest cross-section mode of the linear problem in w."""
+    s = np.sqrt(K * c)
+    return -np.log(np.cos(s * y) / np.cos(0.5 * s * d)) / K

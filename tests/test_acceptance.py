@@ -13,12 +13,14 @@ import pytest
 from scipy.integrate import solve_bvp
 
 from diriter import (
+    AnalysisConfig,
     ArcSolution,
     Domain,
     GammaG,
     GradLipschitz,
     IterationConfig,
     MeanCurvature,
+    NormConfig,
     PoissonSolver,
     build_grid,
     c2alpha_observer,
@@ -110,8 +112,8 @@ def test_criterion_3_fixed_point_closed_form():
 def criterion_4_run():
     grid = build_grid(UNIT, 1.0 / 64)
     spec = GradLipschitz(h=grid.constant(1.0), K=0.05, m=2.0)
-    cfg = IterationConfig(h1_tol=1e-12, max_iters=80, lambda_value=2.0)
-    estimates, observe = c2alpha_observer(cfg.norm_cfg)
+    cfg = IterationConfig(h1_tol=1e-12, max_iters=80)
+    estimates, observe = c2alpha_observer(NormConfig())
     u, rep = dirichlet_iterate(grid, spec, cfg, observe=observe)
     return grid, spec, cfg, u, rep, estimates
 
@@ -131,7 +133,7 @@ def test_criterion_4_contraction_realized():
 def test_criterion_5_gamma_g_run_and_threshold():
     grid = build_grid(UNIT, 1.0 / 32)
     spec = GammaG(gamma=grid.constant(0.1), h=grid.constant(1.0), m=2.0, k=1.0)
-    cfg = IterationConfig(h1_tol=1e-12, max_iters=60, lambda_value=2.0)
+    cfg = IterationConfig(h1_tol=1e-12, max_iters=60)
     _, rep = dirichlet_iterate(grid, spec, cfg)
     assert rep.outcome == "converged"
     rhos = [r.rho_i for r in rep.rows if r.rho_i is not None]
@@ -165,7 +167,7 @@ def test_criterion_6_mce_arc_benchmark():
 
     grid = build_grid(Domain.strip_truncation(d, 4.0), 1.0 / 64)
     spec = MeanCurvature(H=grid.constant(H), n=2)
-    cfg = IterationConfig(h1_tol=1e-12, max_iters=80, lambda_value=2.0)
+    cfg = IterationConfig(h1_tol=1e-12, max_iters=80)
     u, rep = dirichlet_iterate(grid, spec, cfg)
     assert rep.outcome == "converged"
     cols = np.abs(grid.x) <= 4.0 / 3.0 + 1e-12
@@ -180,7 +182,7 @@ def test_criterion_6_mce_arc_benchmark():
 def _mce_threshold(domain):
     grid = build_grid(domain, 1.0 / 32)
     spec = MeanCurvature(H=grid.constant(1.0), n=2)
-    cfg = IterationConfig(h1_tol=1e-12, max_iters=60, lambda_value=2.0)
+    cfg = IterationConfig(h1_tol=1e-12, max_iters=60)
     values = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
     sweep = run_sweep(grid, spec, cfg, "H_amplitude", values)
     return sweep["threshold"], [row[1] for row in sweep["rows"]]
@@ -201,7 +203,7 @@ def test_criterion_8_exhaustion_tails():
     d, h = 1.0, 1.0 / 16
     cfg = ExhaustionConfig(
         d=d, n_start=3, n_max=8, compact_halfwidth=2.0,
-        iteration=IterationConfig(h1_tol=1e-12, max_iters=40, lambda_value=2.0),
+        iteration=IterationConfig(h1_tol=1e-12, max_iters=40),
     )
     big = build_grid(Domain.strip_truncation(d, cfg.n_max), h)
     spec = GradLipschitz(h=big.constant(1.0), K=0.0, m=2.0)
@@ -228,7 +230,7 @@ def test_criterion_9_property_suites(name):
 
 def test_criterion_10_uniqueness_ball_rerun():
     grid, spec, cfg, u_ref, _, _ = criterion_4_run()
-    t_star = contraction_theory(grid, spec, cfg)[0].C
+    t_star = contraction_theory(grid, spec, AnalysisConfig(lambda_value=2.0))[0].C
     assert t_star is not None and t_star > 0
     bump = grid.field_from(
         lambda x, y: 0.1 * t_star * np.sin(np.pi * x) * np.sin(np.pi * y)

@@ -357,6 +357,19 @@ def test_schauder_estimate_deterministic(unit_grid_16):
     assert a == b
 
 
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+@pytest.mark.parametrize("domain", [Domain.rectangle(1.0, 1.0), Domain.strip_truncation(1.0, 2)],
+                         ids=["unit_square", "strip"])
+def test_constant_rhs_beats_every_random_trial(domain, h):
+    # the premise for dropping the random trials from the Λ estimate once
+    # f = 1 is a trial: no random trial ever sets Λ. Over seeds 0-99 and
+    # h = 1/16 ... 1/64, f = 1's ratio was 2.44x to 3.33x a grid's largest trial
+    grid = build_grid(domain, h)
+    constant = schauder_ratio(grid.constant(1.0), CFG)
+    for seed in range(20):
+        assert constant >= 2.4 * estimate_schauder_constant(grid, CFG, 3, seed), seed
+
+
 def test_schauder_estimate_holds_at_most_six_grid_fields():
     # each trial's right-hand side is summed from open-mesh basis rows; with
     # its solution and the Hölder slices that is about 4.0 fields (the

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diriter import Domain, IterationConfig, build_grid, cli, iteration, nonlinearity
+from diriter import (AnalysisConfig, Domain, IterationConfig, build_grid, cli, iteration,
+                     nonlinearity)
 from diriter.cli import (
     _FLOAT_SPEC,
     _load_config,
@@ -390,7 +391,7 @@ def test_spacing_too_coarse_for_the_shortest_truncation_is_one_grid_error_line(t
 def test_missing_or_empty_sections_give_the_default_config(tmp_path, sections):
     grid = build_grid(Domain.rectangle(1.0, 1.0), 0.0625)
     cfg = _load_config(write_cfg(tmp_path, sections))
-    assert build_iteration_config(cfg, grid, None) == IterationConfig()
+    assert build_iteration_config(cfg, grid, None) == (IterationConfig(), AnalysisConfig())
 
 
 def test_sweep_k_rows_and_threshold(tmp_path):
@@ -443,7 +444,7 @@ def test_sweep_holds_one_scaled_data_field_at_a_time():
     # final iterate lives on through the next
     grid = build_grid(Domain.strip_truncation(1.0, 2), 1 / 128)
     spec = nonlinearity.MeanCurvature(H=grid.field_from(compile_expression("0.3 + 0.05*cos(x)")), n=2)
-    cfg = IterationConfig(max_iters=60, h1_tol=1e-10, lambda_value=2.0)
+    cfg = IterationConfig(max_iters=60, h1_tol=1e-10)
     peaks = {}
     for values in ([0.4], [0.04 * k for k in range(1, 11)]):
         peaks[len(values)] = traced_peak_fields(
@@ -465,7 +466,7 @@ def test_sweep_checks_its_values_without_scaling_a_field(monkeypatch):
     # is that of the check of the values; the run itself is cut off
     grid = build_grid(Domain.strip_truncation(1.0, 2), 1 / 128)
     spec = nonlinearity.MeanCurvature(H=grid.field_from(compile_expression("0.3 + 0.05*cos(x)")), n=2)
-    cfg = IterationConfig(max_iters=60, h1_tol=1e-10, lambda_value=2.0)
+    cfg = IterationConfig(max_iters=60, h1_tol=1e-10)
     entry_peaks = []
     apply, check_data = cli._apply_sweep_value, cli.check_finite_data
 

@@ -1,11 +1,12 @@
 """What importing the CLI loads (every command pays it in a fresh process),
 that each module reads every name it imports, that every library definition
-has a caller in the library, that every exception type is caught by name,
-and that no module builds a dense coordinate mesh or a grid-sized boolean
-mask."""
+has a caller in the library, that the loop reads every field of its config,
+that every exception type is caught by name, and that no module builds a
+dense coordinate mesh or a grid-sized boolean mask."""
 
 import ast
 import builtins
+import dataclasses
 import json
 import os
 import subprocess
@@ -167,6 +168,22 @@ def test_every_library_definition_has_a_caller_in_the_library():
             if not read_elsewhere and (module, node.name) not in called:
                 uncalled.append(f"{module}.py:{node.lineno} {node.name}")
     assert uncalled == []
+
+
+def test_every_iteration_config_field_is_read_by_the_loop():
+    # the loop's settings hold only what running it reads: the analysis
+    # (Λ's source, the Hölder exponent) has its own AnalysisConfig
+    from diriter import IterationConfig
+
+    readers = {"iteration.py": ("dirichlet_iterate", "_start_field"), "slab.py": ("_iteration_on",)}
+    read = set()
+    for name, functions in readers.items():
+        tree = ast.parse((SRC / "diriter" / name).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in functions:
+                read |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    fields = {f.name for f in dataclasses.fields(IterationConfig)}
+    assert sorted(fields - read) == []
 
 
 def _caught_names(handler: ast.ExceptHandler) -> set[str]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diriter import (
+    AnalysisConfig,
     Domain,
     GammaG,
     GradLipschitz,
@@ -30,8 +31,11 @@ from diriter.calculus import _holder_max, random_trig_polynomial
 
 
 
+ANALYSIS = AnalysisConfig(lambda_value=2.0)
+
+
 def base_cfg(**kw):
-    defaults = dict(h1_tol=1e-12, max_iters=80, lambda_value=2.0)
+    defaults = dict(h1_tol=1e-12, max_iters=80)
     defaults.update(kw)
     return IterationConfig(**defaults)
 
@@ -59,7 +63,7 @@ def test_contraction_chain(unit_grid_32, unit_square):
     K = 0.05
     spec = GradLipschitz(h=unit_grid_32.constant(1.0), K=K, m=2.0)
     cfg = base_cfg()
-    estimates, observe = c2alpha_observer(cfg.norm_cfg)
+    estimates, observe = c2alpha_observer(ANALYSIS.norm_cfg)
     u, rep = dirichlet_iterate(unit_grid_32, spec, cfg, observe=observe)
     assert rep.outcome == "converged"
     kap = min(unit_square.kappa_volumetric, unit_square.kappa_slab) + 2 * unit_grid_32.h
@@ -95,8 +99,8 @@ def test_linearity_at_k_zero(unit_grid_16):
 def test_report_is_deterministic(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.03, m=2.0)
     cfg = base_cfg()
-    e1, o1 = c2alpha_observer(cfg.norm_cfg)
-    e2, o2 = c2alpha_observer(cfg.norm_cfg)
+    e1, o1 = c2alpha_observer(ANALYSIS.norm_cfg)
+    e2, o2 = c2alpha_observer(ANALYSIS.norm_cfg)
     _, r1 = dirichlet_iterate(unit_grid_16, spec, cfg, observe=o1)
     _, r2 = dirichlet_iterate(unit_grid_16, spec, cfg, observe=o2)
     assert r1.rows == r2.rows
@@ -138,7 +142,7 @@ def test_perturbed_start_same_limit(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.05, m=2.0)
     cfg = base_cfg()
     u_ref, _ = dirichlet_iterate(unit_grid_16, spec, cfg)
-    t_star = contraction_theory(unit_grid_16, spec, cfg)[0].C
+    t_star = contraction_theory(unit_grid_16, spec, ANALYSIS)[0].C
     assert t_star is not None
     bump = unit_grid_16.field_from(
         lambda x, y: 0.1 * t_star * np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -167,13 +171,13 @@ def test_residual_of_converged_iterate(unit_grid_32):
 def test_reported_residual_matches_unfused_residual(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.field_from(lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x)), K=0.2)
     cfg = base_cfg()
-    estimates, observe = c2alpha_observer(cfg.norm_cfg)
+    estimates, observe = c2alpha_observer(ANALYSIS.norm_cfg)
     u, rep = dirichlet_iterate(unit_grid_16, spec, cfg, observe=observe)
     assert rep.outcome == "converged" and len(rep.rows) > 3
     # the loop reuses the f of the next solve; recomputed from u alone it is the same bits
     assert rep.rows[-1].residual_sup == float(np.max(np.abs(residual_field(u, spec).values)))
     # likewise the C^{2,alpha} estimate the observer took of the last iterate
-    assert estimates[-1] == c2alpha_estimate(u, cfg.norm_cfg)
+    assert estimates[-1] == c2alpha_estimate(u, ANALYSIS.norm_cfg)
 
 
 def test_residual_truncation_order(unit_square):
@@ -194,7 +198,7 @@ def test_residual_truncation_order(unit_square):
 def test_uniform_bound_empty_rhs(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.zeros(), K=0.0, m=2.0)
     cfg = base_cfg()
-    estimates, observe = c2alpha_observer(cfg.norm_cfg)
+    estimates, observe = c2alpha_observer(ANALYSIS.norm_cfg)
     _, rep = dirichlet_iterate(unit_grid_16, spec, cfg, observe=observe)
     assert len(estimates) == len(rep.rows)
     assert all(e == 0.0 for e in estimates)
@@ -207,23 +211,23 @@ def test_uniform_bound_k_zero_vs_estimator(unit_grid_16):
     rng = np.random.default_rng(5)
     h = random_trig_polynomial(unit_grid_16, rng)
     spec = GradLipschitz(h=h, K=0.0, m=2.0)
-    cfg = base_cfg(lambda_value=None, lambda_trials=3, lambda_seed=5)
-    estimates, observe = c2alpha_observer(cfg.norm_cfg)
+    cfg, analysis = base_cfg(), AnalysisConfig(lambda_trials=3, lambda_seed=5)
+    estimates, observe = c2alpha_observer(analysis.norm_cfg)
     u, rep = dirichlet_iterate(unit_grid_16, spec, cfg, observe=observe)
-    theory, norms = contraction_theory(unit_grid_16, spec, cfg)
+    theory, norms = contraction_theory(unit_grid_16, spec, analysis)
     c_theory = theory.C  # = Lambda_emp * h_alpha for K = 0
     assert c_theory is not None
     assert math.isclose(c_theory, theory.Lambda * norms["h_alpha"], rel_tol=1e-9)
     assert max(estimates) <= c_theory * 1.1
     assert math.isclose(
-        max(estimates), c2alpha_estimate(u, cfg.norm_cfg), rel_tol=1e-12
+        max(estimates), c2alpha_estimate(u, analysis.norm_cfg), rel_tol=1e-12
     )
 
 
 def test_uniform_bound_fails_on_blowup(unit_grid_32):
     spec = MeanCurvature(H=unit_grid_32.constant(2.0), n=2)
     cfg = base_cfg(max_iters=40)
-    estimates, observe = c2alpha_observer(cfg.norm_cfg)
+    estimates, observe = c2alpha_observer(ANALYSIS.norm_cfg)
     try:
         dirichlet_iterate(unit_grid_32, spec, cfg, observe=observe)
         raise AssertionError("expected blow-up")
@@ -334,7 +338,8 @@ def _reference_iterate(grid, spec, cfg):
         res[1:-1, 1:-1] = lap.values[1:-1, 1:-1] - f.values[1:-1, 1:-1]
         res_sup = float(np.max(np.abs(grid.field(res).values)))
         sup_u = float(np.max(np.abs(u_next.values)))
-        rows.append((i, sup_u, _ref_c2alpha(u_next, cfg.norm_cfg, grad), h1_diff, rho, res_sup))
+        c2alpha = _ref_c2alpha(u_next, ANALYSIS.norm_cfg, grad)
+        rows.append((i, sup_u, c2alpha, h1_diff, rho, res_sup))
         if h1_diff <= cfg.h1_tol:
             return rows, "converged", u_next
         if not (sup_u <= cfg.blowup_sup and np.isfinite(res_sup)):
@@ -378,7 +383,7 @@ def _divergent_grad_lipschitz():
 def test_loop_is_bitwise_equal_to_unfused_reference(case):
     grid, spec, cfg = case()
     ref_rows, ref_outcome, ref_u = _reference_iterate(grid, spec, cfg)
-    estimates, observe = c2alpha_observer(cfg.norm_cfg)
+    estimates, observe = c2alpha_observer(ANALYSIS.norm_cfg)
     try:
         u, rep = dirichlet_iterate(grid, spec, cfg, observe=observe)
     except IterationFailure as exc:
@@ -463,7 +468,7 @@ def test_skipping_the_estimate_changes_no_other_value(case, monkeypatch):
     monkeypatch.setattr(iteration, "c2alpha_estimate", lambda *a: calls.append(1) or estimate(*a))
     runs = []
     for attach in (True, False):
-        estimates, c2alpha = c2alpha_observer(cfg.norm_cfg)
+        estimates, c2alpha = c2alpha_observer(ANALYSIS.norm_cfg)
         seen = []
 
         def observe(u, _seen=seen, _c2alpha=c2alpha):
@@ -522,7 +527,7 @@ def test_strip_run_holds_at_most_seven_grid_fields():
     try:
         spec = MeanCurvature(H=grid.constant(0.4), n=2)
         # solve's path: the C^{2,alpha} estimate of every iterate
-        estimates, observe = c2alpha_observer(cfg.norm_cfg)
+        estimates, observe = c2alpha_observer(ANALYSIS.norm_cfg)
         _, rep = dirichlet_iterate(grid, spec, cfg, observe=observe)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

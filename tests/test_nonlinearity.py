@@ -484,6 +484,16 @@ def test_analyze_finds_no_fixed_point_where_the_majorant_overflows(unit_grid_32)
     assert an.C is None and an.rho is None and an.K_threshold is None
 
 
+def test_analyze_finds_no_fixed_point_where_lam_psi_of_zero_overflows(unit_grid_16):
+    # lam * psi(0) = 1e8 * 1.7e308 is inf: the first Newton step leaves the
+    # doubles, where the gap would be NaN
+    spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.05, m=2.0)
+    norms = {"h_alpha": 1.7e308}
+    assert smallest_fixed_point(spec, DOM, norms, 1e8) is None
+    an = analyze(spec, DOM, norms, lam=1e8)
+    assert an.C is None and an.rho is None and an.K_threshold is None
+
+
 def test_analyze_mce_partial_flag(unit_grid_16):
     spec = MeanCurvature(H=unit_grid_16.constant(0.05), n=2)
     norms = data_norms(spec, NormConfig(alpha=0.5))

@@ -29,7 +29,7 @@ def y_only_spec(d, n_max, h):
 
 
 def iteration_cfg():
-    return IterationConfig(h1_tol=1e-12, max_iters=60, lambda_value=2.0)
+    return IterationConfig(h1_tol=1e-12, max_iters=60)
 
 
 def test_restrict_field_slices_nodewise():
