@@ -177,11 +177,11 @@ def _norm_config(cfg: configparser.ConfigParser) -> NormConfig:
 
 
 def build_iteration_config(
-    cfg: configparser.ConfigParser, grid: Grid, seed_override: int | None
+    cfg: configparser.ConfigParser, grid: Grid
 ) -> tuple[IterationConfig, AnalysisConfig]:
     """The loop's settings, from ``[iteration]``, and its analysis's, from
-    ``[analysis]`` and ``--seed``, the former checked first. ``sweep`` and
-    ``exhaust`` check both and use only the loop's."""
+    ``[analysis]``, the former checked first. ``sweep`` and ``exhaust`` check
+    both and use only the loop's."""
     it = _optional_section(cfg, "iteration")
     an = _optional_section(cfg, "analysis")
 
@@ -189,17 +189,14 @@ def build_iteration_config(
     if "phi" in it:
         iteration["phi"] = _field_from_expr(it, "phi", grid)
 
-    analysis = _given(an, lambda_trials=int, lambda_seed=int)
-    if _get(an, "lambda", str, "estimate") != "estimate":
-        analysis["lambda_value"] = _get(an, "lambda")
-    if seed_override is not None:
-        analysis["lambda_seed"] = seed_override
+    estimated = _get(an, "lambda", str, "estimate") == "estimate"
+    lambda_value = None if estimated else _get(an, "lambda")
 
     with _rejected_values("iteration"):
         it_cfg = IterationConfig(**iteration)
     norm_cfg = _norm_config(cfg)
     with _rejected_values("analysis"):
-        return it_cfg, AnalysisConfig(norm_cfg=norm_cfg, **analysis)
+        return it_cfg, AnalysisConfig(norm_cfg=norm_cfg, lambda_value=lambda_value)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +312,11 @@ def write_solution(path: Path, u: GridField) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
+def cmd_solve(cfg: configparser.ConfigParser, out: Path, seed: int) -> int:
     domain = build_domain(cfg)
     grid = _build_grid(domain, _get(_section(cfg, "grid"), "h"))
     spec = build_rhs(cfg, grid)
-    it_cfg, analysis = build_iteration_config(cfg, grid, seed)
+    it_cfg, analysis = build_iteration_config(cfg, grid)
 
     theory, norms = contraction_theory(grid, spec, analysis)
     c2alpha, observe = c2alpha_observer(analysis.norm_cfg)
@@ -403,11 +400,11 @@ def run_sweep(
     return {"rows": rows, "threshold": threshold, "parameter": parameter}
 
 
-def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
+def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int) -> int:
     domain = build_domain(cfg)
     grid = _build_grid(domain, _get(_section(cfg, "grid"), "h"))
     spec = build_rhs(cfg, grid)
-    it_cfg = build_iteration_config(cfg, grid, seed)[0]
+    it_cfg = build_iteration_config(cfg, grid)[0]
     sw = _section(cfg, "sweep")
     parameter = sw.get("parameter", "")
     try:
@@ -429,7 +426,7 @@ def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> in
     return EXIT_OK
 
 
-def cmd_poincare(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
+def cmd_poincare(cfg: configparser.ConfigParser, out: Path, seed: int) -> int:
     domain = build_domain(cfg)
     grid = _build_grid(domain, _get(_section(cfg, "grid"), "h"))
     it = _optional_section(cfg, "iteration")
@@ -439,7 +436,7 @@ def cmd_poincare(cfg: configparser.ConfigParser, out: Path, seed: int | None) ->
     an = _optional_section(cfg, "analysis")
     count = {"count": _get(an, "suite_size", int)} if "suite_size" in an else {}
     with _rejected_values("analysis"):
-        suite = poincare_suite(grid, seed=seed or 0, **count)
+        suite = poincare_suite(grid, seed=seed, **count)
     rows = []
     all_hold = True
     for name, u in suite:
@@ -456,7 +453,7 @@ def cmd_poincare(cfg: configparser.ConfigParser, out: Path, seed: int | None) ->
     return EXIT_OK if all_hold else EXIT_USAGE
 
 
-def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
+def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int) -> int:
     ex = _section(cfg, "exhaustion")
     d = _get(ex, "d")
     n_start = _get(ex, "n_start", int)
@@ -469,7 +466,7 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
         big_domain = Domain.strip_truncation(d, n_max)
     big = _build_grid(big_domain, h)
     spec = build_rhs(cfg, big)
-    it_cfg = build_iteration_config(cfg, big, seed)[0]
+    it_cfg = build_iteration_config(cfg, big)[0]
     with _rejected_values("exhaustion"):
         if not 0.0 <= compact_tol < math.inf:  # NaN fails
             raise ValueError(f"compact_tol = {compact_tol} must be >= 0 and finite")
@@ -513,21 +510,13 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> 
     return EXIT_OK
 
 
-def cmd_schauder(cfg: configparser.ConfigParser, out: Path, seed: int | None) -> int:
+def cmd_schauder(cfg: configparser.ConfigParser, out: Path, seed: int) -> int:
     sc = _optional_section(cfg, "schauder")
-    trials = _get(sc, "trials", int, 5)
-    base_seed = _get(sc, "seed", int, 0)
-    if seed is not None:
-        base_seed = seed
     norm_cfg = _norm_config(cfg)
     h = _get(_section(cfg, "grid"), "h")
 
     grids = None  # the truncations [schauder] n_list names, if it names any
     with _rejected_values("schauder"):
-        if base_seed < 0:
-            raise ValueError(f"seed = {base_seed} must be >= 0")
-        if trials < 1:
-            raise ValueError(f"trials = {trials} must be >= 1")
         if "n_list" in sc:
             d = _get(sc, "d")
             n_list = [int(tok) for tok in sc.get("n_list").replace(",", " ").split()]
@@ -537,12 +526,12 @@ def cmd_schauder(cfg: configparser.ConfigParser, out: Path, seed: int | None) ->
             grids = [_build_grid(Domain.strip_truncation(d, n), h) for n in n_list]
 
     if grids is not None:
-        estimates = [estimate_schauder_constant(g, norm_cfg, trials, base_seed) for g in grids]
+        estimates = [estimate_schauder_constant(g, norm_cfg) for g in grids]
         rows = list(zip(n_list, estimates))
         summary = {"max": max(estimates), "ratio_max_min": max(estimates) / min(estimates)}
     else:
         grid = _build_grid(build_domain(cfg), h)
-        est = estimate_schauder_constant(grid, norm_cfg, trials, base_seed)
+        est = estimate_schauder_constant(grid, norm_cfg)
         rows = [["domain", est]]
         summary = {"max": est}
     write_csv(out / "schauder.csv", ["label", "lambda_estimate"], rows)
@@ -566,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="INI experiment config")
     parser.add_argument("--out", default=".", help="output directory (created if absent)")
-    parser.add_argument("--seed", type=int, default=None, help="override configured seeds")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the Poincaré suite")
     try:
         args = parser.parse_args(argv)
     except SystemExit:

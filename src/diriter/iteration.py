@@ -48,7 +48,8 @@ _STALL_WINDOW = 10  # consecutive expanding ratios that count as divergence
 class IterationConfig:
     """Settings of one ``dirichlet_iterate`` run.
 
-    ``phi`` gives every iterate's boundary values (zero when None).
+    ``phi`` gives every iterate's boundary values (zero when None); they
+    must be finite.
     """
 
     max_iters: int = 200
@@ -67,28 +68,23 @@ class IterationConfig:
             raise ValueError("max_iters must be >= 1")
         if self.start not in (START_ZERO, START_LIFT):
             raise ValueError(f"unknown start mode {self.start!r}")
+        if self.phi is not None and not math.isfinite(norm_sup(self.phi)):
+            raise ValueError("phi holds NaN or inf")
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Settings of ``contraction_theory``: the Hölder norms' exponent and Λ's
-    source, ``lambda_value`` or, when that is None, an estimate from
-    ``lambda_trials`` random right-hand sides seeded by ``lambda_seed``.
-    ``norm_cfg`` also serves ``c2alpha_observer``.
+    """Settings of ``contraction_theory``: the Hölder norms' exponent and Λ,
+    ``lambda_value`` or, when that is None, ``estimate_schauder_constant`` on
+    the grid. ``norm_cfg`` also serves ``c2alpha_observer``.
     """
 
     norm_cfg: NormConfig = field(default_factory=NormConfig)
     lambda_value: float | None = None
-    lambda_trials: int = 3
-    lambda_seed: int = 0
 
     def __post_init__(self):
         if self.lambda_value is not None and not 0.0 < self.lambda_value < math.inf:  # NaN fails
             raise ValueError(f"lambda = {self.lambda_value} must be positive and finite")
-        if self.lambda_trials < 1:
-            raise ValueError("lambda_trials must be >= 1")
-        if self.lambda_seed < 0:
-            raise ValueError(f"lambda_seed = {self.lambda_seed} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -140,8 +136,7 @@ def contraction_theory(
     norms = data_norms(spec, analysis.norm_cfg)
     lam = analysis.lambda_value
     if lam is None:
-        lam = estimate_schauder_constant(
-            grid, analysis.norm_cfg, analysis.lambda_trials, analysis.lambda_seed)
+        lam = estimate_schauder_constant(grid, analysis.norm_cfg)
     return analyze(spec, grid.domain, norms, lam), norms
 
 

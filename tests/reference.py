@@ -1,14 +1,16 @@
 """Reference operators the tests check the library against.
 
 No command computes these. Each is an independent discretization (the
-flux-form divergence and the face-difference Dirichlet form) or the
+flux-form divergence and the face-difference Dirichlet form), the
 whole-grid form of a term the library builds a row slab at a time (the
-mean-curvature coupling).
+mean-curvature coupling), a closed-form solution (Cole-Hopf) or the
+right-hand sides of the seeded Λ estimate that ``f = 1`` replaced (the
+random trigonometric polynomials).
 """
 
 import numpy as np
 
-from diriter import GridField
+from diriter import Grid, GridField
 from diriter.calculus import dot_gradient
 
 
@@ -112,3 +114,23 @@ def cole_hopf_slab_profile(K: float, c: float, d: float, y: np.ndarray) -> np.nd
     per unit of n, the lowest cross-section mode of the linear problem in w."""
     s = np.sqrt(K * c)
     return -np.log(np.cos(s * y) / np.cos(0.5 * s * d)) / K
+
+
+def random_trig_polynomial(grid: Grid, rng: np.random.Generator) -> GridField:
+    """A random trigonometric polynomial of degree 2 on the grid: products of
+    ``1, sin(k pi s), cos(k pi s)`` for k = 1, 2 in the coordinates scaled
+    to [0, 1], with coefficients uniform in [-1, 1]."""
+    X, Y = grid.meshgrid()
+    sx = (X - grid.x[0]) / max(grid.extent_x, np.finfo(float).tiny)
+    sy = (Y - grid.y[0]) / max(grid.extent_y, np.finfo(float).tiny)
+    basis = [np.ones_like(sx)]
+    basis_y = [np.ones_like(sy)]
+    for k in (1, 2):
+        basis += [np.sin(k * np.pi * sx), np.cos(k * np.pi * sx)]
+        basis_y += [np.sin(k * np.pi * sy), np.cos(k * np.pi * sy)]
+    coeffs = rng.uniform(-1.0, 1.0, size=(len(basis), len(basis_y)))
+    vals = np.zeros(grid.shape)
+    for i, bx in enumerate(basis):
+        for j, by in enumerate(basis_y):
+            vals += coeffs[i, j] * bx * by
+    return grid.field(vals)

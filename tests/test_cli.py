@@ -301,8 +301,6 @@ def test_bad_expression_reports_usage_error(tmp_path):
         ("solve", "K = 0\n", "K = -1\n"),
         ("solve", "max_iters = 60", "max_iters = 0"),
         ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\nd = 1\nn_list = 2 x\n"),
-        ("solve", "lambda = 2.0\n", "lambda = estimate\nlambda_trials = 0\n"),
-        ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\ntrials = 0\n"),
         ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\nd = -1\nn_list = 2 4\n"),
         ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\nd = 1\nn_list =\n"),
         ("solve", "lambda = 2.0\n", "lambda = nan\n"),
@@ -313,9 +311,7 @@ def test_bad_expression_reports_usage_error(tmp_path):
         ("solve", "h1_tol = 1e-12", "h1_tol = 1e-12\nblowup_sup = nan"),
         ("poincare", "lambda = 2.0\n", "lambda = 2.0\nsuite_size = 0\n"),
         ("poincare", "lambda = 2.0\n", "lambda = 2.0\nsuite_size = -3\n"),
-        ("solve", "lambda = 2.0\n", "lambda = estimate\nlambda_seed = -1\n"),
-        ("solve --seed -2", "lambda = 2.0\n", "lambda = estimate\n"),
-        ("schauder", "lambda = 2.0\n", "lambda = 2.0\n\n[schauder]\nseed = -1\n"),
+        ("poincare --seed -2", "lambda = 2.0\n", "lambda = 2.0\n"),
         ("solve", "a = 1\n", "a = inf\n"),
         ("solve", "a = 1\n", "a = nan\n"),
         ("solve", "h = 0.0625", "h = nan"),
@@ -349,19 +345,18 @@ def test_bad_expression_reports_usage_error(tmp_path):
         ("sweep", "variant = grad_lipschitz\nh = 1\nK = 0\nm = 2\n",
          "variant = mean_curvature\nH = 0\n\n[sweep]\nparameter = H_amplitude\nvalues = 0.1\n"),
         ("poincare", "max_iters = 60", "max_iters = 60\nphi = 1 + x"),
+        ("solve", "max_iters = 60", "max_iters = 60\nphi = 1/0"),
     ],
-    ids=["alpha", "h", "K", "max_iters", "n_list", "lambda_trials", "schauder_trials",
-         "schauder_d", "empty_n_list", "lambda_nan", "lambda_negative", "lambda_zero",
-         "h1_tol_nan", "blowup_sup_negative", "blowup_sup_nan", "suite_size_zero",
-         "suite_size_negative", "lambda_seed_negative", "seed_flag_negative",
-         "schauder_seed_negative", "a_inf", "a_nan", "h_nan", "K_nan", "sweep_K_negative",
-         "sweep_K_nan", "sweep_H_amplitude_inf", "compact_halfwidth_nan",
-         "compact_halfwidth_negative", "m_nan", "m_inf", "gamma_g_k_nan", "exhaust_h_misaligned",
-         "compact_tol_nan", "compact_tol_negative", "compact_tol_inf", "h_too_fine_for_extents",
-         "a_too_long_for_h", "n_trunc_extent_overflows", "h_too_coarse", "sweep_no_values",
-         "sweep_values_unsorted", "sweep_unknown_parameter", "sweep_K_needs_grad_lipschitz",
-         "sweep_H_amplitude_needs_mean_curvature", "sweep_H_identically_zero",
-         "poincare_prescribed_phi"],
+    ids=["alpha", "h", "K", "max_iters", "n_list", "schauder_d", "empty_n_list", "lambda_nan",
+         "lambda_negative", "lambda_zero", "h1_tol_nan", "blowup_sup_negative", "blowup_sup_nan",
+         "suite_size_zero", "suite_size_negative", "seed_flag_negative", "a_inf", "a_nan", "h_nan",
+         "K_nan", "sweep_K_negative", "sweep_K_nan", "sweep_H_amplitude_inf",
+         "compact_halfwidth_nan", "compact_halfwidth_negative", "m_nan", "m_inf", "gamma_g_k_nan",
+         "exhaust_h_misaligned", "compact_tol_nan", "compact_tol_negative", "compact_tol_inf",
+         "h_too_fine_for_extents", "a_too_long_for_h", "n_trunc_extent_overflows", "h_too_coarse",
+         "sweep_no_values", "sweep_values_unsorted", "sweep_unknown_parameter",
+         "sweep_K_needs_grad_lipschitz", "sweep_H_amplitude_needs_mean_curvature",
+         "sweep_H_identically_zero", "poincare_prescribed_phi", "phi_inf"],
 )
 def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old, new):
     assert BASE.count(old) == 1
@@ -374,6 +369,15 @@ def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old,
                or re.findall(r"^\[(\w+)\]", BASE[: BASE.index(old)], re.M))[-1]
     assert len(lines) == 1 and lines[0].startswith(f"error: [{section}] ")
     assert list((tmp_path / "o").iterdir()) == []  # nothing is written
+
+
+def test_sweep_with_non_finite_phi_is_one_error_line(tmp_path, capsys):
+    # rejected before any run, not written as an error row per value
+    text = BASE.replace("max_iters = 60", "max_iters = 60\nphi = exp(1000)")
+    cfg = write_cfg(tmp_path, text + "\n[sweep]\nparameter = K\nvalues = 0.0, 0.05\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: [iteration] phi holds NaN or inf"]
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_spacing_too_coarse_for_the_shortest_truncation_is_one_grid_error_line(tmp_path, capsys):
@@ -391,7 +395,7 @@ def test_spacing_too_coarse_for_the_shortest_truncation_is_one_grid_error_line(t
 def test_missing_or_empty_sections_give_the_default_config(tmp_path, sections):
     grid = build_grid(Domain.rectangle(1.0, 1.0), 0.0625)
     cfg = _load_config(write_cfg(tmp_path, sections))
-    assert build_iteration_config(cfg, grid, None) == (IterationConfig(), AnalysisConfig())
+    assert build_iteration_config(cfg, grid) == (IterationConfig(), AnalysisConfig())
 
 
 def test_sweep_k_rows_and_threshold(tmp_path):
@@ -713,18 +717,21 @@ compact_halfwidth = 2
 
 
 def test_schauder_deterministic_per_seed(tmp_path):
-    text = BASE + "\n[schauder]\ntrials = 2\nseed = 4\n"
-    cfg = write_cfg(tmp_path, text)
+    # Λ's estimate draws nothing at random: the seed keys of older configs are
+    # ignored like any unknown key, and so is --seed
+    seeded = write_cfg(tmp_path, BASE + "\n[schauder]\ntrials = 2\nseed = 4\n",
+                       name="seeded.ini")
+    cfg = write_cfg(tmp_path, BASE)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    assert main(["schauder", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["schauder", "--config", cfg, "--out", str(out2)]) == 0
+    assert main(["schauder", "--config", seeded, "--out", str(out1)]) == 0
+    assert main(["schauder", "--config", cfg, "--out", str(out2), "--seed", "9"]) == 0
     assert (out1 / "schauder.csv").read_bytes() == (out2 / "schauder.csv").read_bytes()
     est = float(read_csv(out1 / "schauder.csv")[1][1])
     assert est > 0
 
 
 def test_schauder_strip_probe(tmp_path):
-    text = BASE + "\n[schauder]\ntrials = 2\nseed = 4\nd = 1\nn_list = 2, 4\n"
+    text = BASE + "\n[schauder]\nd = 1\nn_list = 2, 4\n"
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["schauder", "--config", cfg, "--out", str(out)]) == 0

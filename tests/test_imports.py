@@ -1,8 +1,9 @@
 """What importing the CLI loads (every command pays it in a fresh process),
 that each module reads every name it imports, that every library definition
-has a caller in the library, that the loop reads every field of its config,
-that every exception type is caught by name, and that no module builds a
-dense coordinate mesh or a grid-sized boolean mask."""
+has a caller in the library, that the loop reads every field of its config
+and the analysis every field of its own, that every exception type is caught
+by name, and that no module builds a dense coordinate mesh or a grid-sized
+boolean mask."""
 
 import ast
 import builtins
@@ -39,22 +40,21 @@ def test_cli_import_loads_no_scipy_and_the_numpy_parts_the_commands_use():
     )
     # scipy would add ~0.3 s and ~300 modules to every command's start-up;
     # numpy.fft serves every solve, so it loads with the package, while
-    # numpy.random (about 5.5 MB and 14 ms) serves only the Λ estimate and the
-    # Poincaré suite, so only the commands that call them load it
+    # numpy.random (about 5.5 MB and 14 ms) serves only the Poincaré suite,
+    # so only the command that builds it loads it
     assert json.loads(_run(code)) == ["numpy.fft"]
 
 
 def test_schauder_estimate_loads_numpy_random_and_keeps_its_bits():
+    # the estimate draws nothing at random, so numpy.random stays unloaded
     code = (
         "import sys; "
         "from diriter import Domain, NormConfig, build_grid, estimate_schauder_constant; "
-        "before = 'numpy.random' in sys.modules; "
         "grid = build_grid(Domain.rectangle(1.0, 1.0), 1 / 16); "
-        "lam = estimate_schauder_constant(grid, NormConfig(alpha=0.5), 3, 7); "
-        "print(before, 'numpy.random' in sys.modules, lam.hex())"
+        "lam = estimate_schauder_constant(grid, NormConfig(alpha=0.5)); "
+        "print('numpy.random' in sys.modules, lam.hex())"
     )
-    # the value is the one computed while numpy.random loaded with the package
-    assert _run(code).split() == ["False", "True", "0x1.c91732a107c08p+1"]
+    assert _run(code).split() == ["False", "0x1.d913145001c15p+3"]
 
 
 def test_star_import_binds_every_name_of_all_once_in_sorted_order():
@@ -170,19 +170,35 @@ def test_every_library_definition_has_a_caller_in_the_library():
     assert uncalled == []
 
 
-def test_every_iteration_config_field_is_read_by_the_loop():
-    # the loop's settings hold only what running it reads: the analysis
-    # (Λ's source, the Hölder exponent) has its own AnalysisConfig
-    from diriter import IterationConfig
-
-    readers = {"iteration.py": ("dirichlet_iterate", "_start_field"), "slab.py": ("_iteration_on",)}
+def _attributes_read(readers: dict[str, tuple[str, ...]]) -> set[str]:
+    """The attribute names that the named top-level functions of each module read."""
     read = set()
     for name, functions in readers.items():
         tree = ast.parse((SRC / "diriter" / name).read_text(encoding="utf-8"))
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and node.name in functions:
                 read |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    return read
+
+
+def test_every_iteration_config_field_is_read_by_the_loop():
+    # the loop's settings hold only what running it reads: the analysis
+    # (Λ's source, the Hölder exponent) has its own AnalysisConfig
+    from diriter import IterationConfig
+
+    read = _attributes_read({"iteration.py": ("dirichlet_iterate", "_start_field"),
+                             "slab.py": ("_iteration_on",)})
     fields = {f.name for f in dataclasses.fields(IterationConfig)}
+    assert sorted(fields - read) == []
+
+
+def test_every_analysis_config_field_is_read():
+    # Λ's source and the Hölder exponent are read by the analysis and by the
+    # solve that observes its iterates; an unread knob has no place here
+    from diriter import AnalysisConfig
+
+    read = _attributes_read({"iteration.py": ("contraction_theory",), "cli.py": ("cmd_solve",)})
+    fields = {f.name for f in dataclasses.fields(AnalysisConfig)}
     assert sorted(fields - read) == []
 
 

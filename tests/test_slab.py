@@ -152,13 +152,13 @@ def test_exhaustion_rejects_a_spacing_off_the_largest_grid():
 # --- the schauder command's probe: Λ estimates across truncations --------------
 
 
-def _probe(tmp_path, n_list, trials, seed, name="out"):
+def _probe(tmp_path, n_list, name="out"):
     """Run ``schauder`` over the truncations of the unit-width strip; its exit
     code, the (n, Λ estimate) rows and the report."""
     cfg = tmp_path / f"{name}.ini"
     cfg.write_text(
         f"[grid]\nh = {H_GRID!r}\n\n[analysis]\nalpha = 0.5\n\n"
-        f"[schauder]\nd = 1\nn_list = {n_list}\ntrials = {trials}\nseed = {seed}\n"
+        f"[schauder]\nd = 1\nn_list = {n_list}\n"
     )
     out = tmp_path / name
     code = cli.main(["schauder", "--config", str(cfg), "--out", str(out)])
@@ -170,17 +170,17 @@ def _probe(tmp_path, n_list, trials, seed, name="out"):
 
 
 def test_probe_singleton_matches_direct(tmp_path):
-    code, rows, report = _probe(tmp_path, "2", trials=2, seed=9)
+    code, rows, report = _probe(tmp_path, "2")
     grid = build_grid(Domain.strip_truncation(1.0, 2), H_GRID)
-    direct = estimate_schauder_constant(grid, NormConfig(alpha=0.5), 2, 9)
+    direct = estimate_schauder_constant(grid, NormConfig(alpha=0.5))
     assert code == 0
     assert rows == [(2, direct)]
     assert report["max"] == direct
 
 
 def test_probe_deterministic_and_finite(tmp_path):
-    _, a, report = _probe(tmp_path, "2 4", trials=2, seed=1, name="a")
-    _, b, _ = _probe(tmp_path, "2 4", trials=2, seed=1, name="b")
+    _, a, report = _probe(tmp_path, "2 4", name="a")
+    _, b, _ = _probe(tmp_path, "2 4", name="b")
     assert a == b
     assert (tmp_path / "a" / "schauder.csv").read_bytes() == (
         tmp_path / "b" / "schauder.csv"
@@ -191,7 +191,7 @@ def test_probe_deterministic_and_finite(tmp_path):
 
 
 def test_probe_rejects_empty(tmp_path, capsys):
-    code, _, _ = _probe(tmp_path, "", trials=1, seed=0)
+    code, _, _ = _probe(tmp_path, "")
     assert code == 1
     assert capsys.readouterr().err == "error: [schauder] n_list must be nonempty\n"
     assert not (tmp_path / "out" / "schauder.csv").exists()
