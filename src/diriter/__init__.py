@@ -21,7 +21,7 @@ from .calculus import (
     verify_poincare,
 )
 from .domain import Domain, Grid, GridField, build_grid
-from .errors import DiriterError, IterationFailure, NotConforming
+from .errors import DiriterError, IterationFailure
 from .iteration import (
     AnalysisConfig,
     IterationConfig,
@@ -68,7 +68,6 @@ __all__ = [
     "IterationReport",
     "MeanCurvature",
     "NormConfig",
-    "NotConforming",
     "PoissonSolver",
     "admissible_K_threshold",
     "analyze",

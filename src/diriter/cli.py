@@ -2,7 +2,7 @@
 
 Commands and exit codes:
 
-    diriter solve|sweep|poincare|exhaust|schauder --config FILE [--out DIR] [--seed N]
+    diriter solve|sweep|poincare|exhaust|schauder --config FILE [--out DIR]
 
     0 converged / all checks passed, 1 usage or config error,
     2 diverged, 3 iteration budget exhausted.
@@ -31,7 +31,7 @@ import numpy as np
 
 from .calculus import NormConfig, estimate_schauder_constant, poincare_suite, sup_abs, verify_poincare
 from .domain import Domain, Grid, GridField, build_grid
-from .errors import DiriterError, IterationFailure, NotConforming
+from .errors import DiriterError, IterationFailure
 from .expressions import ExpressionError, compile_expression
 from .iteration import (
     AnalysisConfig,
@@ -312,7 +312,7 @@ def write_solution(path: Path, u: GridField) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(cfg: configparser.ConfigParser, out: Path, seed: int) -> int:
+def cmd_solve(cfg: configparser.ConfigParser, out: Path) -> int:
     domain = build_domain(cfg)
     grid = _build_grid(domain, _get(_section(cfg, "grid"), "h"))
     spec = build_rhs(cfg, grid)
@@ -400,7 +400,7 @@ def run_sweep(
     return {"rows": rows, "threshold": threshold, "parameter": parameter}
 
 
-def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int) -> int:
+def cmd_sweep(cfg: configparser.ConfigParser, out: Path) -> int:
     domain = build_domain(cfg)
     grid = _build_grid(domain, _get(_section(cfg, "grid"), "h"))
     spec = build_rhs(cfg, grid)
@@ -426,34 +426,23 @@ def cmd_sweep(cfg: configparser.ConfigParser, out: Path, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_poincare(cfg: configparser.ConfigParser, out: Path, seed: int) -> int:
+def cmd_poincare(cfg: configparser.ConfigParser, out: Path) -> int:
     domain = build_domain(cfg)
     grid = _build_grid(domain, _get(_section(cfg, "grid"), "h"))
     it = _optional_section(cfg, "iteration")
     if "phi" in it and not _field_from_expr(it, "phi", grid).is_conforming():
-        raise NotConforming(
+        raise DiriterError(
             "[iteration] phi: the Poincaré suite needs zero boundary data, not a prescribed phi")
-    an = _optional_section(cfg, "analysis")
-    count = {"count": _get(an, "suite_size", int)} if "suite_size" in an else {}
-    with _rejected_values("analysis"):
-        suite = poincare_suite(grid, seed=seed, **count)
     rows = []
-    all_hold = True
-    for name, u in suite:
-        try:
-            res = verify_poincare(u, domain)
-        except NotConforming:
-            rows.append([name, None, None, None, False])
-            all_hold = False
-            continue
+    for name, u in poincare_suite(grid):
+        res = verify_poincare(u, domain)
         holds = bool(res["holds_vol"] and res["holds_slab"])
-        all_hold = all_hold and holds
         rows.append([name, res["lhs"], res["rhs_vol"], res["rhs_slab"], holds])
     write_csv(out / "poincare.csv", ["id", "lhs", "rhs_vol", "rhs_slab", "holds"], rows)
-    return EXIT_OK if all_hold else EXIT_USAGE
+    return EXIT_OK if all(row[-1] for row in rows) else EXIT_USAGE
 
 
-def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int) -> int:
+def cmd_exhaust(cfg: configparser.ConfigParser, out: Path) -> int:
     ex = _section(cfg, "exhaustion")
     d = _get(ex, "d")
     n_start = _get(ex, "n_start", int)
@@ -510,7 +499,7 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_schauder(cfg: configparser.ConfigParser, out: Path, seed: int) -> int:
+def cmd_schauder(cfg: configparser.ConfigParser, out: Path) -> int:
     sc = _optional_section(cfg, "schauder")
     norm_cfg = _norm_config(cfg)
     h = _get(_section(cfg, "grid"), "h")
@@ -548,14 +537,18 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one ``error:`` line, where argparse prints the usage too
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diriter", description="Iterated Dirichlet solves for nonlinear elliptic problems"
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="INI experiment config")
     parser.add_argument("--out", default=".", help="output directory (created if absent)")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the Poincaré suite")
     try:
         args = parser.parse_args(argv)
     except SystemExit:
@@ -571,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
         # numpy's warnings would repeat on stderr what a non-finite value's outcome says
         with np.errstate(all="ignore"):
             cfg = _load_config(args.config)
-            return _COMMANDS[args.command](cfg, out, args.seed)
+            return _COMMANDS[args.command](cfg, out)
     except DiriterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

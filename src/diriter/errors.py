@@ -10,10 +10,6 @@ class DiriterError(Exception):
     """Base class for all package errors."""
 
 
-class NotConforming(DiriterError):
-    """Field violates the boundary values required by the operation."""
-
-
 class IterationFailure(DiriterError):
     """The outer iteration stopped without converging. ``report.outcome``
     (``diverged`` or ``max_iters``) says how; ``last_iterate`` is its final iterate."""

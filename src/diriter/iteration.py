@@ -26,7 +26,7 @@ from .calculus import (
     norm_sup,
 )
 from .domain import Grid, GridField
-from .errors import IterationFailure, NotConforming
+from .errors import DiriterError, IterationFailure
 from .nonlinearity import (
     ContractionAnalysis,
     RhsSpec,
@@ -185,7 +185,7 @@ def dirichlet_iterate(
 
     if u0 is not None:
         if not u0.is_conforming(cfg.phi, tol=1e-12 * (1.0 + norm_sup(u0))):
-            raise NotConforming("u0 must carry the configured boundary values")
+            raise DiriterError("u0 must carry the configured boundary values")
         u_prev = u0
     else:
         u_prev = _start_field(grid, spec, cfg, solver)

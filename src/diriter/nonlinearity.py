@@ -292,12 +292,14 @@ def is_partial_bound(spec: RhsSpec) -> bool:
 
 
 def admissible_K_threshold(spec: GradLipschitz, domain: Domain, C: float, K0: float) -> float:
-    """Largest admissible Lipschitz constant under the volumetric Poincaré constant."""
+    """Largest admissible Lipschitz constant under the volumetric Poincaré
+    constant, capped at the largest double: a smaller bound is still a bound,
+    where inf would overstate it."""
     if C <= 0:
         raise ValueError("C must be positive")
     kappa = domain.kappa_volumetric
     slope = _times_powers(spec.m, (C, spec.m - 1.0))  # 0 where it underflows
-    return min((1.0 / slope) / kappa if slope else math.inf, K0)
+    return min((1.0 / slope) / kappa if slope else math.inf, K0, sys.float_info.max)
 
 
 def k_zero(spec: GradLipschitz, norms: dict, lam: float) -> float:

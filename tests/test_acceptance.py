@@ -68,7 +68,7 @@ def test_criterion_2_slab_poincare_suite():
     for dom, h in ((UNIT, 1.0 / 32), (Domain.strip_truncation(1.0, 2.0), 1.0 / 32)):
         grid = build_grid(dom, h)
         kappa_slab = dom.kappa_slab
-        for name, u in poincare_suite(grid, count=12, seed=1):
+        for name, u in poincare_suite(grid):
             lhs = verify_poincare(u, dom)["lhs"]
             gn = norm_h1semi(u)
             assert lhs <= kappa_slab * gn + 2 * grid.h * gn, name

@@ -309,9 +309,6 @@ def test_bad_expression_reports_usage_error(tmp_path):
         ("solve", "h1_tol = 1e-12", "h1_tol = nan"),
         ("solve", "h1_tol = 1e-12", "h1_tol = 1e-12\nblowup_sup = -1"),
         ("solve", "h1_tol = 1e-12", "h1_tol = 1e-12\nblowup_sup = nan"),
-        ("poincare", "lambda = 2.0\n", "lambda = 2.0\nsuite_size = 0\n"),
-        ("poincare", "lambda = 2.0\n", "lambda = 2.0\nsuite_size = -3\n"),
-        ("poincare --seed -2", "lambda = 2.0\n", "lambda = 2.0\n"),
         ("solve", "a = 1\n", "a = inf\n"),
         ("solve", "a = 1\n", "a = nan\n"),
         ("solve", "h = 0.0625", "h = nan"),
@@ -349,7 +346,7 @@ def test_bad_expression_reports_usage_error(tmp_path):
     ],
     ids=["alpha", "h", "K", "max_iters", "n_list", "schauder_d", "empty_n_list", "lambda_nan",
          "lambda_negative", "lambda_zero", "h1_tol_nan", "blowup_sup_negative", "blowup_sup_nan",
-         "suite_size_zero", "suite_size_negative", "seed_flag_negative", "a_inf", "a_nan", "h_nan",
+         "a_inf", "a_nan", "h_nan",
          "K_nan", "sweep_K_negative", "sweep_K_nan", "sweep_H_amplitude_inf",
          "compact_halfwidth_nan", "compact_halfwidth_negative", "m_nan", "m_inf", "gamma_g_k_nan",
          "exhaust_h_misaligned", "compact_tol_nan", "compact_tol_negative", "compact_tol_inf",
@@ -530,13 +527,27 @@ def test_poincare_rejects_prescribed_boundary(tmp_path):
     assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("extent, h, norms", [
+    ("1e-300", "2.5e-301", "||u||_2 = 0, |u|_H1 = nan"),  # the norms underflow
+    ("1e150", "5e149", "||u||_2 = 1.06058e+134, |u|_H1 = 0"),  # eigen_1_2's gradient underflows
+], ids=["tiny_square", "huge_square"])
+def test_poincare_norms_leaving_the_floats_are_one_error_line(tmp_path, capsys, extent, h, norms):
+    # not a row that reads holds = False: the inequality was never tested
+    text = f"[domain]\nkind = rectangle\na = {extent}\nb = {extent}\n[grid]\nh = {h}\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: verify_poincare: the norms leave the floats ({norms})"]
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_poincare_suite_exit_zero(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "out"
     assert main(["poincare", "--config", cfg, "--out", str(out)]) == 0
     rows = read_csv(out / "poincare.csv")
     assert rows[0] == ["id", "lhs", "rhs_vol", "rhs_slab", "holds"]
-    assert len(rows) == 21
+    assert len(rows) == 12
     assert all(r[4] == "True" for r in rows[1:])
     zero_like = [r for r in rows[1:] if float(r[1]) == 0.0]
     assert not zero_like  # suite fields are all nontrivial
@@ -718,13 +729,13 @@ compact_halfwidth = 2
 
 def test_schauder_deterministic_per_seed(tmp_path):
     # Λ's estimate draws nothing at random: the seed keys of older configs are
-    # ignored like any unknown key, and so is --seed
+    # ignored like any unknown key
     seeded = write_cfg(tmp_path, BASE + "\n[schauder]\ntrials = 2\nseed = 4\n",
                        name="seeded.ini")
     cfg = write_cfg(tmp_path, BASE)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert main(["schauder", "--config", seeded, "--out", str(out1)]) == 0
-    assert main(["schauder", "--config", cfg, "--out", str(out2), "--seed", "9"]) == 0
+    assert main(["schauder", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "schauder.csv").read_bytes() == (out2 / "schauder.csv").read_bytes()
     est = float(read_csv(out1 / "schauder.csv")[1][1])
     assert est > 0
@@ -741,8 +752,18 @@ def test_schauder_strip_probe(tmp_path):
     assert report["max"] >= max(float(r[1]) for r in rows[1:]) - 1e-15
 
 
-def test_unknown_command_usage():
+def test_unknown_command_usage(capsys):
     assert main(["frobnicate", "--config", "x"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: argument command: invalid choice: ")
+
+
+def test_seed_flag_is_one_error_line(tmp_path, capsys):
+    # no command draws anything at random, so there is no seed to set
+    cfg = write_cfg(tmp_path, BASE)
+    assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --seed 3\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_nonhomogeneous_boundary_solve(tmp_path):

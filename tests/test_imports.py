@@ -2,8 +2,8 @@
 that each module reads every name it imports, that every library definition
 has a caller in the library, that the loop reads every field of its config
 and the analysis every field of its own, that every exception type is caught
-by name, and that no module builds a dense coordinate mesh or a grid-sized
-boolean mask."""
+by name, that nothing is drawn at random, and that no module builds a dense
+coordinate mesh or a grid-sized boolean mask."""
 
 import ast
 import builtins
@@ -40,8 +40,7 @@ def test_cli_import_loads_no_scipy_and_the_numpy_parts_the_commands_use():
     )
     # scipy would add ~0.3 s and ~300 modules to every command's start-up;
     # numpy.fft serves every solve, so it loads with the package, while
-    # numpy.random (about 5.5 MB and 14 ms) serves only the Poincaré suite,
-    # so only the command that builds it loads it
+    # numpy.random (about 5.5 MB and 14 ms) serves nothing the package does
     assert json.loads(_run(code)) == ["numpy.fft"]
 
 
@@ -225,8 +224,35 @@ def test_every_exception_type_is_caught_in_the_package():
     caught = set().union(*(_caught_names(node) for tree in trees for node in ast.walk(tree)
                            if isinstance(node, ast.ExceptHandler) and node.type is not None))
     defined = set(classes) & exceptions
-    assert defined >= {"DiriterError", "ExpressionError", "IterationFailure", "NotConforming"}
+    assert defined >= {"DiriterError", "ExpressionError", "IterationFailure"}
     assert sorted(defined - caught) == []
+
+
+def _draws_at_random(node: ast.AST) -> bool:
+    """Whether a node imports ``random`` or ``numpy.random`` (or reads
+    ``np.random``), or names ``default_rng``."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        modules = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+    elif isinstance(node, ast.Attribute):
+        return node.attr == "default_rng" or (
+            node.attr == "random" and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy"))
+    else:
+        return isinstance(node, ast.Name) and node.id == "default_rng"
+    return any(m == "random" or m == "numpy.random" or m.startswith(("random.", "numpy.random."))
+               for m in modules)
+
+
+def test_the_package_draws_nothing_at_random():
+    # every command's output is a function of its config alone: no command
+    # reads a seed, so none may draw from a generator
+    found = [f"{source.name}:{node.lineno}"
+             for source in sorted((SRC / "diriter").glob("*.py"))
+             for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+             if _draws_at_random(node)]
+    assert found == []
 
 
 def _is_bool(node: ast.expr) -> bool:

@@ -7,13 +7,13 @@ import pytest
 
 from diriter import (
     AnalysisConfig,
+    DiriterError,
     Domain,
     GammaG,
     GradLipschitz,
     IterationConfig,
     IterationFailure,
     MeanCurvature,
-    NotConforming,
     PoissonSolver,
     build_grid,
     c2alpha_estimate,
@@ -134,7 +134,7 @@ def test_nan_iterate_diverges(unit_grid_16):
 
 def test_rejects_nonconforming_start(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=2.0)
-    with pytest.raises(NotConforming):
+    with pytest.raises(DiriterError, match="u0 must carry the configured boundary values"):
         dirichlet_iterate(unit_grid_16, spec, base_cfg(), u0=unit_grid_16.constant(1.0))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -295,10 +296,11 @@ def test_powers_leaving_the_floats_raise_nothing(unit_grid_16):
     an = analyze(spec, dom, {"h_alpha": 1.0, "gamma_alpha": 0.5}, lam=1.5)
     assert an.C == 1.5 and an.rho == math.inf
     assert contraction_bound(spec, 1.5, 0.5) == math.inf
-    # m C^(m - 1) and the denominator of K0 underflow to 0 for t* = 2e-200
+    # m C^(m - 1) and the denominator of K0 underflow to 0 for t* = 2e-200:
+    # the threshold is capped at the largest double, a true bound where inf is not
     lip = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.5, m=3.0)
     an = analyze(lip, DOM, {"h_alpha": 1e-200}, lam=2.0)
-    assert an.C == 2e-200 and an.K_threshold == math.inf
+    assert an.C == 2e-200 and an.K_threshold == sys.float_info.max
     assert k_zero(lip, {"h_alpha": 1e-200}, 2.0) == math.inf
 
 
