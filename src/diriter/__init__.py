@@ -10,7 +10,6 @@ and strip-exhaustion tails.
 from .calculus import (
     NormConfig,
     c2alpha_estimate,
-    estimate_schauder_constant,
     gradient,
     holder_norm,
     holder_seminorm,
@@ -46,7 +45,7 @@ from .nonlinearity import (
     psi,
     smallest_fixed_point,
 )
-from .poisson import PoissonSolver
+from .poisson import PoissonSolver, estimate_schauder_constant
 from .slab import ExhaustionConfig, ExhaustionResult, exhaustion_solve
 
 __version__ = "0.1.0"

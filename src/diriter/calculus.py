@@ -372,28 +372,3 @@ def poincare_suite(grid: Grid) -> list[tuple[str, GridField]]:
         ("tensor_mixed", grid.field(sx * (1 - sx) * np.sin(np.pi * sy))),
         *(eigen(p, q) for p, q in [(2, 3), (3, 2), (3, 3)]),
     ]
-
-
-# ---------------------------------------------------------------------------
-# Empirical Schauder constant
-# ---------------------------------------------------------------------------
-
-
-def schauder_ratio(f: GridField, cfg: NormConfig) -> float:
-    """c2alpha_estimate(u) / holder_norm(f) for the homogeneous solve of f."""
-    from .poisson import PoissonSolver
-
-    u = PoissonSolver(f.grid).solve(f)
-    denom = holder_norm(f, cfg)
-    if denom == 0.0:
-        return 0.0
-    return c2alpha_estimate(u, cfg) / denom
-
-
-def estimate_schauder_constant(grid: Grid, cfg: NormConfig) -> float:
-    """Empirical bound-constant estimate: the solve-to-data norm ratio of the
-    right-hand side f = 1, whose Hölder norm is 1, so the ratio is the
-    C^{2,alpha} estimate of the torsion function. Any right-hand side gives a
-    lower bound on the constant, and f = 1's is at least 2.4 times that of
-    random trigonometric ones on the rectangles and strips tested."""
-    return schauder_ratio(grid.constant(1.0), cfg)

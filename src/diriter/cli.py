@@ -4,7 +4,7 @@ Commands and exit codes:
 
     diriter solve|sweep|poincare|exhaust|schauder --config FILE [--out DIR]
 
-    0 converged / all checks passed, 1 usage or config error,
+    0 converged / all checks passed (and --help), 1 usage or config error,
     2 diverged, 3 iteration budget exhausted.
 
 Config sections: [domain] (kind, a, b | d, n_trunc), [grid] (h), [rhs]
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calculus import NormConfig, estimate_schauder_constant, poincare_suite, sup_abs, verify_poincare
+from .calculus import NormConfig, poincare_suite, sup_abs, verify_poincare
 from .domain import Domain, Grid, GridField, build_grid
 from .errors import DiriterError, IterationFailure
 from .expressions import ExpressionError, compile_expression
@@ -51,6 +51,7 @@ from .nonlinearity import (
     check_finite_data,
     data_fields,
 )
+from .poisson import estimate_schauder_constant
 from .slab import ExhaustionConfig, compact_values, exhaustion_solve
 
 EXIT_OK = 0
@@ -327,8 +328,7 @@ def cmd_solve(cfg: configparser.ConfigParser, out: Path) -> int:
         u = exc.last_iterate
     write_json(out / "report.json", report_payload(report, c2alpha, theory, norms))
     write_trace(out / "trace.csv", report, c2alpha)
-    if u is not None:
-        write_solution(out / "solution.csv", u)
+    write_solution(out / "solution.csv", u)
     return _OUTCOME_EXIT[report.outcome]
 
 
@@ -551,8 +551,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=".", help="output directory (created if absent)")
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        return EXIT_USAGE
+    except SystemExit as exc:  # code 0 or None after --help, EXIT_USAGE from error()
+        return EXIT_USAGE if exc.code else EXIT_OK
 
     out = Path(args.out)
     try:
@@ -567,6 +567,9 @@ def main(argv: list[str] | None = None) -> int:
             return _COMMANDS[args.command](cfg, out)
     except DiriterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # an array numpy cannot allocate, such as a grid of h = 1e-12
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # _load_config reports its own: this is an output file
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ import numpy as np
 from .calculus import (
     NormConfig,
     c2alpha_estimate,
-    estimate_schauder_constant,
     gradient,  # noqa: F401 -- unused here; perfbench/spans.py traces it under this name
     laplacian_apply,
     norm_h1semi,
@@ -36,7 +35,7 @@ from .nonlinearity import (
     data_norms,
     evaluate_rhs,
 )
-from .poisson import PoissonSolver
+from .poisson import PoissonSolver, estimate_schauder_constant
 
 START_ZERO = "zero"
 START_LIFT = "boundary-lift"

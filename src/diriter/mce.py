@@ -8,7 +8,6 @@ analytic benchmark for the iterated solver on strip truncations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +24,6 @@ class ArcSolution:
     @property
     def valid(self) -> bool:
         return self.n * abs(self.H) * self.d / 2.0 < 1.0
-
-    @property
-    def radius(self) -> float:
-        if self.H == 0.0:
-            return math.inf
-        return 1.0 / (self.n * self.H)
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)

@@ -3,14 +3,15 @@
 No command computes these. Each is an independent discretization (the
 flux-form divergence and the face-difference Dirichlet form), the
 whole-grid form of a term the library builds a row slab at a time (the
-mean-curvature coupling), a closed-form solution (Cole-Hopf) or the
-right-hand sides of the seeded Λ estimate that ``f = 1`` replaced (the
-random trigonometric polynomials).
+mean-curvature coupling), a closed-form solution (Cole-Hopf), the
+solve-to-data norm ratio of any right-hand side, of which the Λ estimate
+is the case ``f = 1``, or the right-hand sides of the seeded Λ estimate
+that ``f = 1`` replaced (the random trigonometric polynomials).
 """
 
 import numpy as np
 
-from diriter import Grid, GridField
+from diriter import Grid, GridField, NormConfig, PoissonSolver, c2alpha_estimate, holder_norm
 from diriter.calculus import dot_gradient
 
 
@@ -134,3 +135,12 @@ def random_trig_polynomial(grid: Grid, rng: np.random.Generator) -> GridField:
         for j, by in enumerate(basis_y):
             vals += coeffs[i, j] * bx * by
     return grid.field(vals)
+
+
+def schauder_ratio(f: GridField, cfg: NormConfig) -> float:
+    """c2alpha_estimate(u) / holder_norm(f) for the homogeneous solve of f."""
+    u = PoissonSolver(f.grid).solve(f)
+    denom = holder_norm(f, cfg)
+    if denom == 0.0:
+        return 0.0
+    return c2alpha_estimate(u, cfg) / denom

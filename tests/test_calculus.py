@@ -20,10 +20,10 @@ from diriter import (
     verify_poincare,
 )
 from diriter import calculus
-from diriter.calculus import poincare_suite, schauder_ratio
+from diriter.calculus import poincare_suite
 
 from conftest import random_conforming, random_smooth, traced_peak_fields
-from reference import flux_divergence, h1_inner, random_trig_polynomial
+from reference import flux_divergence, h1_inner, random_trig_polynomial, schauder_ratio
 
 CFG = NormConfig(alpha=0.5)
 

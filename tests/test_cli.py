@@ -245,6 +245,21 @@ def test_overflowing_iterates_leave_stderr_empty(tmp_path, capsys):
     assert json.loads((out / "report.json").read_text())["outcome"] == "diverged"
 
 
+@pytest.mark.parametrize("rhs, sup_f", [
+    # f is finite and the transform overflows; f = n H is already inf
+    ("variant = grad_lipschitz\nh = 1e307\nK = 0\nm = 2\n", "1.000e+307"),
+    ("variant = mean_curvature\nH = 1e308\nn = 2\n", "inf"),
+], ids=["transform-overflow", "infinite-rhs"])
+def test_overflowing_solve_names_the_non_finite_solution(tmp_path, capsys, rhs, sup_f):
+    text = ("[domain]\na = 1\nb = 1\n[grid]\nh = 0.125\n[rhs]\n" + rhs
+            + "[analysis]\nlambda = 2\n")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: direct solve residual nan exceeds tolerance nan: "
+        f"the solution is not finite (sup|f| {sup_f})\n")
+
+
 def test_inconsistent_fixed_point_is_usage_error(tmp_path, monkeypatch):
     monkeypatch.setattr(nonlinearity, "psi", lambda spec, domain, norms, t: 1.0 if t < 0.5 else 0.0)
     cfg = write_cfg(tmp_path, BASE)
@@ -756,6 +771,12 @@ def test_unknown_command_usage(capsys):
     assert main(["frobnicate", "--config", "x"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: argument command: invalid choice: ")
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: diriter") and captured.err == ""
 
 
 def test_seed_flag_is_one_error_line(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """What importing the CLI loads (every command pays it in a fresh process),
-that each module reads every name it imports, that every library definition
-has a caller in the library, that the loop reads every field of its config
+that each module reads every name it imports, that no module imports inside
+a function or into a cycle, that every library definition, method and
+property has a caller in the library, that the loop reads every field of its config
 and the analysis every field of its own, that every exception type is caught
 by name, that nothing is drawn at random, and that no module builds a dense
 coordinate mesh or a grid-sized boolean mask."""
@@ -8,6 +9,8 @@ coordinate mesh or a grid-sized boolean mask."""
 import ast
 import builtins
 import dataclasses
+import graphlib
+import importlib
 import json
 import os
 import subprocess
@@ -167,6 +170,62 @@ def test_every_library_definition_has_a_caller_in_the_library():
             if not read_elsewhere and (module, node.name) not in called:
                 uncalled.append(f"{module}.py:{node.lineno} {node.name}")
     assert uncalled == []
+
+
+def _sources() -> dict[str, ast.Module]:
+    """Every module of the package, ``__init__`` included, parsed."""
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted((SRC / "diriter").glob("*.py"))}
+
+
+def test_imports_are_at_module_level_and_acyclic():
+    # a function-local import hides a dependency from the module's header,
+    # and is how a cycle between modules gets past the import system
+    sources = _sources()
+    local = [f"{module}.py:{node.lineno}" for module, tree in sources.items()
+             for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert local == []
+    graph = {module: set() for module in sources}
+    for module, tree in sources.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (source := _sibling(node)) is not None:
+                graph[module] |= ({source.split(".")[0]} if source else
+                                  {a.name if a.name in sources else "__init__" for a in node.names})
+    cycle = None
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        cycle = exc.args[1]
+    assert cycle is None
+
+
+def test_every_method_and_property_is_read_in_the_library():
+    # as for top-level definitions: a method or property that only the tests
+    # read belongs in the tests. It is read when some module of the package
+    # reads it as an attribute outside its own body. Dunders and overrides of
+    # a method of a class outside the package (argparse's ``error``) are
+    # called by Python or by that class.
+    sources = _sources()
+    reads = [(n.attr, module, n.lineno) for module, tree in sources.items()
+             for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+    unread = []
+    for module, tree in sources.items():
+        for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            mro = getattr(importlib.import_module(f"diriter.{module}"), cls.name).__mro__
+            bases = [b for b in mro[1:] if not b.__module__.startswith("diriter")]
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = fn.name
+                dunder = name.startswith("__") and name.endswith("__")
+                if dunder or any(hasattr(b, name) for b in bases):
+                    continue
+                if not any(attr == name and not (m == module and fn.lineno <= line <= fn.end_lineno)
+                           for attr, m, line in reads):
+                    unread.append(f"{module}.py:{fn.lineno} {cls.name}.{name}")
+    assert unread == []
 
 
 def _attributes_read(readers: dict[str, tuple[str, ...]]) -> set[str]:
