@@ -54,6 +54,12 @@ class Domain:
         return self.slab_diameter() / math.sqrt(2.0)
 
 
+def sup_abs(values: np.ndarray) -> float:
+    """``max |values|`` without forming ``|values|``: bitwise equal to
+    ``np.max(np.abs(values))``; NaN anywhere gives NaN, and -0.0 counts as 0.0."""
+    return abs(float(max(values.max(), -values.min())))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
@@ -78,14 +84,6 @@ class Grid:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
-
-    @property
-    def extent_x(self) -> float:
-        return (self.nx - 1) * self.h
-
-    @property
-    def extent_y(self) -> float:
-        return (self.ny - 1) * self.h
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         """The open mesh, x as an (nx, 1) column and y as a (1, ny) row: an
@@ -165,7 +163,9 @@ class GridField:
         x = x[-1], then the columns y = y[0] and y = y[-1] without the corners."""
         return np.concatenate([self.values[edge] for edge in _EDGES])
 
-    def is_conforming(self, phi: GridField | None = None, tol: float = 0.0) -> bool:
-        """True when the boundary entries equal phi's (zero by default)."""
+    def is_conforming(self, phi: GridField | None = None) -> bool:
+        """True when the boundary entries equal phi's (zero by default) up to
+        rounding: to within 1e-12 (1 + sup|u|), a NaN failing."""
         target = 0.0 if phi is None else phi.boundary_values()
+        tol = 1e-12 * (1.0 + sup_abs(self.values))
         return bool(np.max(np.abs(self.boundary_values() - target)) <= tol)

@@ -183,7 +183,7 @@ def dirichlet_iterate(
     solver = PoissonSolver(grid)
 
     if u0 is not None:
-        if not u0.is_conforming(cfg.phi, tol=1e-12 * (1.0 + norm_sup(u0))):
+        if not u0.is_conforming(cfg.phi):
             raise DiriterError("u0 must carry the configured boundary values")
         u_prev = u0
     else:

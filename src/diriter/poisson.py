@@ -108,11 +108,11 @@ class PoissonSolver:
         The solve is checked by applying the 5-point Laplacian to u and
         requiring max |laplacian(u) - f| over the interior to be at most
         1e-10 * (1 + sup|f|) + 32 * eps * sup|u| / h^2 (NaN fails); otherwise
-        DiriterError is raised, whose message says so when sup|u| is not
-        finite. The second term covers the rounding of an
-        exact solve, which the stencil amplifies by 1/h^2: measured against
-        a reference DST, it is 7.5 to 17.3 times eps * sup|u| / h^2 for
-        h = 1/64 ... 1/2048.
+        DiriterError is raised. When sup|u| is not finite, its message says
+        so and gives sup|f| and, when phi is given, sup|phi| on the boundary.
+        The second term covers the rounding of an exact solve, which the
+        stencil amplifies by 1/h^2: measured against a reference DST, it is
+        7.5 to 17.3 times eps * sup|u| / h^2 for h = 1/64 ... 1/2048.
         """
         grid = self.grid
         if f.grid.shape != grid.shape:
@@ -165,8 +165,9 @@ class PoissonSolver:
         res = self.residual_sup(u, f)
         if not res <= tol:  # a NaN residual fails too
             msg = f"direct solve residual {res:.3e} exceeds tolerance {tol:.3e}"
-            if not np.isfinite(sup_u):  # an inf f, or a transform that overflowed
-                msg += f": the solution is not finite (sup|f| {sup_f:.3e})"
+            if not np.isfinite(sup_u):  # an inf f or phi, or a transform that overflowed
+                msg += f": the solution is not finite (sup|f| {sup_f:.3e}"
+                msg += ")" if phi is None else f", sup|phi| {sup_abs(phi.boundary_values()):.3e})"
             raise DiriterError(msg)
         return u
 

@@ -5,6 +5,8 @@ import pytest
 
 from diriter import Domain, build_grid
 
+from reference import unit_coordinates
+
 
 @pytest.fixture
 def unit_square():
@@ -28,9 +30,7 @@ def rng():
 
 def random_conforming(grid, rng, modes=3):
     """Random smooth field with exactly zero boundary values."""
-    X, Y = grid.meshgrid()
-    sx = (X - grid.x[0]) / grid.extent_x
-    sy = (Y - grid.y[0]) / grid.extent_y
+    sx, sy = unit_coordinates(grid)
     vals = np.zeros(grid.shape)
     coeffs = rng.uniform(-1.0, 1.0, size=(modes, modes))
     for p in range(1, modes + 1):
@@ -41,9 +41,7 @@ def random_conforming(grid, rng, modes=3):
 
 def random_smooth(grid, rng, modes=3):
     """Random smooth field, nonzero on the boundary."""
-    X, Y = grid.meshgrid()
-    sx = (X - grid.x[0]) / grid.extent_x
-    sy = (Y - grid.y[0]) / grid.extent_y
+    sx, sy = unit_coordinates(grid)
     vals = np.zeros(grid.shape)
     for _ in range(modes):
         ax, ay, ph1, ph2 = rng.uniform(-1, 1, 4)

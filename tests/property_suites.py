@@ -29,7 +29,7 @@ from diriter import (
 from diriter.cli import report_payload
 from diriter.nonlinearity import GammaG, GradLipschitz, MeanCurvature
 
-from reference import curvature_coupling, h1_inner
+from reference import curvature_coupling, h1_inner, unit_coordinates
 
 CFG = NormConfig(alpha=0.5)  # one displacement set per grid, shared by every field
 
@@ -46,9 +46,7 @@ def _grid(rng):
 
 
 def _smooth(grid, rng, modes=3):
-    X, Y = grid.meshgrid()
-    sx = (X - grid.x[0]) / grid.extent_x
-    sy = (Y - grid.y[0]) / grid.extent_y
+    sx, sy = unit_coordinates(grid)
     vals = np.zeros(grid.shape)
     for _ in range(modes):
         a, px, py = rng.uniform(-1, 1, 3)
@@ -58,9 +56,7 @@ def _smooth(grid, rng, modes=3):
 
 
 def _conforming(grid, rng, modes=3):
-    X, Y = grid.meshgrid()
-    sx = (X - grid.x[0]) / grid.extent_x
-    sy = (Y - grid.y[0]) / grid.extent_y
+    sx, sy = unit_coordinates(grid)
     vals = np.zeros(grid.shape)
     coeffs = rng.uniform(-1, 1, (modes, modes))
     for p in range(1, modes + 1):

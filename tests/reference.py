@@ -5,8 +5,10 @@ flux-form divergence and the face-difference Dirichlet form), the
 whole-grid form of a term the library builds a row slab at a time (the
 mean-curvature coupling), a closed-form solution (Cole-Hopf), the
 solve-to-data norm ratio of any right-hand side, of which the Λ estimate
-is the case ``f = 1``, or the right-hand sides of the seeded Λ estimate
-that ``f = 1`` replaced (the random trigonometric polynomials).
+is the case ``f = 1``, the right-hand sides of the seeded Λ estimate
+that ``f = 1`` replaced (the random trigonometric polynomials), or the
+closed-form fields the ``poincare`` command sampled before the grid's
+maximizer replaced them.
 """
 
 import numpy as np
@@ -117,13 +119,36 @@ def cole_hopf_slab_profile(K: float, c: float, d: float, y: np.ndarray) -> np.nd
     return -np.log(np.cos(s * y) / np.cos(0.5 * s * d)) / K
 
 
+def unit_coordinates(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The open mesh mapped onto [0, 1] x [0, 1]: an (nx, 1) column and a (1, ny) row."""
+    X, Y = grid.meshgrid()
+    return (X - grid.x[0]) / (grid.x[-1] - grid.x[0]), (Y - grid.y[0]) / (grid.y[-1] - grid.y[0])
+
+
+def poincare_suite(grid: Grid) -> list[tuple[str, GridField]]:
+    """Eleven conforming closed-form fields: the nine Laplacian
+    eigenfunctions eigen_p_q = sin(p pi x) sin(q pi y) with p, q <= 3 and two
+    tensor products, in the coordinates mapped onto the unit square. In the
+    continuum eigen_1_1 has the largest ratio ||u||_2 / |u|_{H^1} of any H1_0
+    field; on the grid the maximizer's ratio is larger."""
+    sx, sy = unit_coordinates(grid)
+
+    def eigen(p, q):
+        return f"eigen_{p}_{q}", grid.field(np.sin(p * np.pi * sx) * np.sin(q * np.pi * sy))
+
+    return [
+        *(eigen(p, q) for p, q in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)]),
+        ("tensor_parabola", grid.field(sx * (1 - sx) * sy * (1 - sy))),
+        ("tensor_mixed", grid.field(sx * (1 - sx) * np.sin(np.pi * sy))),
+        *(eigen(p, q) for p, q in [(2, 3), (3, 2), (3, 3)]),
+    ]
+
+
 def random_trig_polynomial(grid: Grid, rng: np.random.Generator) -> GridField:
     """A random trigonometric polynomial of degree 2 on the grid: products of
     ``1, sin(k pi s), cos(k pi s)`` for k = 1, 2 in the coordinates scaled
     to [0, 1], with coefficients uniform in [-1, 1]."""
-    X, Y = grid.meshgrid()
-    sx = (X - grid.x[0]) / max(grid.extent_x, np.finfo(float).tiny)
-    sy = (Y - grid.y[0]) / max(grid.extent_y, np.finfo(float).tiny)
+    sx, sy = unit_coordinates(grid)
     basis = [np.ones_like(sx)]
     basis_y = [np.ones_like(sy)]
     for k in (1, 2):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from diriter import (
     DiriterError,
@@ -20,10 +21,16 @@ from diriter import (
     verify_poincare,
 )
 from diriter import calculus
-from diriter.calculus import poincare_suite
+from diriter.calculus import poincare_maximizer
 
 from conftest import random_conforming, random_smooth, traced_peak_fields
-from reference import flux_divergence, h1_inner, random_trig_polynomial, schauder_ratio
+from reference import (
+    flux_divergence,
+    h1_inner,
+    poincare_suite,
+    random_trig_polynomial,
+    schauder_ratio,
+)
 
 CFG = NormConfig(alpha=0.5)
 
@@ -322,12 +329,79 @@ def test_poincare_strip_cutoff_ratio():
     )
 
 
-def test_poincare_suite_all_hold(unit_grid_32, unit_square):
-    fields = poincare_suite(unit_grid_32)
-    assert len(fields) == 11
-    for _, u in fields:
+def test_poincare_suite_all_hold(unit_square):
+    # the maximizer's ratio is at least that of every field the command
+    # sampled before, so its one row decides the verdict for them all
+    for h in (1.0 / 8, 1.0 / 16, 1.0 / 32):
+        grid = build_grid(unit_square, h)
+        u = poincare_maximizer(grid)
         res = verify_poincare(u, unit_square)
         assert res["holds_vol"] and res["holds_slab"]
+        best = norm_l2(u) / norm_h1semi(u)
+        fields = poincare_suite(grid)
+        assert len(fields) == 11
+        for name, v in fields:
+            assert norm_l2(v) / norm_h1semi(v) <= best, (h, name)
+
+
+def _dense_poincare_ratio(grid):
+    """The largest ||u||_2 / |u|_{H^1} over the conforming fields of a grid:
+    the smallest mode of the dense generalized eigenproblem of norm_h1semi's
+    quadratic form, whose columns are the weighted gradients of the interior
+    unit fields, against the trapezoidal mass."""
+    w = np.outer(*grid.axis_weights())
+    interior = [(i, j) for i in range(1, grid.nx - 1) for j in range(1, grid.ny - 1)]
+    columns = []
+    for i, j in interior:
+        e = np.zeros(grid.shape)
+        e[i, j] = 1.0
+        ux, uy = gradient(grid.field(e))
+        columns.append(np.concatenate([(np.sqrt(w) * ux).ravel(), (np.sqrt(w) * uy).ravel()]))
+    g = np.array(columns).T
+    form = g.T @ g
+    u = random_conforming(grid, np.random.default_rng(7))
+    c = u.values[1:-1, 1:-1].ravel()
+    assert math.isclose(c @ form @ c, norm_h1semi(u) ** 2, rel_tol=1e-12)
+    mass = np.diag([w[i, j] for i, j in interior])
+    lowest = scipy.linalg.eigh(form, mass, eigvals_only=True, subset_by_index=[0, 0])[0]
+    return 1.0 / math.sqrt(lowest)
+
+
+@pytest.mark.parametrize("domain, ratio", [
+    (Domain.rectangle(1.0, 1.0), 0.244824491851284),
+    (Domain.rectangle(2.0, 1.0), 0.306817368891836),
+    (Domain.strip_truncation(1.0, 2.0), 0.334522777794611),
+], ids=["unit_square", "rectangle_2x1", "strip"])
+def test_poincare_maximizer_is_the_dense_eigenproblem_mode(domain, ratio):
+    grid = build_grid(domain, 1.0 / 8)
+    u = poincare_maximizer(grid)
+    got = norm_l2(u) / norm_h1semi(u)
+    assert math.isclose(got, _dense_poincare_ratio(grid), rel_tol=1e-12)
+    assert math.isclose(got, ratio, rel_tol=1e-12)
+    assert math.isclose(norm_h1semi(u), 1.0, rel_tol=1e-12)
+    assert u.is_conforming() and np.max(u.values) == np.max(np.abs(u.values))
+
+
+def test_poincare_maximizer_tends_to_the_continuum_constant(unit_square):
+    # 1 / (pi sqrt(1/a^2 + 1/b^2)), approached from above
+    target = 1.0 / (math.pi * math.sqrt(2.0))
+    gaps = []
+    for h in (1.0 / 8, 1.0 / 16, 1.0 / 32):
+        u = poincare_maximizer(build_grid(unit_square, h))
+        gaps.append(norm_l2(u) / norm_h1semi(u) - target)
+    assert gaps[2] > 0.0
+    assert gaps[0] >= 2.0 * gaps[1] and gaps[1] >= 2.0 * gaps[2]
+
+
+def test_poincare_maximizer_norms_stay_finite_at_large_extents():
+    # the eigenvectors are formed at unit spacing: |u|_H1 = 1 and ||u||_2 is
+    # h times the unit-spacing ratio, whatever h is
+    dom = Domain.rectangle(1e150, 1e150)
+    u = poincare_maximizer(build_grid(dom, 5e149))
+    res = verify_poincare(u, dom)
+    assert math.isclose(norm_h1semi(u), 1.0, rel_tol=1e-12)
+    assert math.isclose(res["lhs"], 5e149 / math.sqrt(8.0), rel_tol=1e-12)
+    assert res["holds_vol"] and res["holds_slab"]
 
 
 # --- empirical bound constant ----------------------------------------------

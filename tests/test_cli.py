@@ -245,19 +245,22 @@ def test_overflowing_iterates_leave_stderr_empty(tmp_path, capsys):
     assert json.loads((out / "report.json").read_text())["outcome"] == "diverged"
 
 
-@pytest.mark.parametrize("rhs, sup_f", [
+@pytest.mark.parametrize("rhs, hint", [
     # f is finite and the transform overflows; f = n H is already inf
-    ("variant = grad_lipschitz\nh = 1e307\nK = 0\nm = 2\n", "1.000e+307"),
-    ("variant = mean_curvature\nH = 1e308\nn = 2\n", "inf"),
-], ids=["transform-overflow", "infinite-rhs"])
-def test_overflowing_solve_names_the_non_finite_solution(tmp_path, capsys, rhs, sup_f):
+    ("variant = grad_lipschitz\nh = 1e307\nK = 0\nm = 2\n", "sup|f| 1.000e+307"),
+    ("variant = mean_curvature\nH = 1e308\nn = 2\n", "sup|f| inf"),
+    # f = 0, and the lift's right-hand side carries phi / h^2, which overflows
+    ("variant = grad_lipschitz\nh = 0\nK = 0\nm = 2\n"
+     "[iteration]\nphi = 1e308\nstart = boundary-lift\n", "sup|f| 0.000e+00, sup|phi| 1.000e+308"),
+], ids=["transform-overflow", "infinite-rhs", "overflowing-phi"])
+def test_overflowing_solve_names_the_non_finite_solution(tmp_path, capsys, rhs, hint):
     text = ("[domain]\na = 1\nb = 1\n[grid]\nh = 0.125\n[rhs]\n" + rhs
             + "[analysis]\nlambda = 2\n")
     cfg = write_cfg(tmp_path, text)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "error: direct solve residual nan exceeds tolerance nan: "
-        f"the solution is not finite (sup|f| {sup_f})\n")
+        f"the solution is not finite ({hint})\n")
 
 
 def test_inconsistent_fixed_point_is_usage_error(tmp_path, monkeypatch):
@@ -533,18 +536,23 @@ def test_sweep_h_amplitude_locates_threshold(tmp_path):
     assert report["threshold"] is not None
 
 
-def test_poincare_rejects_prescribed_boundary(tmp_path):
-    text = BASE.replace(
-        "[iteration]\nmax_iters = 60\nh1_tol = 1e-12",
-        "[iteration]\nmax_iters = 60\nh1_tol = 1e-12\nphi = x + y",
-    )
-    cfg = write_cfg(tmp_path, text)
-    assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+def test_poincare_rejects_prescribed_boundary(tmp_path, capsys):
+    # sin(pi x) sin(pi y) is 1.2e-16 at x = 1: zero to the tolerance the
+    # check of the field itself uses, 1e-12 (1 + sup|u|)
+    for phi, code in (("x + y", 1), ("sin(pi*x)*sin(pi*y)", 0)):
+        text = BASE.replace(
+            "[iteration]\nmax_iters = 60\nh1_tol = 1e-12",
+            f"[iteration]\nmax_iters = 60\nh1_tol = 1e-12\nphi = {phi}",
+        )
+        cfg = write_cfg(tmp_path, text)
+        assert main(["poincare", "--config", cfg, "--out", str(tmp_path / f"o{code}")]) == code, phi
+        assert capsys.readouterr().err.splitlines() == ([] if code == 0 else [
+            "error: [iteration] phi: poincare needs zero boundary data, not a prescribed phi"])
 
 
 @pytest.mark.parametrize("extent, h, norms", [
     ("1e-300", "2.5e-301", "||u||_2 = 0, |u|_H1 = nan"),  # the norms underflow
-    ("1e150", "5e149", "||u||_2 = 1.06058e+134, |u|_H1 = 0"),  # eigen_1_2's gradient underflows
+    ("4e155", "1e155", "||u||_2 = nan, |u|_H1 = nan"),  # the weights h^2 overflow
 ], ids=["tiny_square", "huge_square"])
 def test_poincare_norms_leaving_the_floats_are_one_error_line(tmp_path, capsys, extent, h, norms):
     # not a row that reads holds = False: the inequality was never tested
@@ -557,15 +565,18 @@ def test_poincare_norms_leaving_the_floats_are_one_error_line(tmp_path, capsys, 
 
 
 def test_poincare_suite_exit_zero(tmp_path):
+    # one row: the grid's maximizer, whose ratio bounds every conforming field's
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "out"
     assert main(["poincare", "--config", cfg, "--out", str(out)]) == 0
     rows = read_csv(out / "poincare.csv")
     assert rows[0] == ["id", "lhs", "rhs_vol", "rhs_slab", "holds"]
-    assert len(rows) == 12
-    assert all(r[4] == "True" for r in rows[1:])
-    zero_like = [r for r in rows[1:] if float(r[1]) == 0.0]
-    assert not zero_like  # suite fields are all nontrivial
+    assert [r[0] for r in rows[1:]] == ["grid_max"]
+    assert rows[1][4] == "True"
+    assert math.isclose(float(rows[1][1]), 0.2340942259599582, rel_tol=1e-12)
+    again = tmp_path / "again"
+    assert main(["poincare", "--config", cfg, "--out", str(again)]) == 0
+    assert (again / "poincare.csv").read_bytes() == (out / "poincare.csv").read_bytes()
 
 
 EXHAUST = """

@@ -27,8 +27,8 @@ def test_strip_truncation_node_counts():
     grid = build_grid(Domain.strip_truncation(d=1.0, n_trunc=2.0), 0.25)
     # node count per axis = extent / h + 1, checked against the realized extents
     assert grid.shape == (17, 5)
-    assert math.isclose(grid.extent_x, 4.0)
-    assert math.isclose(grid.extent_y, 1.0)
+    assert math.isclose(grid.x[-1] - grid.x[0], 4.0)
+    assert math.isclose(grid.y[-1] - grid.y[0], 1.0)
 
 
 def test_meshgrid_is_the_open_mesh(unit_grid_16):

@@ -3,8 +3,10 @@ write the stored output files byte for byte, with the stored exit code.
 
 Each config is ``tests/golden/<command>-<label>.ini``; its outputs are in
 ``tests/golden/<command>-<label>/`` and its exit code in ``manifest.json``,
-beside the numpy version that wrote them (the bits rest on numpy's FFT and
-on libm). A change that means to move a value regenerates the files with
+beside the numpy version and the LAPACK name and version that wrote them
+(the bits rest on numpy's FFT, on libm and, for ``poincare``, on LAPACK's
+symmetric eigensolver). A change that means to move a value regenerates the
+files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -102,7 +104,8 @@ def test_outputs_keep_their_bits(config, tmp_path):
              for line in describe(name, got[name], want[name])]
     assert not lines, "\n".join(
         [f"{config.stem}: outputs moved from tests/golden", *lines,
-         f"golden files written with numpy {manifest['numpy']}; installed: numpy {np.__version__}"]
+         f"golden files written with numpy {manifest['numpy']} and LAPACK {manifest['lapack']}; "
+         f"installed: numpy {np.__version__} and LAPACK {lapack()}"]
     )
 
 
@@ -121,6 +124,12 @@ def test_a_moved_value_is_named_by_file_and_column():
     assert line.startswith("report.json column 'a.b': 1 cells differ; largest absolute change 1,")
 
 
+def lapack() -> str:
+    """The name and version of the LAPACK that numpy was built against."""
+    build = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    return f"{build['name']} {build['version']}"
+
+
 def regenerate() -> None:
     """Rewrite every config's outputs and the manifest from the installed program."""
     exit_codes = {}
@@ -130,7 +139,7 @@ def regenerate() -> None:
         for old in out.iterdir():
             old.unlink()
         exit_codes[config.stem] = run(config, out)
-    payload = {"numpy": np.__version__, "exit_codes": exit_codes}
+    payload = {"numpy": np.__version__, "lapack": lapack(), "exit_codes": exit_codes}
     MANIFEST.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote the outputs of {len(CONFIGS)} configs under {GOLDEN}", file=sys.stderr)
 
