@@ -38,11 +38,9 @@ from .nonlinearity import (
     MeanCurvature,
     admissible_K_threshold,
     analyze,
-    contraction_bound,
     data_norms,
     evaluate_rhs,
     k_zero,
-    psi,
     smallest_fixed_point,
 )
 from .poisson import PoissonSolver, estimate_schauder_constant
@@ -73,7 +71,6 @@ __all__ = [
     "build_grid",
     "c2alpha_estimate",
     "c2alpha_observer",
-    "contraction_bound",
     "contraction_theory",
     "data_norms",
     "dirichlet_iterate",
@@ -88,7 +85,6 @@ __all__ = [
     "norm_h1semi",
     "norm_l2",
     "norm_sup",
-    "psi",
     "residual_field",
     "smallest_fixed_point",
     "verify_poincare",

@@ -49,7 +49,6 @@ from .nonlinearity import (
     MeanCurvature,
     RhsSpec,
     check_finite_data,
-    data_fields,
 )
 from .poisson import estimate_schauder_constant
 from .slab import ExhaustionConfig, compact_values, exhaustion_solve
@@ -350,7 +349,7 @@ def _apply_sweep_value(spec: RhsSpec, parameter: str, value: float) -> RhsSpec:
     family, variant, name = _SUP_PARAMETERS[parameter]
     if not isinstance(spec, family):
         raise DiriterError(f"[sweep] sweep parameter {parameter} needs the {variant} variant")
-    data = data_fields(spec)[name]
+    data = spec.fields()[name]
     base = sup_abs(data.values)
     if base == 0:
         raise DiriterError(f"[sweep] configured {name} is identically zero; nothing to scale")

@@ -31,7 +31,6 @@ from .nonlinearity import (
     RhsSpec,
     analyze,
     check_finite_data,
-    data_fields,
     data_norms,
     evaluate_rhs,
 )
@@ -143,7 +142,7 @@ def _start_field(grid: Grid, spec: RhsSpec, cfg: IterationConfig, solver: Poisso
     if cfg.start == START_ZERO:
         return grid.zeros()
     # the lift solves on the loop's own solver: laplacian(u0) = h, u0 = phi
-    h_rhs = data_fields(spec).get("h") or grid.zeros()
+    h_rhs = spec.fields().get("h") or grid.zeros()
     return solver.solve(h_rhs, cfg.phi)
 
 
@@ -177,7 +176,7 @@ def dirichlet_iterate(
     slab at a time, never whole.
     """
     check_finite_data(spec)
-    for name, data in data_fields(spec).items():
+    for name, data in spec.fields().items():
         if data.grid.shape != grid.shape:
             raise ValueError(f"data field {name!r} lives on a different grid")
     solver = PoissonSolver(grid)

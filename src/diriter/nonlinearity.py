@@ -9,9 +9,11 @@ Three families are supported:
                       G_u = <grad u, grad |grad u|^2>: the expanded graph
                       mean-curvature equation.
 
-Each family carries a growth majorant psi(t) for the data norm of f; the
-smallest fixed point of Lambda * psi bounds the iterates and doubles as the
-uniqueness-ball radius, and the contraction factor rho predicts the decay of
+Each family carries its own formulas: its data ``fields``, f on a row slab
+(``rhs_slab``), the growth majorant psi(t) for the data norm of f and its
+slope, the factor rho bounding |grad v_{i+1}| / |grad v_i| and the analysis
+extras. The smallest fixed point of Lambda * psi bounds the iterates and
+doubles as the uniqueness-ball radius, and rho predicts the decay of
 successive iterate differences.
 """
 
@@ -35,12 +37,38 @@ class GradLipschitz:
     h: GridField
     K: float
     m: float = 2.0
+    partial = False  # rho bounds the whole contraction
 
     def __post_init__(self):
         if not 0.0 <= self.K < math.inf:  # NaN fails
             raise ValueError(f"K = {self.K} must be >= 0 and finite")
         if not 2.0 <= self.m < math.inf:  # NaN fails
             raise ValueError(f"m = {self.m} must be >= 2 and finite")
+
+    def fields(self) -> dict[str, GridField]:
+        return {"h": self.h}
+
+    def rhs_slab(self, o, u, rows, keep, vx, vy):
+        np.hypot(o, vy[keep], out=o)
+        o **= self.m  # |grad u|^m
+        o *= self.K
+        o += self.h.values[rows]
+
+    def psi(self, domain: Domain, norms: dict, t: float) -> float:
+        return _require(norms, "h_alpha") + _times_powers(self.K, (t, self.m))
+
+    def psi_prime(self, domain: Domain, norms: dict, t: float) -> float:
+        return _times_powers(self.K * self.m, (t, self.m - 1.0))
+
+    def rho(self, C: float, kappa: float) -> float:
+        return _times_powers(self.m, (C, self.m - 1.0)) * self.K * kappa
+
+    def K_threshold(self, domain: Domain, norms: dict, lam: float, C: float) -> float | None:
+        """``admissible_K_threshold`` with ``k_zero``'s cap; None at C = 0."""
+        return admissible_K_threshold(self, domain, C, k_zero(self, norms, lam)) if C > 0 else None
+
+    def B(self, kappa: float) -> None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -51,12 +79,47 @@ class GammaG:
     h: GridField
     m: float = 2.0
     k: float = 1.0
+    partial = False  # rho bounds the whole contraction
 
     def __post_init__(self):
         if not 2.0 <= self.m < math.inf:  # NaN fails
             raise ValueError(f"m = {self.m} must be >= 2 and finite")
         if not 0.0 < self.k < math.inf:  # NaN fails
             raise ValueError(f"k = {self.k} must be > 0 and finite")
+
+    def fields(self) -> dict[str, GridField]:
+        return {"h": self.h, "gamma": self.gamma}
+
+    def rhs_slab(self, o, u, rows, keep, vx, vy):
+        np.hypot(o, vy[keep], out=o)
+        o **= self.m  # |grad u|^m
+        v = u.values[rows]
+        g = np.sign(v) * np.abs(v) ** (self.k + 1) / (self.k + 1)
+        g *= self.gamma.values[rows]
+        o *= g
+        o += self.h.values[rows]
+
+    def psi(self, domain: Domain, norms: dict, t: float) -> float:
+        # |gamma|_alpha * delta^(k - 1) * t^(m + k)
+        return _require(norms, "h_alpha") + _times_powers(
+            _require(norms, "gamma_alpha"), (domain.slab_diameter(), self.k - 1.0),
+            (t, self.m + self.k))
+
+    def psi_prime(self, domain: Domain, norms: dict, t: float) -> float:
+        p = self.m + self.k
+        return p * _times_powers(
+            _require(norms, "gamma_alpha"), (domain.slab_diameter(), self.k - 1.0), (t, p - 1.0))
+
+    def rho(self, C: float, kappa: float) -> float:
+        return _times_powers(norm_sup(self.gamma) * self.B(kappa), (C, self.m + self.k)) * kappa
+
+    def K_threshold(self, domain: Domain, norms: dict, lam: float, C: float) -> None:
+        return None
+
+    def B(self, kappa: float) -> float:
+        """B = max(kappa^2, kappa * m / (k + 1)); with kappa = delta / sqrt(2)
+        this is exactly max(delta^2 / 2, m * delta / ((k + 1) * sqrt(2)))."""
+        return max(kappa * kappa, kappa * self.m / (self.k + 1.0))
 
 
 @dataclass(frozen=True)
@@ -65,10 +128,53 @@ class MeanCurvature:
 
     H: GridField
     n: int = 2
+    partial = True  # rho bounds the curvature term's part; the rest has no closed form
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
+
+    def fields(self) -> dict[str, GridField]:
+        return {"H": self.H}
+
+    def rhs_slab(self, o, u, rows, keep, vx, vy):
+        """n * sqrt(1 + w) * H + G_u / (2 * (1 + w)), w = |grad u|^2, in place and
+        in that order. G_u = 2 u_i u_j u_ij is <grad u, grad w>: differencing w
+        once, over the slab's whole window, keeps it symmetric and exactly cubic
+        under scaling. Expanding div(grad u / sqrt(1 + w)) by the quotient rule
+        gives the half; only with it does the iterate satisfy the divergence form."""
+        w = np.square(vx)
+        work = np.square(vy)
+        w += work
+        g_term = dot_gradient(vx, vy, w, u.grid.h, work)[keep]
+        w = w[keep]
+        w += 1.0
+        np.sqrt(w, out=o)
+        o *= self.n
+        o *= self.H.values[rows]
+        w *= 2.0
+        g_term /= w
+        o += g_term
+        return w, work, g_term
+
+    def psi(self, domain: Domain, norms: dict, t: float) -> float:
+        ha = _require(norms, "H_alpha")
+        return (1.0 + t * t) * (ha + _times_powers(2.0 * self.n**2, (t, 3)) * (1.0 + t * t))
+
+    def psi_prime(self, domain: Domain, norms: dict, t: float) -> float:
+        ha = _require(norms, "H_alpha")
+        n2 = 2.0 * self.n**2
+        quartic = _times_powers(4.0, (t, 4))
+        return 2.0 * t * ha + n2 * (1.0 + t * t) * (3.0 * t * t * (1.0 + t * t) + quartic)
+
+    def rho(self, C: float, kappa: float) -> float:
+        return math.sqrt(2.0) * kappa * C * norm_sup(self.H)
+
+    def K_threshold(self, domain: Domain, norms: dict, lam: float, C: float) -> None:
+        return None
+
+    def B(self, kappa: float) -> None:
+        return None
 
 
 RhsSpec = GradLipschitz | GammaG | MeanCurvature
@@ -77,48 +183,18 @@ RhsSpec = GradLipschitz | GammaG | MeanCurvature
 def evaluate_rhs(spec: RhsSpec, u: GridField) -> GridField:
     """Nodal samples of f(x, u(x), grad u(x)) for the given family.
 
-    grad u, and for ``MeanCurvature`` its coupling term, are formed a row
-    slab at a time (``calculus.gradient_slabs``), never for the whole grid.
-    The coupling term G_u = 2 u_i u_j u_ij is <grad u, grad |grad u|^2>:
-    differencing |grad u|^2 once keeps it symmetric and exactly cubic under
-    scaling. Expanding div(grad u / sqrt(1 + |grad u|^2)) by the quotient
-    rule gives the half in G_u / (2 * (1 + |grad u|^2)); only with it does
-    the iterate satisfy the divergence form.
+    grad u is formed a row slab at a time (``calculus.gradient_slabs``), never
+    for the whole grid. ``spec.rhs_slab(o, u, rows, keep, vx, vy)`` writes f
+    on grid rows ``rows`` over ``o``, given the gradient on the slab's window,
+    exact on its rows ``keep``. What it returns (MeanCurvature's temporaries)
+    lives until the next slab is formed, as loop locals would: freed sooner, it
+    moves later arrays in the heap (3 MB more peak RSS on the 2049 x 257 strip).
     """
-    if not isinstance(spec, (GradLipschitz, GammaG, MeanCurvature)):
-        raise TypeError(f"unknown rhs spec {type(spec).__name__}")
     grid = u.grid
     out = None
     for rows, keep, vx, vy in gradient_slabs(u.values, grid.h):
         o = vx[keep]  # the slab's f goes over its ux
-        if isinstance(spec, MeanCurvature):
-            # n * sqrt(1 + w) * H + G_u / (2 * (1 + w)) with w = |grad u|^2, each
-            # product and quotient in the order of that expression, in place;
-            # G_u differences w, so it needs the slab's whole window
-            w = np.square(vx)
-            work = np.square(vy)
-            w += work
-            g_term = dot_gradient(vx, vy, w, grid.h, work)[keep]
-            w = w[keep]
-            w += 1.0
-            np.sqrt(w, out=o)
-            o *= spec.n
-            o *= spec.H.values[rows]
-            w *= 2.0
-            g_term /= w
-            o += g_term
-        else:
-            np.hypot(o, vy[keep], out=o)
-            o **= spec.m  # |grad u|^m
-            if isinstance(spec, GradLipschitz):
-                o *= spec.K
-                o += spec.h.values[rows]
-            else:
-                v = u.values[rows]
-                g = np.sign(v) * np.abs(v) ** (spec.k + 1) / (spec.k + 1)
-                g *= spec.gamma.values[rows]
-                o *= g
-                o += spec.h.values[rows]
+        held = spec.rhs_slab(o, u, rows, keep, vx, vy)  # noqa: F841 -- held until the next slab
         if o.shape == grid.shape:  # one slab, whose window is the grid
             out = vx
         else:
@@ -128,21 +204,10 @@ def evaluate_rhs(spec: RhsSpec, u: GridField) -> GridField:
     return grid._own(out)
 
 
-def data_fields(spec: RhsSpec) -> dict[str, GridField]:
-    """The data fields of ``spec``, keyed by attribute name."""
-    if isinstance(spec, GradLipschitz):
-        return {"h": spec.h}
-    if isinstance(spec, GammaG):
-        return {"h": spec.h, "gamma": spec.gamma}
-    if isinstance(spec, MeanCurvature):
-        return {"H": spec.H}
-    raise TypeError(f"unknown rhs spec {type(spec).__name__}")
-
-
 def check_finite_data(spec: RhsSpec) -> None:
     """Raise DiriterError when a data field holds NaN or inf: its norm would be
     NaN, every bound derived from it meaningless, and every iterate non-finite."""
-    for name, data in data_fields(spec).items():
+    for name, data in spec.fields().items():
         if not math.isfinite(sup_abs(data.values)):  # NaN and inf reach the sup
             raise DiriterError(f"data field {name!r} holds NaN or inf")
 
@@ -151,7 +216,7 @@ def data_norms(spec: RhsSpec, cfg: NormConfig) -> dict:
     """Hölder norms ``{name}_alpha`` of the data fields the majorant psi needs;
     raises DiriterError as ``check_finite_data`` does."""
     check_finite_data(spec)
-    return {f"{name}_alpha": holder_norm(data, cfg) for name, data in data_fields(spec).items()}
+    return {f"{name}_alpha": holder_norm(data, cfg) for name, data in spec.fields().items()}
 
 
 def _require(norms: dict, key: str) -> float:
@@ -191,39 +256,6 @@ def _times_powers(c: float, *powers: tuple[float, float]) -> float:
         return math.inf
 
 
-def psi(spec: RhsSpec, domain: Domain, norms: dict, t: float) -> float:
-    """Growth majorant: |f( . , u, grad u)|_alpha <= psi(|u|_{2,alpha}); inf
-    where it outgrows the floats."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if isinstance(spec, GradLipschitz):
-        return _require(norms, "h_alpha") + _times_powers(spec.K, (t, spec.m))
-    if isinstance(spec, GammaG):
-        # |gamma|_alpha * delta^(k - 1) * t^(m + k)
-        return _require(norms, "h_alpha") + _times_powers(
-            _require(norms, "gamma_alpha"), (domain.slab_diameter(), spec.k - 1.0),
-            (t, spec.m + spec.k))
-    if isinstance(spec, MeanCurvature):
-        ha = _require(norms, "H_alpha")
-        return (1.0 + t * t) * (ha + _times_powers(2.0 * spec.n**2, (t, 3)) * (1.0 + t * t))
-    raise TypeError(f"unknown rhs spec {type(spec).__name__}")
-
-
-def _psi_prime(spec: RhsSpec, domain: Domain, norms: dict, t: float) -> float:
-    if isinstance(spec, GradLipschitz):
-        return _times_powers(spec.K * spec.m, (t, spec.m - 1.0))
-    if isinstance(spec, GammaG):
-        p = spec.m + spec.k
-        return p * _times_powers(
-            _require(norms, "gamma_alpha"), (domain.slab_diameter(), spec.k - 1.0), (t, p - 1.0))
-    if isinstance(spec, MeanCurvature):
-        ha = _require(norms, "H_alpha")
-        n2 = 2.0 * spec.n**2
-        quartic = _times_powers(4.0, (t, 4))
-        return 2.0 * t * ha + n2 * (1.0 + t * t) * (3.0 * t * t * (1.0 + t * t) + quartic)
-    raise TypeError(f"unknown rhs spec {type(spec).__name__}")
-
-
 def smallest_fixed_point(spec: RhsSpec, domain: Domain, norms: dict, lam: float) -> float | None:
     """Smallest t with lam * psi(t) = t to adjacent doubles, or None when
     there is none.
@@ -240,11 +272,11 @@ def smallest_fixed_point(spec: RhsSpec, domain: Domain, norms: dict, lam: float)
         raise ValueError(f"lam = {lam} must be positive and finite")
 
     def gap(t):
-        return lam * psi(spec, domain, norms, t) - t
+        return lam * spec.psi(domain, norms, t) - t
 
     lo = hi = 0.0
     while (g := gap(hi)) > 0.0:
-        slope = lam * _psi_prime(spec, domain, norms, hi) - 1.0
+        slope = lam * spec.psi_prime(domain, norms, hi) - 1.0
         if not slope < 0.0:
             return None  # convexity: gap >= g > 0 everywhere
         lo, hi = hi, max(math.nextafter(hi, math.inf), hi - g / slope)
@@ -258,37 +290,6 @@ def smallest_fixed_point(spec: RhsSpec, domain: Domain, norms: dict, lam: float)
         else:
             hi = mid
     return hi
-
-
-def contraction_bound(spec: RhsSpec, C: float, kappa: float) -> float:
-    """Theoretical factor bounding |grad v_{i+1}| / |grad v_i|.
-
-    For MeanCurvature only the curvature term's contribution is available in
-    closed form; the remainder is unspecified, so the value is a partial
-    bound (see ``is_partial_bound``).
-    """
-    if C < 0:
-        raise ValueError("C must be >= 0")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    if isinstance(spec, GradLipschitz):
-        return _times_powers(spec.m, (C, spec.m - 1.0)) * spec.K * kappa
-    if isinstance(spec, GammaG):
-        b = gamma_g_combination(spec, kappa)
-        return _times_powers(norm_sup(spec.gamma) * b, (C, spec.m + spec.k)) * kappa
-    if isinstance(spec, MeanCurvature):
-        return math.sqrt(2.0) * kappa * C * norm_sup(spec.H)
-    raise TypeError(f"unknown rhs spec {type(spec).__name__}")
-
-
-def gamma_g_combination(spec: GammaG, kappa: float) -> float:
-    """B = max(kappa^2, kappa * m / (k + 1)); with kappa = delta / sqrt(2)
-    this is exactly max(delta^2 / 2, m * delta / ((k + 1) * sqrt(2)))."""
-    return max(kappa * kappa, kappa * spec.m / (spec.k + 1.0))
-
-
-def is_partial_bound(spec: RhsSpec) -> bool:
-    return isinstance(spec, MeanCurvature)
 
 
 def admissible_K_threshold(spec: GradLipschitz, domain: Domain, C: float, K0: float) -> float:
@@ -342,28 +343,13 @@ def analyze(spec: RhsSpec, domain: Domain, norms: dict, lam: float) -> Contracti
     """
     kappa = min(domain.kappa_volumetric, domain.kappa_slab)
     c_star = smallest_fixed_point(spec, domain, norms, lam)
-    rho = None
-    k_threshold = None
-    b_const = None
-    if c_star is not None:
-        fp_gap = abs(lam * psi(spec, domain, norms, c_star) - c_star)
-        if not fp_gap <= 1e-10 * max(1.0, abs(c_star)):  # a NaN gap fails
-            raise DiriterError(
-                f"fixed point failed its self-consistency check: gap {fp_gap:g}"
-            )
-        rho = contraction_bound(spec, c_star, kappa)
-        if isinstance(spec, GradLipschitz) and c_star > 0:
-            k0 = k_zero(spec, norms, lam)
-            k_threshold = admissible_K_threshold(spec, domain, c_star, k0)
-        if isinstance(spec, GammaG):
-            b_const = gamma_g_combination(spec, kappa)
+    if c_star is None:
+        return ContractionAnalysis(Lambda=lam, kappa=kappa, kappa_kind="min", C=None, rho=None,
+                                   partial=spec.partial)
+    fp_gap = abs(lam * spec.psi(domain, norms, c_star) - c_star)
+    if not fp_gap <= 1e-10 * max(1.0, abs(c_star)):  # a NaN gap fails
+        raise DiriterError(f"fixed point failed its self-consistency check: gap {fp_gap:g}")
     return ContractionAnalysis(
-        Lambda=lam,
-        kappa=kappa,
-        kappa_kind="min",
-        C=c_star,
-        rho=rho,
-        K_threshold=k_threshold,
-        B=b_const,
-        partial=is_partial_bound(spec),
-    )
+        Lambda=lam, kappa=kappa, kappa_kind="min", C=c_star, rho=spec.rho(c_star, kappa),
+        K_threshold=spec.K_threshold(domain, norms, lam, c_star), B=spec.B(kappa),
+        partial=spec.partial)

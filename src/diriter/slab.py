@@ -17,7 +17,7 @@ from .calculus import sup_abs
 from .domain import Domain, Grid, GridField, build_grid
 from .errors import IterationFailure
 from .iteration import IterationConfig, IterationReport, dirichlet_iterate
-from .nonlinearity import RhsSpec, data_fields
+from .nonlinearity import RhsSpec
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def restrict_field(f: GridField, target: Grid) -> GridField:
 
 def _spec_on(spec: RhsSpec, grid: Grid) -> RhsSpec:
     """Rebind the spec's data fields to a smaller aligned grid."""
-    restricted = {name: restrict_field(data, grid) for name, data in data_fields(spec).items()}
+    restricted = {name: restrict_field(data, grid) for name, data in spec.fields().items()}
     return dataclasses.replace(spec, **restricted)
 
 

@@ -264,7 +264,8 @@ def test_overflowing_solve_names_the_non_finite_solution(tmp_path, capsys, rhs, 
 
 
 def test_inconsistent_fixed_point_is_usage_error(tmp_path, monkeypatch):
-    monkeypatch.setattr(nonlinearity, "psi", lambda spec, domain, norms, t: 1.0 if t < 0.5 else 0.0)
+    monkeypatch.setattr(nonlinearity.GradLipschitz, "psi",
+                        lambda spec, domain, norms, t: 1.0 if t < 0.5 else 0.0)
     cfg = write_cfg(tmp_path, BASE)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
 

@@ -20,7 +20,7 @@ import sys
 
 import pytest
 
-from diriter import DiriterError, Domain, GammaG, GradLipschitz, MeanCurvature, analyze, build_grid, psi
+from diriter import DiriterError, Domain, GammaG, GradLipschitz, MeanCurvature, analyze, build_grid
 from diriter.cli import main
 
 COMMANDS = ("solve", "sweep", "poincare", "exhaust", "schauder")
@@ -228,7 +228,7 @@ def test_analyze_returns_the_smallest_fixed_point_or_a_package_error(seed):
             continue
 
         def gap(s):
-            return lam * psi(spec, domain, norms, s) - s
+            return lam * spec.psi(domain, norms, s) - s
 
         assert gap(t) <= 0, f"{spec!r:.200} {norms} lam={lam} t*={t!r}"
         if t > 0:

@@ -3,8 +3,9 @@ that each module reads every name it imports, that no module imports inside
 a function or into a cycle, that every library definition, method and
 property has a caller in the library, that the loop reads every field of its config
 and the analysis every field of its own, that every exception type is caught
-by name, that nothing is drawn at random, and that no module builds a dense
-coordinate mesh or a grid-sized boolean mask."""
+by name, that nothing is drawn at random, that no module builds a dense
+coordinate mesh or a grid-sized boolean mask, and that each right-hand-side
+family carries its own formulas."""
 
 import ast
 import builtins
@@ -15,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -346,3 +348,37 @@ def test_no_dense_mesh_and_no_boolean_array():
             ):
                 found.append(f"{source.name}:{node.lineno} boolean array")
     assert found == []
+
+
+def _families() -> tuple[type, ...]:
+    """The right-hand-side family classes, as ``nonlinearity.RhsSpec`` unites them."""
+    from diriter.nonlinearity import RhsSpec
+
+    return typing.get_args(RhsSpec)
+
+
+def test_nonlinearity_never_branches_on_the_family():
+    # each family carries its own formulas, so no function asks which family
+    # it holds, and none needs an "unknown family" TypeError at the end of a chain
+    families = {cls.__name__ for cls in _families()}
+    found = []
+    for node in ast.walk(ast.parse((SRC / "diriter" / "nonlinearity.py").read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and families & {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}):
+            found.append(f"nonlinearity.py:{node.lineno} isinstance against a family")
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "TypeError":
+                found.append(f"nonlinearity.py:{node.lineno} raise TypeError")
+    assert found == []
+
+
+def test_every_family_defines_the_same_public_names():
+    # the module's functions call any of these on any family, so a new family
+    # that misses one fails here, not in the middle of an analysis
+    public = {cls.__name__: sorted(name for name in vars(cls) if not name.startswith("_")
+                                   and name not in {f.name for f in dataclasses.fields(cls)})
+              for cls in _families()}
+    assert len(public) == 3 and public["GradLipschitz"] != []
+    assert all(names == public["GradLipschitz"] for names in public.values()), public

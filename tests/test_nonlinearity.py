@@ -15,16 +15,13 @@ from diriter import (
     admissible_K_threshold,
     analyze,
     build_grid,
-    contraction_bound,
     data_norms,
     evaluate_rhs,
     gradient,
     k_zero,
-    psi,
     smallest_fixed_point,
 )
 from diriter import nonlinearity
-from diriter.nonlinearity import gamma_g_combination, is_partial_bound
 
 from conftest import random_smooth, traced_peak_fields
 from reference import curvature_coupling
@@ -119,12 +116,12 @@ def test_rhs_gamma_g_nodewise():
 def test_psi_constant_when_k_zero(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=2.0)
     for t in (0.0, 1.0, 10.0):
-        assert psi(spec, DOM, {"h_alpha": 1.0}, t) == 1.0
+        assert spec.psi(DOM, {"h_alpha": 1.0}, t) == 1.0
 
 
 def test_psi_grad_lipschitz_value(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.1, m=2.0)
-    assert math.isclose(psi(spec, DOM, {"h_alpha": 1.0}, 3.0), 1.9, rel_tol=1e-12)
+    assert math.isclose(spec.psi(DOM, {"h_alpha": 1.0}, 3.0), 1.9, rel_tol=1e-12)
 
 
 def test_psi_mean_curvature_value(unit_grid_16):
@@ -132,7 +129,7 @@ def test_psi_mean_curvature_value(unit_grid_16):
     # direct polynomial evaluation: (1+t^2) (H_a + 2 n^2 t^3 (1+t^2))
     t = 0.1
     expected = (1 + t * t) * (0.01 + 8 * t**3 * (1 + t * t))
-    got = psi(spec, DOM, {"H_alpha": 0.01}, t)
+    got = spec.psi(DOM, {"H_alpha": 0.01}, t)
     assert math.isclose(got, expected, rel_tol=1e-14)
     assert math.isclose(got, 0.0182608, abs_tol=1e-7)
 
@@ -146,14 +143,40 @@ def test_psi_strictly_increasing(unit_grid_16):
     norms = {"h_alpha": 1.0, "gamma_alpha": 0.5, "H_alpha": 0.3}
     ts = np.linspace(0.0, 4.0, 200)
     for spec in specs:
-        vals = [psi(spec, DOM, norms, t) for t in ts]
+        vals = [spec.psi(DOM, norms, t) for t in ts]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_psi_missing_norm(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.1, m=2.0)
     with pytest.raises(DiriterError, match="norm 'h_alpha' is required"):
-        psi(spec, DOM, {}, 1.0)
+        spec.psi(DOM, {}, 1.0)
+
+
+# two parameter sets per family, each with the data norms its psi reads
+_SLOPE_CASES = {
+    "GradLipschitz-m2": (lambda z: GradLipschitz(h=z, K=0.3, m=2.0), {"h_alpha": 1.0}),
+    "GradLipschitz-m3.7": (lambda z: GradLipschitz(h=z, K=1e-3, m=3.7), {"h_alpha": 0.05}),
+    "GammaG-m2-k1": (lambda z: GammaG(gamma=z, h=z, m=2.0, k=1.0),
+                     {"h_alpha": 1.0, "gamma_alpha": 0.5}),
+    "GammaG-m3-k0.4": (lambda z: GammaG(gamma=z, h=z, m=3.0, k=0.4),
+                       {"h_alpha": 0.2, "gamma_alpha": 2.0}),
+    "MeanCurvature-n2": (lambda z: MeanCurvature(H=z, n=2), {"H_alpha": 0.3}),
+    "MeanCurvature-n3": (lambda z: MeanCurvature(H=z, n=3), {"H_alpha": 1e-3}),
+}
+
+
+@pytest.mark.parametrize("case", list(_SLOPE_CASES))
+def test_psi_prime_is_the_derivative_of_psi(unit_grid_16, case):
+    # Newton's "no fixed point" verdict in smallest_fixed_point rests on the
+    # sign of lam * psi_prime - 1, so psi_prime must be the slope of psi
+    make, norms = _SLOPE_CASES[case]
+    spec = make(unit_grid_16.zeros())
+    dom = Domain.rectangle(2.0, 0.5)  # slab diameter 0.5: delta^(k - 1) is not 1
+    for t in (1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0):
+        step = 1e-6 * t
+        central = (spec.psi(dom, norms, t + step) - spec.psi(dom, norms, t - step)) / (2 * step)
+        assert abs(central - spec.psi_prime(dom, norms, t)) <= 1e-6 * spec.psi(dom, norms, t) / t, t
 
 
 # --- smallest fixed point ----------------------------------------------------
@@ -185,10 +208,10 @@ def test_fixed_point_residual_and_minimality(unit_grid_16):
     lam = 1.5
     norms = {"h_alpha": 0.7}
     t = smallest_fixed_point(spec, DOM, norms, lam)
-    assert abs(lam * psi(spec, DOM, norms, t) - t) <= 1e-10 * max(1.0, t)
+    assert abs(lam * spec.psi(DOM, norms, t) - t) <= 1e-10 * max(1.0, t)
     for frac in np.linspace(0.05, 0.95, 19):
         tt = frac * t
-        assert lam * psi(spec, DOM, norms, tt) > tt
+        assert lam * spec.psi(DOM, norms, tt) > tt
 
 
 def test_fixed_point_small_k_order(unit_grid_16):
@@ -203,7 +226,7 @@ def test_fixed_point_small_k_order(unit_grid_16):
 def test_fixed_point_gamma_g_and_mce(unit_grid_16):
     gg = GammaG(gamma=unit_grid_16.constant(0.2), h=unit_grid_16.constant(1.0), m=2.0, k=1.0)
     t = smallest_fixed_point(gg, DOM, {"h_alpha": 1.0, "gamma_alpha": 0.2}, 0.5)
-    assert t is not None and abs(0.5 * psi(gg, DOM, {"h_alpha": 1.0, "gamma_alpha": 0.2}, t) - t) <= 1e-10
+    assert t is not None and abs(0.5 * gg.psi(DOM, {"h_alpha": 1.0, "gamma_alpha": 0.2}, t) - t) <= 1e-10
     mce = MeanCurvature(H=unit_grid_16.constant(0.05), n=2)
     t2 = smallest_fixed_point(mce, DOM, {"H_alpha": 0.05}, 1.0)
     assert t2 is not None and t2 < 0.2
@@ -233,7 +256,7 @@ def _random_case(family, grid, rng):
 )
 def test_fixed_point_is_the_first_double_where_the_gap_closes(unit_grid_16, family, seed, monkeypatch):
     rng = np.random.default_rng(seed)
-    real_psi = nonlinearity.psi
+    real_psi = family.psi
     calls = 0
 
     def counting_psi(*args):
@@ -241,7 +264,7 @@ def test_fixed_point_is_the_first_double_where_the_gap_closes(unit_grid_16, fami
         calls += 1
         return real_psi(*args)
 
-    monkeypatch.setattr(nonlinearity, "psi", counting_psi)
+    monkeypatch.setattr(family, "psi", counting_psi)
     found = missing = 0
     for _ in range(400):
         spec, norms, lam = _random_case(family, unit_grid_16, rng)
@@ -272,9 +295,9 @@ def test_psi_of_gamma_g_with_an_overflowing_coefficient(unit_grid_16):
     spec = GammaG(gamma=unit_grid_16.constant(0.1), h=unit_grid_16.constant(1.0), m=2.0, k=600.0)
     dom = Domain.rectangle(4.0, 4.0)
     norms = {"h_alpha": 1.0, "gamma_alpha": 0.1}
-    assert psi(spec, dom, norms, 0.0) == 1.0
-    assert math.isclose(psi(spec, dom, norms, 0.5), 0.1 * 2.0**596, rel_tol=1e-12)
-    assert psi(spec, dom, norms, 2.0) == math.inf
+    assert spec.psi(dom, norms, 0.0) == 1.0
+    assert math.isclose(spec.psi(dom, norms, 0.5), 0.1 * 2.0**596, rel_tol=1e-12)
+    assert spec.psi(dom, norms, 2.0) == math.inf
     an = analyze(spec, dom, norms, lam=2.0)
     assert an.C is None and an.rho is None and an.B is None
 
@@ -295,7 +318,7 @@ def test_powers_leaving_the_floats_raise_nothing(unit_grid_16):
     dom = Domain.rectangle(0.5, 0.5)
     an = analyze(spec, dom, {"h_alpha": 1.0, "gamma_alpha": 0.5}, lam=1.5)
     assert an.C == 1.5 and an.rho == math.inf
-    assert contraction_bound(spec, 1.5, 0.5) == math.inf
+    assert spec.rho(1.5, 0.5) == math.inf
     # m C^(m - 1) and the denominator of K0 underflow to 0 for t* = 2e-200:
     # the threshold is capped at the largest double, a true bound where inf is not
     lip = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.5, m=3.0)
@@ -309,22 +332,22 @@ def test_powers_leaving_the_floats_raise_nothing(unit_grid_16):
 
 def test_contraction_bound_grad_lipschitz(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.1, m=2.0)
-    assert math.isclose(contraction_bound(spec, 1.0, 0.5), 0.1, rel_tol=1e-14)
+    assert math.isclose(spec.rho(1.0, 0.5), 0.1, rel_tol=1e-14)
     spec0 = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=2.0)
-    assert contraction_bound(spec0, 3.0, 0.5) == 0.0
+    assert spec0.rho(3.0, 0.5) == 0.0
 
 
 def test_contraction_bound_gamma_g(unit_grid_16):
     spec = GammaG(gamma=unit_grid_16.constant(0.2), h=unit_grid_16.constant(1.0), m=2.0, k=1.0)
     # B = max(kappa^2, kappa m/(k+1)) = max(0.25, 0.5) = 0.5
-    assert math.isclose(gamma_g_combination(spec, 0.5), 0.5, rel_tol=1e-14)
-    rho = contraction_bound(spec, 0.5, 0.5)
+    assert math.isclose(spec.B(0.5), 0.5, rel_tol=1e-14)
+    rho = spec.rho(0.5, 0.5)
     assert math.isclose(rho, 0.2 * 0.5 * 0.125 * 0.5, rel_tol=1e-12)
     # slab form of B written in kappa = delta / sqrt(2) coincides
     delta = 0.9
     kap = delta / math.sqrt(2.0)
     assert math.isclose(
-        gamma_g_combination(spec, kap),
+        spec.B(kap),
         max(delta**2 / 2.0, spec.m * delta / ((spec.k + 1) * math.sqrt(2.0))),
         rel_tol=1e-12,
     )
@@ -332,10 +355,10 @@ def test_contraction_bound_gamma_g(unit_grid_16):
 
 def test_contraction_bound_mce_partial(unit_grid_16):
     spec = MeanCurvature(H=unit_grid_16.constant(0.3), n=2)
-    rho = contraction_bound(spec, 0.4, 0.5)
+    rho = spec.rho(0.4, 0.5)
     assert math.isclose(rho, math.sqrt(2.0) * 0.5 * 0.4 * 0.3, rel_tol=1e-12)
-    assert is_partial_bound(spec)
-    assert not is_partial_bound(GradLipschitz(h=unit_grid_16.zeros(), K=0.0))
+    assert spec.partial
+    assert not GradLipschitz(h=unit_grid_16.zeros(), K=0.0).partial
 
 
 def test_admissible_threshold_volumetric(unit_grid_16):
@@ -422,7 +445,7 @@ def test_every_field_reaches_rhs_and_theory(unit_grid_16, family):
 
     def outputs(spec):
         f = evaluate_rhs(spec, u).values
-        return f, psi(spec, DOM, data_norms(spec, cfg), 0.5), contraction_bound(spec, 0.5, kappa)
+        return f, spec.psi(DOM, data_norms(spec, cfg), 0.5), spec.rho(0.5, kappa)
 
     base = _base_spec(family, grid)
     f0, psi0, rho0 = outputs(base)
@@ -472,7 +495,7 @@ def test_analyze_grad_lipschitz(unit_grid_16):
     assert math.isclose(norms["h_alpha"], 1.0, rel_tol=1e-12)  # constant: sup 1, seminorm 0
     an = analyze(spec, DOM, norms, lam=2.0)
     assert an.C is not None and an.rho is not None
-    assert an.rho == contraction_bound(spec, an.C, an.kappa)
+    assert an.rho == spec.rho(an.C, an.kappa)
     assert an.K_threshold is not None and not an.partial
     assert math.isclose(an.kappa, (1 / math.pi) ** 0.5, rel_tol=1e-12)
 
@@ -481,7 +504,7 @@ def test_analyze_finds_no_fixed_point_where_the_majorant_overflows(unit_grid_32)
     # t^400 overflows a Python float, which raises where numpy gives inf
     spec = GradLipschitz(h=unit_grid_32.constant(100.0), K=0.004, m=400.0)
     norms = data_norms(spec, NormConfig(alpha=0.5))
-    assert psi(spec, DOM, norms, 10.0) == math.inf
+    assert spec.psi(DOM, norms, 10.0) == math.inf
     an = analyze(spec, DOM, norms, lam=2.0)
     assert an.C is None and an.rho is None and an.K_threshold is None
 
@@ -506,7 +529,7 @@ def test_analyze_mce_partial_flag(unit_grid_16):
 def test_analyze_inconsistent_fixed_point_is_package_error(unit_grid_16, monkeypatch):
     # a majorant with a jump: bisection lands on the jump at t = 0.5, where
     # lam * psi(t) - t is -0.5, not 0
-    monkeypatch.setattr(nonlinearity, "psi", lambda spec, domain, norms, t: 1.0 if t < 0.5 else 0.0)
+    monkeypatch.setattr(GradLipschitz, "psi", lambda spec, domain, norms, t: 1.0 if t < 0.5 else 0.0)
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=2.0)
     with pytest.raises(DiriterError, match="self-consistency check: gap 0.5"):
         analyze(spec, DOM, {"h_alpha": 1.0}, lam=1.0)
@@ -522,7 +545,7 @@ def test_analyze_rejects_lambda_that_is_not_positive_and_finite(unit_grid_16, la
 
 
 def test_nan_fixed_point_gap_fails_the_consistency_check(unit_grid_16, monkeypatch):
-    monkeypatch.setattr(nonlinearity, "psi", lambda spec, domain, norms, t: math.nan if t else 1.0)
+    monkeypatch.setattr(GradLipschitz, "psi", lambda spec, domain, norms, t: math.nan if t else 1.0)
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=2.0)
     with pytest.raises(DiriterError, match="self-consistency check: gap nan"):
         analyze(spec, DOM, {"h_alpha": 1.0}, lam=1.0)
@@ -559,4 +582,4 @@ def test_short_strip_kappa_is_its_slab_constant():
     spec = GradLipschitz(h=grid.constant(1.0), K=0.05, m=2.0)
     theory = analyze(spec, dom, {"h_alpha": 1.0}, lam=2.0)
     assert theory.kappa == 0.5 / math.sqrt(2.0)
-    assert theory.rho == contraction_bound(spec, theory.C, 0.5 / math.sqrt(2.0))
+    assert theory.rho == spec.rho(theory.C, 0.5 / math.sqrt(2.0))
