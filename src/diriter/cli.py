@@ -10,7 +10,8 @@ Commands and exit codes:
 Config sections: [domain] (kind, a, b | d, n_trunc), [grid] (h), [rhs]
 (variant + parameters, data fields as expressions in x and y), [iteration],
 [analysis] (alpha, lambda = estimate | number), [sweep], [exhaustion] and
-[schauder]. The mean-curvature variant follows the expanded equation: the
+[schauder]; ``_KEYS`` lists every key, and any other section or key is an
+error. The mean-curvature variant follows the expanded equation: the
 configured H is multiplied by the dimension factor n.
 """
 
@@ -41,15 +42,7 @@ from .iteration import (
     contraction_theory,
     dirichlet_iterate,
 )
-from .mce import ArcSolution
-from .nonlinearity import (
-    ContractionAnalysis,
-    GammaG,
-    GradLipschitz,
-    MeanCurvature,
-    RhsSpec,
-    check_finite_data,
-)
+from .nonlinearity import FAMILIES, ContractionAnalysis, RhsSpec, check_finite_data
 from .poisson import estimate_schauder_constant
 from .slab import ExhaustionConfig, compact_values, exhaustion_solve
 
@@ -66,8 +59,41 @@ _OUTCOME_EXIT = {"converged": EXIT_OK, "diverged": EXIT_DIVERGED, "max_iters": E
 # ---------------------------------------------------------------------------
 
 
+def _estimate_or_number(text: str) -> float | None:
+    return None if text == "estimate" else float(text)
+
+
+# Each section's keys: the kind that reads a value (an expression in x and y is
+# sampled on the grid) and the text read where the key is left out, or None where
+# the library's default applies or, if the command needs the key, it is an error.
+# The [rhs] keys are the families' fields, each read only under its own variant.
+_KEYS = {
+    "domain": {"kind": (str, "rectangle"), "a": (float, None), "b": (float, None),
+               "d": (float, None), "n_trunc": (float, None)},
+    "grid": {"h": (float, None)},
+    "rhs": {"variant": (str, ""), "h": (compile_expression, "0"), "K": (float, "0"),
+            "m": (float, None), "gamma": (compile_expression, None), "k": (float, None),
+            "H": (compile_expression, None), "n": (int, None)},
+    "iteration": {"max_iters": (int, None), "h1_tol": (float, None),
+                  "blowup_sup": (float, None), "start": (str, None),
+                  "phi": (compile_expression, None)},
+    "analysis": {"alpha": (float, None), "lambda": (_estimate_or_number, "estimate")},
+    "sweep": {"parameter": (str, ""), "values": (str, "")},
+    "exhaustion": {"d": (float, None), "n_start": (int, None), "n_max": (int, None),
+                   "compact_halfwidth": (float, None), "compact_tol": (float, "1e-6")},
+    "schauder": {"d": (float, None), "n_list": (str, None)},
+}
+# keys of the random Λ trials and Poincaré suite, which are gone: they load, unread
+_RETIRED = {"analysis": ("lambda_trials", "lambda_seed", "suite_size"),
+            "schauder": ("trials", "seed")}
+
+
 def _load_config(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """The config at ``path``, each section and key of it in ``_KEYS`` or ``_RETIRED``.
+    Keys keep their case (``K`` is not ``k``). No section is configparser's default,
+    whose keys would reach every section: ``[DEFAULT]`` is unknown like any other."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
+    parser.optionxform = str
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -76,6 +102,13 @@ def _load_config(path: str) -> configparser.ConfigParser:
     except configparser.Error as exc:  # its message may span lines; the error line may not
         flat = " ".join(line.strip() for line in str(exc).splitlines())
         raise DiriterError(f"config parse error: {flat}") from exc
+    for name in parser.sections():
+        if name not in _KEYS:
+            raise DiriterError(f"[{name}] unknown section (expected {', '.join(_KEYS)})")
+        for key in parser[name]:
+            if key not in _KEYS[name] and key not in _RETIRED.get(name, ()):
+                raise DiriterError(
+                    f"[{name}] unknown key {key!r} (expected {', '.join(_KEYS[name])})")
     return parser
 
 
@@ -90,35 +123,29 @@ def _optional_section(cfg: configparser.ConfigParser, name: str) -> configparser
     return cfg[name] if cfg.has_section(name) else configparser.SectionProxy(cfg, name)
 
 
-def _get(sec, key, kind=float, default=None):
-    """``kind(value)`` of ``key`` (float, int or str), or ``default`` when the
-    section does not set it; a missing key without a default is an error."""
-    if key not in sec:
-        if default is None:
-            raise DiriterError(f"[{sec.name}] is missing key {key!r}")
-        return default
-    try:
-        return kind(sec[key])
-    except ValueError as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise DiriterError(f"[{sec.name}] {key} = {sec[key]!r} is not {noun}") from exc
-
-
-def _given(sec, **kinds) -> dict:
-    """``{key: _get(sec, key, kind)}`` for each key the section sets. A key it
-    does not set is left out, so the default of the callee is the only copy."""
-    return {key: _get(sec, key, kind) for key, kind in kinds.items() if key in sec}
-
-
-def _field_from_expr(sec, key: str, grid: Grid, default: str | None = None) -> GridField:
+def _get(sec, key, grid: Grid | None = None):
+    """The value of ``key``, read by its kind in ``_KEYS`` from the section's
+    text or the CLI's default; an expression is sampled on ``grid``. A key the
+    section does not set, without a default, is an error."""
+    kind, default = _KEYS[sec.name][key]
     text = sec.get(key, default)
     if text is None:
-        raise DiriterError(f"[{sec.name}] is missing expression {key!r}")
+        noun = "expression" if kind is compile_expression else "key"
+        raise DiriterError(f"[{sec.name}] is missing {noun} {key!r}")
     try:
-        fn = compile_expression(text)
+        value = kind(text)
     except ExpressionError as exc:
         raise DiriterError(f"[{sec.name}] {key}: {exc}") from exc
-    return grid.field_from(fn)
+    except ValueError as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise DiriterError(f"[{sec.name}] {key} = {text!r} is not {noun}") from exc
+    return grid.field_from(value) if kind is compile_expression else value
+
+
+def _given(sec, *keys, grid: Grid | None = None) -> dict:
+    """``{key: _get(sec, key, grid)}`` for each key the section sets. A key it
+    does not set is left out, so the default of the callee is the only copy."""
+    return {key: _get(sec, key, grid) for key in keys if key in sec}
 
 
 @contextlib.contextmanager
@@ -133,7 +160,7 @@ def _rejected_values(section: str):
 
 def build_domain(cfg: configparser.ConfigParser) -> Domain:
     sec = _section(cfg, "domain")
-    kind = sec.get("kind", "rectangle")
+    kind = _get(sec, "kind")
     with _rejected_values("domain"):
         if kind == "rectangle":
             return Domain.rectangle(_get(sec, "a"), _get(sec, "b"))
@@ -148,30 +175,26 @@ def _build_grid(domain: Domain, h: float) -> Grid:
 
 
 def build_rhs(cfg: configparser.ConfigParser, grid: Grid) -> RhsSpec:
+    """The ``[rhs]`` variant's family, from its fields in field order: a key the
+    section does not set takes the CLI's default, else the family's own."""
     sec = _section(cfg, "rhs")
-    variant = sec.get("variant", "")
+    variant = _get(sec, "variant")
+    if variant not in FAMILIES:
+        raise DiriterError(f"[rhs] unknown variant {variant!r} (expected {' | '.join(FAMILIES)})")
+    fields = dataclasses.fields(FAMILIES[variant])
+    names = [f.name for f in fields]
+    for key in sec:
+        if key not in names and key != "variant":
+            raise DiriterError(f"[rhs] unknown key {key!r} for variant {variant} "
+                               f"(expected variant, {', '.join(names)})")
     with _rejected_values("rhs"):
-        if variant == "grad_lipschitz":
-            return GradLipschitz(
-                h=_field_from_expr(sec, "h", grid, default="0"),
-                K=_get(sec, "K", default=0.0),
-                **_given(sec, m=float),
-            )
-        if variant == "gamma_g":
-            return GammaG(
-                gamma=_field_from_expr(sec, "gamma", grid),
-                h=_field_from_expr(sec, "h", grid, default="0"),
-                **_given(sec, m=float, k=float),
-            )
-        if variant == "mean_curvature":
-            return MeanCurvature(H=_field_from_expr(sec, "H", grid), **_given(sec, n=int))
-    raise DiriterError(f"[rhs] unknown variant {variant!r} "
-                       "(expected grad_lipschitz | gamma_g | mean_curvature)")
+        return FAMILIES[variant](**{f.name: _get(sec, f.name, grid) for f in fields
+                                    if f.name in sec or f.default is dataclasses.MISSING})
 
 
 def _norm_config(cfg: configparser.ConfigParser) -> NormConfig:
     """The Hölder norms' settings, from ``[analysis] alpha``."""
-    alpha = _given(_optional_section(cfg, "analysis"), alpha=float)
+    alpha = _given(_optional_section(cfg, "analysis"), "alpha")
     with _rejected_values("analysis"):
         return NormConfig(**alpha)
 
@@ -185,12 +208,8 @@ def build_iteration_config(
     it = _optional_section(cfg, "iteration")
     an = _optional_section(cfg, "analysis")
 
-    iteration = _given(it, max_iters=int, h1_tol=float, blowup_sup=float, start=str)
-    if "phi" in it:
-        iteration["phi"] = _field_from_expr(it, "phi", grid)
-
-    estimated = _get(an, "lambda", str, "estimate") == "estimate"
-    lambda_value = None if estimated else _get(an, "lambda")
+    iteration = _given(it, "max_iters", "h1_tol", "blowup_sup", "start", "phi", grid=grid)
+    lambda_value = _get(an, "lambda")
 
     with _rejected_values("iteration"):
         it_cfg = IterationConfig(**iteration)
@@ -331,25 +350,18 @@ def cmd_solve(cfg: configparser.ConfigParser, out: Path) -> int:
     return _OUTCOME_EXIT[report.outcome]
 
 
-# sweep parameters that scale one data field to the given sup: the family
-# (and its [rhs] variant) that has the field, and the field's name
-_SUP_PARAMETERS = {
-    "H_amplitude": (MeanCurvature, "mean_curvature", "H"),
-    "gamma_sup": (GammaG, "gamma_g", "gamma"),
-}
-
-
 def _apply_sweep_value(spec: RhsSpec, parameter: str, value: float) -> RhsSpec:
-    if parameter == "K":
-        if not isinstance(spec, GradLipschitz):
-            raise DiriterError("[sweep] sweep parameter K needs the grad_lipschitz variant")
-        return dataclasses.replace(spec, K=value)
-    if parameter not in _SUP_PARAMETERS:
-        raise DiriterError(f"[sweep] unknown sweep parameter {parameter!r}")
-    family, variant, name = _SUP_PARAMETERS[parameter]
-    if not isinstance(spec, family):
-        raise DiriterError(f"[sweep] sweep parameter {parameter} needs the {variant} variant")
-    data = spec.fields()[name]
+    """``spec`` with the field that its family's sweep parameter sets at
+    ``value``: a parameter directly, a data field scaled to sup ``value``."""
+    if parameter != spec.sweep_parameter:
+        needs = {family.sweep_parameter: variant for variant, family in FAMILIES.items()}
+        if parameter not in needs:
+            raise DiriterError(f"[sweep] unknown sweep parameter {parameter!r}")
+        raise DiriterError(
+            f"[sweep] sweep parameter {parameter} needs the {needs[parameter]} variant")
+    name, data = spec.sweep_field, spec.fields().get(spec.sweep_field)
+    if data is None:  # the parameter is not a data field
+        return dataclasses.replace(spec, **{name: value})
     base = sup_abs(data.values)
     if base == 0:
         raise DiriterError(f"[sweep] configured {name} is identically zero; nothing to scale")
@@ -365,11 +377,12 @@ def run_sweep(
     attached, and Λ is neither read nor estimated. NaN or inf in a data field
     raises DiriterError, and so does a value the family rejects, before
     any run. The runs hold one value's spec at a time (for ``H_amplitude``
-    and ``gamma_sup`` a scaled copy of the data). Only K is checked value by
-    value before the runs: a scaled field takes any finite value, and the
-    first run's spec makes the checks that do not depend on it, so no field
-    is scaled before that run. A value whose run raises a package error
-    other than divergence or the iteration budget gets an ``error:`` row.
+    and ``gamma_sup`` a scaled copy of the data). Only a parameter that is
+    no data field (K) is checked value by value before the runs: a scaled
+    field takes any finite value, and the first run's spec makes the checks
+    that do not depend on it, so no field is scaled before that run. A value
+    whose run raises a package error other than divergence or the iteration
+    budget gets an ``error:`` row.
     """
     if not values:
         raise DiriterError("[sweep] sweep needs a nonempty ascending list of values")
@@ -377,7 +390,7 @@ def run_sweep(
         raise DiriterError("[sweep] sweep values must be sorted ascending")
     check_finite_data(spec)
     with _rejected_values("sweep"):
-        for value in values if parameter == "K" else ():
+        for value in values if spec.sweep_field not in spec.fields() else ():
             _apply_sweep_value(spec, parameter, value)
     rows = []
     for value in values:
@@ -405,13 +418,13 @@ def cmd_sweep(cfg: configparser.ConfigParser, out: Path) -> int:
     spec = build_rhs(cfg, grid)
     it_cfg = build_iteration_config(cfg, grid)[0]
     sw = _section(cfg, "sweep")
-    parameter = sw.get("parameter", "")
+    parameter, text = _get(sw, "parameter"), _get(sw, "values")
     try:
-        values = [float(tok) for tok in sw.get("values", "").replace(",", " ").split()]
+        values = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise DiriterError(f"[sweep] values: {exc}") from exc
     if not all(map(math.isfinite, values)):
-        raise DiriterError(f"[sweep] values = {sw.get('values')!r} must all be finite")
+        raise DiriterError(f"[sweep] values = {text!r} must all be finite")
     result = run_sweep(grid, spec, it_cfg, parameter, values)
     write_csv(
         out / "sweep.csv",
@@ -429,7 +442,7 @@ def cmd_poincare(cfg: configparser.ConfigParser, out: Path) -> int:
     domain = build_domain(cfg)
     grid = _build_grid(domain, _get(_section(cfg, "grid"), "h"))
     it = _optional_section(cfg, "iteration")
-    if "phi" in it and not _field_from_expr(it, "phi", grid).is_conforming():
+    if "phi" in it and not _get(it, "phi", grid).is_conforming():
         raise DiriterError(
             "[iteration] phi: poincare needs zero boundary data, not a prescribed phi")
     res = verify_poincare(poincare_maximizer(grid), domain)
@@ -442,10 +455,10 @@ def cmd_poincare(cfg: configparser.ConfigParser, out: Path) -> int:
 def cmd_exhaust(cfg: configparser.ConfigParser, out: Path) -> int:
     ex = _section(cfg, "exhaustion")
     d = _get(ex, "d")
-    n_start = _get(ex, "n_start", int)
-    n_max = _get(ex, "n_max", int)
+    n_start = _get(ex, "n_start")
+    n_max = _get(ex, "n_max")
     halfwidth = _get(ex, "compact_halfwidth")
-    compact_tol = _get(ex, "compact_tol", default=1e-6)
+    compact_tol = _get(ex, "compact_tol")
     h = _get(_section(cfg, "grid"), "h")
 
     with _rejected_values("exhaustion"):
@@ -485,13 +498,10 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path) -> int:
         "tail_below_tol": bool(result.tail and result.tail[-1] <= compact_tol),
         "truncations": list(result.truncations),
     }
-    if isinstance(spec, MeanCurvature) and np.ptp(spec.H.values) == 0:
-        # the equation solved is div(...) = n H: the arc of curvature n H
-        arc = ArcSolution(d=d, H=float(spec.H.values[0, 0]), n=spec.n)
-        if arc.valid:
-            vals = compact_values(result.u_final, halfwidth)
-            ref = arc(result.u_final.grid.y)[None, :]
-            payload["compact_error_vs_arc"] = sup_abs(vals - ref)
+    if (arc := spec.exact_profile(d)) is not None:
+        vals = compact_values(result.u_final, halfwidth)
+        ref = arc(result.u_final.grid.y)[None, :]
+        payload["compact_error_vs_arc"] = sup_abs(vals - ref)
     write_json(out / "report.json", payload)
     return EXIT_OK
 
@@ -505,7 +515,7 @@ def cmd_schauder(cfg: configparser.ConfigParser, out: Path) -> int:
     with _rejected_values("schauder"):
         if "n_list" in sc:
             d = _get(sc, "d")
-            n_list = [int(tok) for tok in sc.get("n_list").replace(",", " ").split()]
+            n_list = [int(tok) for tok in _get(sc, "n_list").replace(",", " ").split()]
             if not n_list:
                 raise ValueError("n_list must be nonempty")
             # every grid is built, rejecting d, n and h, before any solve

@@ -14,13 +14,16 @@ Each family carries its own formulas: its data ``fields``, f on a row slab
 slope, the factor rho bounding |grad v_{i+1}| / |grad v_i| and the analysis
 extras. The smallest fixed point of Lambda * psi bounds the iterates and
 doubles as the uniqueness-ball radius, and rho predicts the decay of
-successive iterate differences.
+successive iterate differences. Each family also names its ``[rhs] variant``,
+its ``[sweep]`` parameter and the field that it sets, and ``exact_profile``
+gives its closed-form solution, where one exists.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,7 @@ import numpy as np
 from .calculus import NormConfig, dot_gradient, gradient_slabs, holder_norm, norm_sup, sup_abs
 from .domain import Domain, GridField
 from .errors import DiriterError
+from .mce import ArcSolution
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,7 @@ class GradLipschitz:
     K: float
     m: float = 2.0
     partial = False  # rho bounds the whole contraction
+    variant, sweep_parameter, sweep_field = "grad_lipschitz", "K", "K"
 
     def __post_init__(self):
         if not 0.0 <= self.K < math.inf:  # NaN fails
@@ -70,6 +75,9 @@ class GradLipschitz:
     def B(self, kappa: float) -> None:
         return None
 
+    def exact_profile(self, d: float) -> None:
+        return None
+
 
 @dataclass(frozen=True)
 class GammaG:
@@ -80,6 +88,7 @@ class GammaG:
     m: float = 2.0
     k: float = 1.0
     partial = False  # rho bounds the whole contraction
+    variant, sweep_parameter, sweep_field = "gamma_g", "gamma_sup", "gamma"
 
     def __post_init__(self):
         if not 2.0 <= self.m < math.inf:  # NaN fails
@@ -121,6 +130,9 @@ class GammaG:
         this is exactly max(delta^2 / 2, m * delta / ((k + 1) * sqrt(2)))."""
         return max(kappa * kappa, kappa * self.m / (self.k + 1.0))
 
+    def exact_profile(self, d: float) -> None:
+        return None
+
 
 @dataclass(frozen=True)
 class MeanCurvature:
@@ -129,6 +141,7 @@ class MeanCurvature:
     H: GridField
     n: int = 2
     partial = True  # rho bounds the curvature term's part; the rest has no closed form
+    variant, sweep_parameter, sweep_field = "mean_curvature", "H_amplitude", "H"
 
     def __post_init__(self):
         if self.n < 2:
@@ -176,8 +189,14 @@ class MeanCurvature:
     def B(self, kappa: float) -> None:
         return None
 
+    def exact_profile(self, d: float) -> ArcSolution | None:
+        """For constant H, the arc of curvature n H across the strip of width d, if it exists."""
+        arc = ArcSolution(d=d, H=float(self.H.values[0, 0]), n=self.n)
+        return arc if np.ptp(self.H.values) == 0 and arc.valid else None
+
 
 RhsSpec = GradLipschitz | GammaG | MeanCurvature
+FAMILIES = {family.variant: family for family in typing.get_args(RhsSpec)}  # by [rhs] variant
 
 
 def evaluate_rhs(spec: RhsSpec, u: GridField) -> GridField:

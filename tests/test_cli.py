@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,13 @@ def test_bad_expression_reports_usage_error(tmp_path):
          "variant = mean_curvature\nH = 0\n\n[sweep]\nparameter = H_amplitude\nvalues = 0.1\n"),
         ("poincare", "max_iters = 60", "max_iters = 60\nphi = 1 + x"),
         ("solve", "max_iters = 60", "max_iters = 60\nphi = 1/0"),
+        ("solve", "lambda = 2.0", "lamda = 2.0"),
+        ("solve", "h1_tol = 1e-12", "h1tol = 1e-12"),
+        ("solve", "[analysis]\n", "[analysys]\n"),
+        ("solve", "variant = grad_lipschitz\nh = 1\nK = 0\nm = 2\n",
+         "variant = gamma_g\ngamma = 1\nh = 1\nK = 0.05\n"),
+        ("solve", "K = 0\n", "K = 0\ngamma = 1\n"),
+        ("solve", "lambda = 2.0\n", "lambda = 2.0\n\n[DEFAULT]\nh = 0.125\n"),
     ],
     ids=["alpha", "h", "K", "max_iters", "n_list", "schauder_d", "empty_n_list", "lambda_nan",
          "lambda_negative", "lambda_zero", "h1_tol_nan", "blowup_sup_negative", "blowup_sup_nan",
@@ -372,7 +380,9 @@ def test_bad_expression_reports_usage_error(tmp_path):
          "h_too_fine_for_extents", "a_too_long_for_h", "n_trunc_extent_overflows", "h_too_coarse",
          "sweep_no_values", "sweep_values_unsorted", "sweep_unknown_parameter",
          "sweep_K_needs_grad_lipschitz", "sweep_H_amplitude_needs_mean_curvature",
-         "sweep_H_identically_zero", "poincare_prescribed_phi", "phi_inf"],
+         "sweep_H_identically_zero", "poincare_prescribed_phi", "phi_inf", "unknown_key_lamda",
+         "unknown_key_h1tol", "unknown_section", "upper_case_K_under_gamma_g",
+         "gamma_under_grad_lipschitz", "default_section"],
 )
 def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old, new):
     assert BASE.count(old) == 1
@@ -412,6 +422,44 @@ def test_missing_or_empty_sections_give_the_default_config(tmp_path, sections):
     grid = build_grid(Domain.rectangle(1.0, 1.0), 0.0625)
     cfg = _load_config(write_cfg(tmp_path, sections))
     assert build_iteration_config(cfg, grid) == (IterationConfig(), AnalysisConfig())
+
+
+def test_retired_keys_still_load_and_change_nothing(tmp_path):
+    grid = build_grid(Domain.rectangle(1.0, 1.0), 0.0625)
+    retired = BASE.replace("lambda = 2.0\n", "lambda = 2.0\nlambda_trials = 3\nlambda_seed = 5\n"
+                           "suite_size = 12\n\n[schauder]\ntrials = 2\nseed = 4\n")
+    configs = [_load_config(write_cfg(tmp_path, text, name)) for text, name in
+               [(BASE, "base.ini"), (retired, "retired.ini")]]
+    assert build_iteration_config(configs[1], grid) == build_iteration_config(configs[0], grid)
+
+
+def _workloads() -> types.ModuleType:
+    """perfbench/workloads.py, executed from source so that no bytecode is cached."""
+    path = GOLDEN.parent.parent / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    sys.modules[module.__name__] = module  # where dataclasses looks the module up
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 801])
+@pytest.mark.parametrize("size", ["full", "tiny"])
+@pytest.mark.parametrize("name", ["sweep_rect", "strip_solve", "exhaust_arc"])
+def test_benchmark_configs_pass_the_key_check(tmp_path, name, size, seed):
+    # a benchmark config that the CLI rejects would fail every run of its workload
+    workload = _workloads().build(name, seed, size)
+    cfg = _load_config(write_cfg(tmp_path, workload.ini))
+    if workload.command == "exhaust":
+        ex = cfg["exhaustion"]
+        domain = Domain.strip_truncation(cli._get(ex, "d"), cli._get(ex, "n_max"))
+    else:
+        domain = cli.build_domain(cfg)
+    grid = build_grid(domain, cli._get(cfg["grid"], "h"))
+    cli.build_rhs(cfg, grid)
+    build_iteration_config(cfg, grid)
 
 
 def test_sweep_k_rows_and_threshold(tmp_path):
@@ -756,7 +804,7 @@ compact_halfwidth = 2
 
 def test_schauder_deterministic_per_seed(tmp_path):
     # Λ's estimate draws nothing at random: the seed keys of older configs are
-    # ignored like any unknown key
+    # retired, so they still load and nothing reads them
     seeded = write_cfg(tmp_path, BASE + "\n[schauder]\ntrials = 2\nseed = 4\n",
                        name="seeded.ini")
     cfg = write_cfg(tmp_path, BASE)

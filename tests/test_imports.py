@@ -4,8 +4,8 @@ a function or into a cycle, that every library definition, method and
 property has a caller in the library, that the loop reads every field of its config
 and the analysis every field of its own, that every exception type is caught
 by name, that nothing is drawn at random, that no module builds a dense
-coordinate mesh or a grid-sized boolean mask, and that each right-hand-side
-family carries its own formulas."""
+coordinate mesh or a grid-sized boolean mask, that each right-hand-side
+family carries its own formulas, and that the CLI names no family."""
 
 import ast
 import builtins
@@ -382,3 +382,24 @@ def test_every_family_defines_the_same_public_names():
               for cls in _families()}
     assert len(public) == 3 and public["GradLipschitz"] != []
     assert all(names == public["GradLipschitz"] for names in public.values()), public
+
+
+def test_cli_never_names_a_family():
+    # the CLI reads a family's [rhs] variant, [sweep] parameter and closed-form
+    # profile off the family, so a new family needs no edit of the CLI
+    families = {cls.__name__ for cls in _families()}
+    found = []
+    for node in ast.walk(ast.parse((SRC / "diriter" / "cli.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and _sibling(node) == "mce":
+            found.append(f"cli.py:{node.lineno} imports mce")
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        else:
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        found += [f"cli.py:{node.lineno} names {name}" for name in sorted(names & families)]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                & (families | {"RhsSpec", "FAMILIES"})):
+            found.append(f"cli.py:{node.lineno} isinstance against a family")
+    assert found == []
