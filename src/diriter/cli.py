@@ -66,7 +66,7 @@ def _estimate_or_number(text: str) -> float | None:
 # Each section's keys: the kind that reads a value (an expression in x and y is
 # sampled on the grid) and the text read where the key is left out, or None where
 # the library's default applies or, if the command needs the key, it is an error.
-# The [rhs] keys are the families' fields, each read only under its own variant.
+# A [rhs] or [domain] key is read only under the variant or kind that has it.
 _KEYS = {
     "domain": {"kind": (str, "rectangle"), "a": (float, None), "b": (float, None),
                "d": (float, None), "n_trunc": (float, None)},
@@ -90,9 +90,11 @@ _RETIRED = {"analysis": ("lambda_trials", "lambda_seed", "suite_size"),
 
 def _load_config(path: str) -> configparser.ConfigParser:
     """The config at ``path``, each section and key of it in ``_KEYS`` or ``_RETIRED``.
-    Keys keep their case (``K`` is not ``k``). No section is configparser's default,
-    whose keys would reach every section: ``[DEFAULT]`` is unknown like any other."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
+    Keys keep their case (``K`` is not ``k``), and a value is its text: ``%``
+    interpolates nothing. No section is configparser's default, whose keys would
+    reach every section: ``[DEFAULT]`` is unknown like any other."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="",
+                                       interpolation=None)
     parser.optionxform = str
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -158,15 +160,31 @@ def _rejected_values(section: str):
         raise DiriterError(f"[{section}] {exc}") from exc
 
 
+def _only_keys_of(sec, lead: str, value: str, keys: Sequence[str]) -> None:
+    """Reject a key of ``sec`` other than ``lead`` and ``keys``, the keys that
+    ``lead = value`` reads."""
+    for key in sec:
+        if key != lead and key not in keys:
+            raise DiriterError(f"[{sec.name}] unknown key {key!r} for {lead} {value} "
+                               f"(expected {lead}, {', '.join(keys)})")
+
+
+# each [domain] kind's constructor and the keys it reads, in argument order
+_DOMAIN_KINDS = {"rectangle": (Domain.rectangle, ("a", "b")),
+                 "strip": (Domain.strip_truncation, ("d", "n_trunc")),
+                 "strip-truncation": (Domain.strip_truncation, ("d", "n_trunc"))}
+
+
 def build_domain(cfg: configparser.ConfigParser) -> Domain:
+    """The ``[domain]`` kind's box, from its keys: a key of another kind is an error."""
     sec = _section(cfg, "domain")
     kind = _get(sec, "kind")
+    if kind not in _DOMAIN_KINDS:
+        raise DiriterError(f"[domain] unknown kind {kind!r}")
+    make, keys = _DOMAIN_KINDS[kind]
+    _only_keys_of(sec, "kind", kind, keys)
     with _rejected_values("domain"):
-        if kind == "rectangle":
-            return Domain.rectangle(_get(sec, "a"), _get(sec, "b"))
-        if kind in ("strip", "strip-truncation"):
-            return Domain.strip_truncation(_get(sec, "d"), _get(sec, "n_trunc"))
-    raise DiriterError(f"[domain] unknown kind {kind!r}")
+        return make(*(_get(sec, key) for key in keys))
 
 
 def _build_grid(domain: Domain, h: float) -> Grid:
@@ -182,11 +200,7 @@ def build_rhs(cfg: configparser.ConfigParser, grid: Grid) -> RhsSpec:
     if variant not in FAMILIES:
         raise DiriterError(f"[rhs] unknown variant {variant!r} (expected {' | '.join(FAMILIES)})")
     fields = dataclasses.fields(FAMILIES[variant])
-    names = [f.name for f in fields]
-    for key in sec:
-        if key not in names and key != "variant":
-            raise DiriterError(f"[rhs] unknown key {key!r} for variant {variant} "
-                               f"(expected variant, {', '.join(names)})")
+    _only_keys_of(sec, "variant", variant, [f.name for f in fields])
     with _rejected_values("rhs"):
         return FAMILIES[variant](**{f.name: _get(sec, f.name, grid) for f in fields
                                     if f.name in sec or f.default is dataclasses.MISSING})
@@ -268,7 +282,6 @@ def report_payload(
     """The ``report.json`` of a ``solve``: the run's report, the C^{2,alpha}
     estimate of each of its iterates and its ``contraction_theory``."""
     last = report.rows[-1]
-    max_rho = max((r.rho_i for r in report.rows if r.rho_i is not None), default=None)
     return {
         "outcome": report.outcome,
         "iters": len(report.rows),
@@ -279,7 +292,7 @@ def report_payload(
             "c2alpha_est": c2alpha[-1],
         },
         "C_empirical": max(c2alpha),
-        "max_rho": max_rho,
+        "max_rho": report.max_rho,
         "norms": dict(norms),
         "theory": dataclasses.asdict(theory),
         "fixed_point_t_star": theory.C,
@@ -403,9 +416,8 @@ def run_sweep(
         except DiriterError as exc:
             rows.append([value, f"error: {exc}", 0, None, None])
             continue
-        max_rho = max((r.rho_i for r in report.rows if r.rho_i is not None), default=None)
         rows.append(
-            [value, report.outcome, len(report.rows), max_rho, report.rows[-1].residual_sup]
+            [value, report.outcome, len(report.rows), report.max_rho, report.rows[-1].residual_sup]
         )
     threshold = next((0.5 * (a[0] + b[0]) for a, b in zip(rows, rows[1:])
                       if a[1] == "converged" and b[1] != "converged"), None)
@@ -469,28 +481,20 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path) -> int:
     with _rejected_values("exhaustion"):
         if not 0.0 <= compact_tol < math.inf:  # NaN fails
             raise ValueError(f"compact_tol = {compact_tol} must be >= 0 and finite")
-        ex_cfg = ExhaustionConfig(
-            d=d,
-            n_start=n_start,
-            n_max=n_max,
-            compact_halfwidth=halfwidth,
-            iteration=it_cfg,
-        )
+        ex_cfg = ExhaustionConfig(d=d, n_start=n_start, n_max=n_max,
+                                  compact_halfwidth=halfwidth, iteration=it_cfg)
         ex_cfg.check_spacing(h)
     # check_spacing's tolerance lets an h just above 1 divide the gap 1, but
     # the truncation n_start = 1 is only 2 long
     _build_grid(Domain.strip_truncation(d, n_start), h)
     try:
-        result = exhaustion_solve(spec, ex_cfg, h)
+        result = exhaustion_solve(spec, ex_cfg)
     except IterationFailure as exc:
         print(f"exhaustion failed: {exc}", file=sys.stderr)
         return _OUTCOME_EXIT[exc.report.outcome]
 
-    rows = []
-    for j, n in enumerate(result.truncations):
-        diff = result.tail[j - 1] if j >= 1 else None
-        rep = result.reports[j]
-        rows.append([n, diff, len(rep.rows), rep.outcome])
+    rows = [[n, diff, len(rep.rows), rep.outcome]
+            for n, diff, rep in zip(result.truncations, (None, *result.tail), result.reports)]
     write_csv(out / "tail.csv", ["n", "sup_diff_on_compact", "iters", "outcome"], rows)
 
     payload = {

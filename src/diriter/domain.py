@@ -124,7 +124,7 @@ class Grid:
         return self.field(np.broadcast_to(np.asarray(fn(X, Y), dtype=float), self.shape))
 
     def constant(self, c: float) -> "GridField":
-        return self.field(np.full(self.shape, float(c)))
+        return self._own(np.full(self.shape, float(c)))
 
     def zeros(self) -> "GridField":
         return self.constant(0.0)

@@ -103,6 +103,11 @@ class IterationReport:
     rows: tuple[IterationRow, ...]
     outcome: str  # converged | diverged | max_iters
 
+    @property
+    def max_rho(self) -> float | None:
+        """The largest H1 difference ratio ``rho_i``, None where no row has one."""
+        return max((r.rho_i for r in self.rows if r.rho_i is not None), default=None)
+
 
 def c2alpha_observer(cfg: NormConfig) -> tuple[list[float], Callable[[GridField], None]]:
     """An observer for ``dirichlet_iterate`` and the list it fills: the

@@ -2,7 +2,7 @@
 
 All truncations share the spacing and node alignment of the largest one, so
 solutions restrict to the compact window nodewise, without interpolation.
-Data fields are given on the largest truncation and sliced down.
+Data fields are given on the largest truncation's grid and sliced down.
 """
 
 from __future__ import annotations
@@ -68,59 +68,44 @@ def _column_window(grid: Grid, halfwidth: float) -> slice:
     return slice(max(i0, 0), min(i1, grid.nx - 1) + 1)
 
 
-def restrict_field(f: GridField, target: Grid) -> GridField:
-    """Nodewise restriction onto an aligned sub-grid (same h, same y nodes)."""
-    src = f.grid
-    if abs(src.h - target.h) > 1e-12:
-        raise ValueError("grids must share their spacing")
-    off = (target.x[0] - src.x[0]) / src.h
-    k = int(round(off))
-    if abs(off - k) > 1e-6 or k < 0 or k + target.nx > src.nx:
-        raise ValueError("target grid does not align with the source grid")
-    return target.field(f.values[k : k + target.nx, :])
-
-
-def _spec_on(spec: RhsSpec, grid: Grid) -> RhsSpec:
-    """Rebind the spec's data fields to a smaller aligned grid."""
-    restricted = {name: restrict_field(data, grid) for name, data in spec.fields().items()}
-    return dataclasses.replace(spec, **restricted)
-
-
-def _iteration_on(cfg: IterationConfig, grid: Grid) -> IterationConfig:
-    """Rebind a prescribed boundary field to a smaller aligned grid."""
-    if cfg.phi is None:
-        return cfg
-    return dataclasses.replace(cfg, phi=restrict_field(cfg.phi, grid))
-
-
-def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig, h: float) -> ExhaustionResult:
+def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig) -> ExhaustionResult:
     """Iterate on each truncation [-n, n] x (-d/2, d/2), n = n_start..n_max.
 
-    ``spec``, and a boundary field ``cfg.iteration.phi``, carry
-    data on the largest truncation. tail[j] is the sup over the compact
-    window of the difference between consecutive solutions. Raises
-    ValueError, before any solve, where ``cfg.check_spacing(h)`` does.
+    The data fields of ``spec``, and a boundary field ``cfg.iteration.phi``,
+    live on one grid of the largest truncation; truncation n solves on its
+    centred columns. tail[j] is the sup over the compact window of the
+    difference between consecutive solutions. Raises ValueError, before any
+    solve, for fields on any other grid and where ``cfg.check_spacing`` does.
     """
-    cfg.check_spacing(h)
+    phi = cfg.iteration.phi
+    fields = list(spec.fields().values()) + ([] if phi is None else [phi])
+    big = fields[0].grid
+    largest = (Domain.strip_truncation(cfg.d, cfg.n_max), big.h)
+    if any((f.grid.domain, f.grid.h) != largest for f in fields):
+        raise ValueError(f"data and phi must live on one grid of the truncation n = {cfg.n_max}")
+    cfg.check_spacing(big.h)
     ns = list(range(cfg.n_start, cfg.n_max + 1))
     reports: list[IterationReport] = []
     tail: list[float] = []
     window = None
     for n in ns:
-        grid = build_grid(Domain.strip_truncation(cfg.d, n), h)
-        spec_n = _spec_on(spec, grid)
+        grid = build_grid(Domain.strip_truncation(cfg.d, n), big.h)
+        cols = slice((big.nx - grid.nx) // 2, (big.nx + grid.nx) // 2)
+        spec_n = dataclasses.replace(spec, **{name: grid.field(f.values[cols])
+                                              for name, f in spec.fields().items()})
+        it_n = cfg.iteration if phi is None else dataclasses.replace(
+            cfg.iteration, phi=grid.field(phi.values[cols]))
         try:
-            u, rep = dirichlet_iterate(grid, spec_n, _iteration_on(cfg.iteration, grid))
+            u, rep = dirichlet_iterate(grid, spec_n, it_n)
         except IterationFailure as exc:
-            exc.args = (f"truncation n = {n}: {exc.args[0]}",) + exc.args[1:]
-            raise
+            message = f"truncation n = {n}: {exc}"
+            raise IterationFailure(message, exc.report, exc.last_iterate) from exc
         reports.append(rep)
         previous, window = window, compact_values(u, cfg.compact_halfwidth)
         if previous is not None:
             tail.append(sup_abs(previous - window))
-    return ExhaustionResult(
-        u_final=u, tail=tuple(tail), reports=tuple(reports), truncations=tuple(ns)
-    )
+    return ExhaustionResult(u_final=u, tail=tuple(tail), reports=tuple(reports),
+                            truncations=tuple(ns))
 
 
 def compact_values(result_field: GridField, halfwidth: float) -> np.ndarray:

@@ -212,7 +212,7 @@ def test_criterion_8_exhaustion_tails():
     )
     big = build_grid(Domain.strip_truncation(d, cfg.n_max), h)
     spec = GradLipschitz(h=big.constant(1.0), K=0.0, m=2.0)
-    result = exhaustion_solve(spec, cfg, h)
+    result = exhaustion_solve(spec, cfg)
     tail = result.tail
     assert all(t > 0 for t in tail)
     assert all(b <= a for a, b in zip(tail[1:], tail[2:]))

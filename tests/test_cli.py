@@ -397,6 +397,33 @@ def test_rejected_config_value_is_one_error_line(tmp_path, capsys, command, old,
     assert list((tmp_path / "o").iterdir()) == []  # nothing is written
 
 
+@pytest.mark.parametrize("value", ["1 % 2", "%(K)s"], ids=["modulo", "interpolation"])
+def test_percent_in_a_value_is_its_text(tmp_path, capsys, value):
+    # no interpolation: ``%(K)s`` reads no other key, and ``%`` is an expression error
+    assert BASE.count("h = 1\n") == 1
+    cfg = write_cfg(tmp_path, BASE.replace("h = 1\n", f"h = {value}\n"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [rhs] h: unexpected character '%' (at position {value.index('%')})\n")
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+@pytest.mark.parametrize("kind, keys, stray, expected", [
+    ("rectangle", "a = 1\nb = 1\n", "d = 5\nn_trunc = 9\n",
+     "'d' for kind rectangle (expected kind, a, b)"),
+    ("strip", "d = 1\nn_trunc = 2\n", "b = 1\n", "'b' for kind strip (expected kind, d, n_trunc)"),
+], ids=["rectangle", "strip"])
+def test_domain_key_of_another_kind_is_one_error_line(tmp_path, capsys, kind, keys, stray,
+                                                      expected):
+    text = (GOLDEN / "solve-t-star-grad-lipschitz.ini").read_text()
+    old = "kind = rectangle\na = 1\nb = 1\n"
+    assert text.count(old) == 1
+    cfg = write_cfg(tmp_path, text.replace(old, f"kind = {kind}\n{keys}{stray}"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: [domain] unknown key {expected}\n"
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_sweep_with_non_finite_phi_is_one_error_line(tmp_path, capsys):
     # rejected before any run, not written as an error row per value
     text = BASE.replace("max_iters = 60", "max_iters = 60\nphi = exp(1000)")

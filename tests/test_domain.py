@@ -151,3 +151,11 @@ def test_fields_are_immutable(unit_grid_16):
     f = unit_grid_16.constant(1.0)
     with pytest.raises(ValueError):
         f.values[0, 0] = 2.0
+
+
+def test_constant_allocates_one_field_and_owns_it(unit_grid_32):
+    # the np.full is the field's array: it is not copied into a second one
+    assert traced_peak_fields(unit_grid_32, lambda: unit_grid_32.constant(1.0)) < 1.5
+    f, g = unit_grid_32.constant(1.0), unit_grid_32.zeros()
+    assert not (f.values.flags.writeable or np.shares_memory(f.values, g.values))
+    assert np.array_equal(f.values, np.ones(unit_grid_32.shape)) and not g.values.any()

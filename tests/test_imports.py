@@ -247,7 +247,7 @@ def test_every_iteration_config_field_is_read_by_the_loop():
     from diriter import IterationConfig
 
     read = _attributes_read({"iteration.py": ("dirichlet_iterate", "_start_field"),
-                             "slab.py": ("_iteration_on",)})
+                             "slab.py": ("exhaustion_solve",)})
     fields = {f.name for f in dataclasses.fields(IterationConfig)}
     assert sorted(fields - read) == []
 

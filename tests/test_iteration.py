@@ -241,6 +241,8 @@ def test_rows_well_formed(unit_grid_16):
     assert [r.i for r in rep.rows] == list(range(1, len(rep.rows) + 1))
     assert rep.rows[0].rho_i is None
     assert all(r.rho_i is not None for r in rep.rows[1:])
+    assert rep.max_rho == max(r.rho_i for r in rep.rows[1:])
+    assert dataclasses.replace(rep, rows=rep.rows[:1]).max_rho is None
 
 
 # --- bitwise guard for the loop ------------------------------------------------

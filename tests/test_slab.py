@@ -18,7 +18,9 @@ from diriter import (
     cli,
     estimate_schauder_constant,
 )
-from diriter.slab import compact_values, exhaustion_solve, restrict_field
+from diriter import slab
+from diriter.iteration import IterationReport
+from diriter.slab import compact_values, exhaustion_solve
 
 H_GRID = 1.0 / 16
 
@@ -32,21 +34,50 @@ def iteration_cfg():
     return IterationConfig(h1_tol=1e-12, max_iters=60)
 
 
-def test_restrict_field_slices_nodewise():
-    big = build_grid(Domain.strip_truncation(1.0, 4.0), 0.25)
-    small = build_grid(Domain.strip_truncation(1.0, 2.0), 0.25)
-    X, Y = big.meshgrid()
-    f = big.field(X + 10 * Y)
-    g = restrict_field(f, small)
-    Xs, Ys = small.meshgrid()
-    assert np.array_equal(g.values, Xs + 10 * Ys)
+def _record_solves(monkeypatch):
+    """Replace the truncations' solves with one that records its arguments and
+    returns zero: the list of (grid, spec, iteration config) it fills."""
+    seen = []
+
+    def solve(grid, spec, cfg):
+        seen.append((grid, spec, cfg))
+        return grid.zeros(), IterationReport((), "converged")
+
+    monkeypatch.setattr(slab, "dirichlet_iterate", solve)
+    return seen
 
 
-def test_restrict_field_rejects_mismatched_spacing():
-    big = build_grid(Domain.strip_truncation(1.0, 4.0), 0.25)
-    small = build_grid(Domain.strip_truncation(1.0, 2.0), 0.125)
-    with pytest.raises(ValueError):
-        restrict_field(big.constant(1.0), small)
+def test_each_truncation_holds_the_largest_grids_values_at_its_nodes(monkeypatch):
+    # X + 10 Y and X - 10 Y are exact at h = 0.25, so equal values mean equal nodes
+    big = build_grid(Domain.strip_truncation(1.0, 4), 0.25)
+    phi = big.field_from(lambda x, y: x - 10 * y)
+    spec = GradLipschitz(h=big.field_from(lambda x, y: x + 10 * y), K=0.0, m=2.0)
+    seen = _record_solves(monkeypatch)
+    exhaustion_solve(spec, ExhaustionConfig(d=1.0, n_start=2, n_max=4, compact_halfwidth=1.0,
+                                            iteration=IterationConfig(phi=phi)))
+    assert [grid.x[-1] for grid, _, _ in seen] == [2.0, 3.0, 4.0]
+    for grid, spec_n, cfg_n in seen:
+        X, Y = grid.meshgrid()
+        assert spec_n.h.grid is grid and cfg_n.phi.grid is grid
+        assert np.array_equal(spec_n.h.values, X + 10 * Y)
+        assert np.array_equal(cfg_n.phi.values, X - 10 * Y)
+
+
+@pytest.mark.parametrize("data_domain, phi_h", [
+    (Domain.rectangle(8.0, 1.0), None),  # the same shape as the strip's grid
+    (Domain.strip_truncation(1.0, 5), None),
+    (Domain.strip_truncation(1.0, 4), 0.125),
+], ids=["rectangle_of_the_same_shape", "strip_of_another_n_max", "phi_on_another_grid"])
+def test_fields_off_the_largest_grid_are_rejected_before_any_solve(monkeypatch, data_domain,
+                                                                   phi_h):
+    data_grid = build_grid(data_domain, 0.25)
+    phi = None if phi_h is None else build_grid(data_domain, phi_h).zeros()
+    seen = _record_solves(monkeypatch)
+    cfg = ExhaustionConfig(d=1.0, n_start=3, n_max=4, compact_halfwidth=1.0,
+                           iteration=IterationConfig(phi=phi))
+    with pytest.raises(ValueError, match="one grid of the truncation n = 4"):
+        exhaustion_solve(GradLipschitz(h=data_grid.constant(1.0), K=0.0, m=2.0), cfg)
+    assert seen == []
 
 
 def test_exhaustion_y_only_profile_and_tails():
@@ -56,7 +87,7 @@ def test_exhaustion_y_only_profile_and_tails():
         iteration=iteration_cfg(),
     )
     spec = y_only_spec(d, cfg.n_max, H_GRID)
-    result = exhaustion_solve(spec, cfg, H_GRID)
+    result = exhaustion_solve(spec, cfg)
     tail = result.tail
     assert len(tail) == 5
     assert all(t > 0 for t in tail)
@@ -75,7 +106,7 @@ def test_exhaustion_zero_data_zero_tail():
     )
     grid = build_grid(Domain.strip_truncation(1.0, cfg.n_max), H_GRID)
     spec = GradLipschitz(h=grid.zeros(), K=0.0, m=2.0)
-    result = exhaustion_solve(spec, cfg, H_GRID)
+    result = exhaustion_solve(spec, cfg)
     assert np.max(np.abs(result.u_final.values)) == 0.0
     assert all(t == 0.0 for t in result.tail)
 
@@ -85,7 +116,7 @@ def test_exhaustion_single_truncation_empty_tail():
         d=1.0, n_start=3, n_max=3, compact_halfwidth=2.0, iteration=iteration_cfg()
     )
     spec = y_only_spec(1.0, 3, H_GRID)
-    result = exhaustion_solve(spec, cfg, H_GRID)
+    result = exhaustion_solve(spec, cfg)
     assert result.tail == ()
     assert result.truncations == (3,)
 
@@ -98,7 +129,7 @@ def test_exhaustion_mce_converges_to_arc():
     )
     grid = build_grid(Domain.strip_truncation(d, cfg.n_max), h)
     spec = MeanCurvature(H=grid.constant(H), n=2)
-    result = exhaustion_solve(spec, cfg, h)
+    result = exhaustion_solve(spec, cfg)
     arc = ArcSolution(d, H)
     vals = compact_values(result.u_final, cfg.compact_halfwidth)
     ref = arc(result.u_final.grid.y)[None, :]
@@ -111,7 +142,7 @@ def test_exhaustion_with_x_varying_curvature_converges_on_every_truncation():
     spec = MeanCurvature(H=grid.field_from(lambda x, y: 0.3 + 0.05 * np.cos(x)), n=2)
     result = exhaustion_solve(spec, ExhaustionConfig(
         d=d, n_start=3, n_max=5, compact_halfwidth=2.0, iteration=iteration_cfg()
-    ), h)
+    ))
     assert result.truncations == (3, 4, 5)
     assert all(r.outcome == "converged" for r in result.reports)
     # the tail decays like exp(-mu n) with mu near 3 per unit of n
@@ -137,7 +168,7 @@ def test_exhaustion_rejects_a_spacing_off_the_largest_grid():
     # with h = 0.3, x = -3 is no node of the n = 4 grid, which starts at -4
     cfg = ExhaustionConfig(d=1.0, n_start=3, n_max=4, compact_halfwidth=1.0, iteration=iteration_cfg())
     with pytest.raises(ValueError, match="does not divide 1"):
-        exhaustion_solve(y_only_spec(1.0, 4, 0.3), cfg, 0.3)
+        exhaustion_solve(y_only_spec(1.0, 4, 0.3), cfg)
     for h in (0.0, -0.25, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             cfg.check_spacing(h)
