@@ -197,7 +197,7 @@ def norm_h1semi(u: GridField, v: GridField | None = None) -> float:
     of the whole field.
     """
     grid = u.grid
-    if v is not None and v.grid.shape != grid.shape:
+    if v is not None and v.grid != grid:
         raise ValueError("v lives on a different grid")
     wx, wy = grid.axis_weights()
     s = None

@@ -42,7 +42,7 @@ from .iteration import (
     contraction_theory,
     dirichlet_iterate,
 )
-from .nonlinearity import FAMILIES, ContractionAnalysis, RhsSpec, check_finite_data
+from .nonlinearity import FAMILIES, ContractionAnalysis, RhsSpec, check_data
 from .poisson import estimate_schauder_constant
 from .slab import ExhaustionConfig, compact_values, exhaustion_solve
 
@@ -350,10 +350,10 @@ def cmd_solve(cfg: configparser.ConfigParser, out: Path) -> int:
     spec = build_rhs(cfg, grid)
     it_cfg, analysis = build_iteration_config(cfg, grid)
 
-    theory, norms = contraction_theory(grid, spec, analysis)
+    theory, norms = contraction_theory(spec, analysis)
     c2alpha, observe = c2alpha_observer(analysis.norm_cfg)
     try:
-        u, report = dirichlet_iterate(grid, spec, it_cfg, observe=observe)
+        u, report = dirichlet_iterate(spec, it_cfg, observe=observe)
     except IterationFailure as exc:
         report = exc.report
         u = exc.last_iterate
@@ -381,9 +381,7 @@ def _apply_sweep_value(spec: RhsSpec, parameter: str, value: float) -> RhsSpec:
     return dataclasses.replace(spec, **{name: data.grid._own(data.values * (value / base))})
 
 
-def run_sweep(
-    grid: Grid, spec: RhsSpec, it_cfg: IterationConfig, parameter: str, values: list[float]
-) -> dict:
+def run_sweep(spec: RhsSpec, it_cfg: IterationConfig, parameter: str, values: list[float]) -> dict:
     """One iteration run per value; rows plus the empirical threshold midpoint.
 
     The rows read no C^{2,alpha} estimate and no theory: no observer is
@@ -401,7 +399,7 @@ def run_sweep(
         raise DiriterError("[sweep] sweep needs a nonempty ascending list of values")
     if sorted(values) != list(values):
         raise DiriterError("[sweep] sweep values must be sorted ascending")
-    check_finite_data(spec)
+    check_data(spec)
     with _rejected_values("sweep"):
         for value in values if spec.sweep_field not in spec.fields() else ():
             _apply_sweep_value(spec, parameter, value)
@@ -410,7 +408,7 @@ def run_sweep(
         spec_v = _apply_sweep_value(spec, parameter, value)
         try:
             # the final iterate is not kept: it would live on through the next run
-            report = dirichlet_iterate(grid, spec_v, it_cfg)[1]
+            report = dirichlet_iterate(spec_v, it_cfg)[1]
         except IterationFailure as exc:
             report = exc.report
         except DiriterError as exc:
@@ -437,7 +435,7 @@ def cmd_sweep(cfg: configparser.ConfigParser, out: Path) -> int:
         raise DiriterError(f"[sweep] values: {exc}") from exc
     if not all(map(math.isfinite, values)):
         raise DiriterError(f"[sweep] values = {text!r} must all be finite")
-    result = run_sweep(grid, spec, it_cfg, parameter, values)
+    result = run_sweep(spec, it_cfg, parameter, values)
     write_csv(
         out / "sweep.csv",
         ["value", "outcome", "iters", "max_rho", "final_residual"],

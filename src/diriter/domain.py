@@ -72,14 +72,15 @@ class Grid:
 
     Node counts are rounded so the realized extents are integer multiples of
     the spacing; realized extents (not the requested ones) feed every norm.
+    Equality and hash read the domain and spacing, which fix the rest.
     """
 
     domain: Domain
     h: float
-    nx: int
-    ny: int
-    x: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
+    nx: int = field(compare=False)
+    ny: int = field(compare=False)
+    x: np.ndarray = field(repr=False, compare=False)
+    y: np.ndarray = field(repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -165,7 +166,9 @@ class GridField:
 
     def is_conforming(self, phi: GridField | None = None) -> bool:
         """True when the boundary entries equal phi's (zero by default) up to
-        rounding: to within 1e-12 (1 + sup|u|), a NaN failing."""
+        rounding: to within 1e-12 (1 + sup|u|), a NaN failing; ValueError off phi's grid."""
+        if phi is not None and phi.grid != self.grid:
+            raise ValueError("phi lives on a different grid")
         target = 0.0 if phi is None else phi.boundary_values()
         tol = 1e-12 * (1.0 + sup_abs(self.values))
         return bool(np.max(np.abs(self.boundary_values() - target)) <= tol)

@@ -24,13 +24,13 @@ from .calculus import (
     norm_h1semi,
     norm_sup,
 )
-from .domain import Grid, GridField
+from .domain import GridField
 from .errors import DiriterError, IterationFailure
 from .nonlinearity import (
     ContractionAnalysis,
     RhsSpec,
     analyze,
-    check_finite_data,
+    check_data,
     data_norms,
     evaluate_rhs,
 )
@@ -126,50 +126,46 @@ def residual_field(u: GridField, spec: RhsSpec) -> GridField:
     return u.grid._own(out)
 
 
-def contraction_theory(
-    grid: Grid, spec: RhsSpec, analysis: AnalysisConfig
-) -> tuple[ContractionAnalysis, dict]:
-    """The a priori analysis of ``dirichlet_iterate`` on ``grid``, which reads none of it.
+def contraction_theory(spec: RhsSpec, analysis: AnalysisConfig) -> tuple[ContractionAnalysis, dict]:
+    """The a priori analysis of ``dirichlet_iterate`` on the data's grid, which reads none of it.
 
     ``analyze``'s t* and rho for Λ = ``analysis.lambda_value``, or for Λ
-    estimated on ``grid`` when that is None, and the Hölder data norms they
-    rest on. Raises DiriterError for NaN or inf data, and when Λ is estimated
-    on fewer than 5 nodes per axis.
+    estimated on the data's grid when that is None, and the Hölder data norms
+    they rest on. Raises as ``check_data`` does, and DiriterError when Λ is
+    estimated on fewer than 5 nodes per axis.
     """
-    norms = data_norms(spec, analysis.norm_cfg)
+    grid, norms = check_data(spec), data_norms(spec, analysis.norm_cfg)
     lam = analysis.lambda_value
     if lam is None:
         lam = estimate_schauder_constant(grid, analysis.norm_cfg)
     return analyze(spec, grid.domain, norms, lam), norms
 
 
-def _start_field(grid: Grid, spec: RhsSpec, cfg: IterationConfig, solver: PoissonSolver) -> GridField:
+def _start_field(spec: RhsSpec, cfg: IterationConfig, solver: PoissonSolver) -> GridField:
     if cfg.start == START_ZERO:
-        return grid.zeros()
+        return solver.grid.zeros()
     # the lift solves on the loop's own solver: laplacian(u0) = h, u0 = phi
-    h_rhs = spec.fields().get("h") or grid.zeros()
+    h_rhs = spec.fields().get("h") or solver.grid.zeros()
     return solver.solve(h_rhs, cfg.phi)
 
 
 def dirichlet_iterate(
-    grid: Grid,
     spec: RhsSpec,
     cfg: IterationConfig,
     u0: GridField | None = None,
     observe: Callable[[GridField], None] | None = None,
 ) -> tuple[GridField, IterationReport]:
-    """Run the iteration; returns the converged iterate and its report.
+    """Run the iteration on the data's grid; returns the converged iterate and its report.
 
-    Raises DiriterError before any solve when a data field holds NaN or inf,
-    ValueError when one lives on another grid, and IterationFailure with the
-    partial report, whose ``outcome`` is ``diverged`` or ``max_iters``, and the
-    last iterate attached.
-    ``u0`` overrides the configured start (it must already carry the
-    boundary values). ``observe(u)``, if given, runs on
-    every iterate once its row is appended, before the stop rules, so a
-    failed run's last iterate is observed too; rows and iterates are the
-    same with or without it. No C^{2,alpha} estimate (``c2alpha_observer``),
-    data norm, Λ or fixed point is computed here (``contraction_theory``).
+    Raises before any solve as ``check_data`` does, and ValueError for a
+    ``u0`` on another grid; IterationFailure with the partial report, whose
+    ``outcome`` is ``diverged`` or ``max_iters``, and the last iterate
+    attached. ``u0`` overrides the configured start (it must already carry
+    the boundary values). ``observe(u)``, if given, runs on every iterate
+    once its row is appended, before the stop rules, so a failed run's last
+    iterate is observed too; rows and iterates are the same with or without
+    it. No C^{2,alpha} estimate (``c2alpha_observer``), data norm, Λ or
+    fixed point is computed here (``contraction_theory``).
 
     Grid fields alive at once, besides the data and the solver's array: the
     previous iterate, the right-hand side and the new iterate while a solve
@@ -180,18 +176,16 @@ def dirichlet_iterate(
     field. Derivatives and the difference of the iterates are formed a row
     slab at a time, never whole.
     """
-    check_finite_data(spec)
-    for name, data in spec.fields().items():
-        if data.grid.shape != grid.shape:
-            raise ValueError(f"data field {name!r} lives on a different grid")
-    solver = PoissonSolver(grid)
+    solver = PoissonSolver(check_data(spec))
 
     if u0 is not None:
+        if u0.grid != solver.grid:
+            raise ValueError("u0 lives on a different grid")
         if not u0.is_conforming(cfg.phi):
             raise DiriterError("u0 must carry the configured boundary values")
         u_prev = u0
     else:
-        u_prev = _start_field(grid, spec, cfg, solver)
+        u_prev = _start_field(spec, cfg, solver)
 
     rows: list[IterationRow] = []
     prev_h1 = None

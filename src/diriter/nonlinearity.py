@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import NormConfig, dot_gradient, gradient_slabs, holder_norm, norm_sup, sup_abs
-from .domain import Domain, GridField
+from .domain import Domain, Grid, GridField
 from .errors import DiriterError
 from .mce import ArcSolution
 
@@ -200,7 +200,7 @@ FAMILIES = {family.variant: family for family in typing.get_args(RhsSpec)}  # by
 
 
 def evaluate_rhs(spec: RhsSpec, u: GridField) -> GridField:
-    """Nodal samples of f(x, u(x), grad u(x)) for the given family.
+    """Nodal samples of f(x, u(x), grad u(x)), for u on the data's grid (ValueError otherwise).
 
     grad u is formed a row slab at a time (``calculus.gradient_slabs``), never
     for the whole grid. ``spec.rhs_slab(o, u, rows, keep, vx, vy)`` writes f
@@ -210,6 +210,8 @@ def evaluate_rhs(spec: RhsSpec, u: GridField) -> GridField:
     moves later arrays in the heap (3 MB more peak RSS on the 2049 x 257 strip).
     """
     grid = u.grid
+    if any(data.grid != grid for data in spec.fields().values()):
+        raise ValueError("u lives on a different grid")
     out = None
     for rows, keep, vx, vy in gradient_slabs(u.values, grid.h):
         o = vx[keep]  # the slab's f goes over its ux
@@ -223,18 +225,23 @@ def evaluate_rhs(spec: RhsSpec, u: GridField) -> GridField:
     return grid._own(out)
 
 
-def check_finite_data(spec: RhsSpec) -> None:
-    """Raise DiriterError when a data field holds NaN or inf: its norm would be
-    NaN, every bound derived from it meaningless, and every iterate non-finite."""
+def check_data(spec: RhsSpec) -> Grid:
+    """The grid that every data field lives on. Raises ValueError where two
+    differ, and DiriterError when a data field holds NaN or inf: its norm would
+    be NaN, every bound derived from it meaningless, and every iterate non-finite."""
+    grid = next(iter(spec.fields().values())).grid
     for name, data in spec.fields().items():
+        if data.grid != grid:
+            raise ValueError(f"data field {name!r} lives on a different grid")
         if not math.isfinite(sup_abs(data.values)):  # NaN and inf reach the sup
             raise DiriterError(f"data field {name!r} holds NaN or inf")
+    return grid
 
 
 def data_norms(spec: RhsSpec, cfg: NormConfig) -> dict:
     """Hölder norms ``{name}_alpha`` of the data fields the majorant psi needs;
-    raises DiriterError as ``check_finite_data`` does."""
-    check_finite_data(spec)
+    raises as ``check_data`` does."""
+    check_data(spec)
     return {f"{name}_alpha": holder_norm(data, cfg) for name, data in spec.fields().items()}
 
 

@@ -115,9 +115,9 @@ class PoissonSolver:
         7.5 to 17.3 times eps * sup|u| / h^2 for h = 1/64 ... 1/2048.
         """
         grid = self.grid
-        if f.grid.shape != grid.shape:
+        if f.grid != grid:
             raise ValueError("right-hand side lives on a different grid")
-        if phi is not None and phi.grid.shape != grid.shape:
+        if phi is not None and phi.grid != grid:
             raise ValueError("boundary field lives on a different grid")
         f_in = f.values[1:-1, 1:-1]
         self._solved = None
@@ -181,7 +181,7 @@ class PoissonSolver:
         """
         if self._solved is None or self._solved() is not u:
             raise ValueError("u is not the result of this solver's latest solve")
-        if f.grid.shape != self.grid.shape:
+        if f.grid != self.grid:
             raise ValueError("right-hand side lives on a different grid")
         lap, f_in = self._lap[1:-1, 1:-1], f.values[1:-1, 1:-1]
         m0, m1 = lap.shape

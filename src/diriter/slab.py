@@ -17,7 +17,7 @@ from .calculus import sup_abs
 from .domain import Domain, Grid, GridField, build_grid
 from .errors import IterationFailure
 from .iteration import IterationConfig, IterationReport, dirichlet_iterate
-from .nonlinearity import RhsSpec
+from .nonlinearity import RhsSpec, check_data
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,8 @@ def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig) -> ExhaustionResult:
     solve, for fields on any other grid and where ``cfg.check_spacing`` does.
     """
     phi = cfg.iteration.phi
-    fields = list(spec.fields().values()) + ([] if phi is None else [phi])
-    big = fields[0].grid
-    largest = (Domain.strip_truncation(cfg.d, cfg.n_max), big.h)
-    if any((f.grid.domain, f.grid.h) != largest for f in fields):
+    big = check_data(spec)
+    if big.domain != Domain.strip_truncation(cfg.d, cfg.n_max) or (phi and phi.grid != big):
         raise ValueError(f"data and phi must live on one grid of the truncation n = {cfg.n_max}")
     cfg.check_spacing(big.h)
     ns = list(range(cfg.n_start, cfg.n_max + 1))
@@ -96,7 +94,7 @@ def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig) -> ExhaustionResult:
         it_n = cfg.iteration if phi is None else dataclasses.replace(
             cfg.iteration, phi=grid.field(phi.values[cols]))
         try:
-            u, rep = dirichlet_iterate(grid, spec_n, it_n)
+            u, rep = dirichlet_iterate(spec_n, it_n)
         except IterationFailure as exc:
             message = f"truncation n = {n}: {exc}"
             raise IterationFailure(message, exc.report, exc.last_iterate) from exc

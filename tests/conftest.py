@@ -24,6 +24,14 @@ def unit_grid_32(unit_square):
 
 
 @pytest.fixture
+def same_shape_pair():
+    """The rectangle [0, 4] x [0, 1] and the strip [-2, 2] x (-1/2, 1/2) at
+    h = 1/4: two grids of 17 x 5 nodes on different domains."""
+    return (build_grid(Domain.rectangle(4.0, 1.0), 0.25),
+            build_grid(Domain.strip_truncation(1.0, 2.0), 0.25))
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
 

@@ -195,10 +195,10 @@ def suite_no_false_certificate(cases: int, seed: int = 7) -> int:
         analysis = AnalysisConfig(norm_cfg=CFG, lambda_value=rng.uniform(0.5, 3.0))
         spec = _random_spec(grid, rng)
         try:
-            theory, norms = contraction_theory(grid, spec, analysis)
+            theory, norms = contraction_theory(spec, analysis)
             estimates, observe = c2alpha_observer(analysis.norm_cfg)
             try:
-                _, report = dirichlet_iterate(grid, spec, cfg, observe=observe)
+                _, report = dirichlet_iterate(spec, cfg, observe=observe)
             except IterationFailure as exc:
                 report = exc.report
         except DiriterError:
@@ -213,7 +213,7 @@ def suite_no_false_certificate(cases: int, seed: int = 7) -> int:
         values[rng.integers(grid.nx), rng.integers(grid.ny)] = rng.choice([np.nan, np.inf, -np.inf])
         bad = dataclasses.replace(spec, **{name: grid.field(values)})
         try:
-            dirichlet_iterate(grid, bad, cfg)
+            dirichlet_iterate(bad, cfg)
         except DiriterError as exc:
             if str(exc) == f"data field {name!r} holds NaN or inf":
                 continue

@@ -119,7 +119,7 @@ def criterion_4_run():
     spec = GradLipschitz(h=grid.constant(1.0), K=0.05, m=2.0)
     cfg = IterationConfig(h1_tol=1e-12, max_iters=80)
     estimates, observe = c2alpha_observer(NormConfig())
-    u, rep = dirichlet_iterate(grid, spec, cfg, observe=observe)
+    u, rep = dirichlet_iterate(spec, cfg, observe=observe)
     return grid, spec, cfg, u, rep, estimates
 
 
@@ -139,13 +139,13 @@ def test_criterion_5_gamma_g_run_and_threshold():
     grid = build_grid(UNIT, 1.0 / 32)
     spec = GammaG(gamma=grid.constant(0.1), h=grid.constant(1.0), m=2.0, k=1.0)
     cfg = IterationConfig(h1_tol=1e-12, max_iters=60)
-    _, rep = dirichlet_iterate(grid, spec, cfg)
+    _, rep = dirichlet_iterate(spec, cfg)
     assert rep.outcome == "converged"
     rhos = [r.rho_i for r in rep.rows if r.rho_i is not None]
     assert max(rhos) < 1.0
     # repeated doubling of gamma eventually flips the outcome
     values = [0.1 * 4.0**k for k in range(10)]
-    sweep = run_sweep(grid, spec, cfg, "gamma_sup", values)
+    sweep = run_sweep(spec, cfg, "gamma_sup", values)
     outcomes = [row[1] for row in sweep["rows"]]
     assert outcomes[0] == "converged"
     assert any(o in ("diverged", "max_iters") for o in outcomes)
@@ -173,7 +173,7 @@ def test_criterion_6_mce_arc_benchmark():
     grid = build_grid(Domain.strip_truncation(d, 4.0), 1.0 / 64)
     spec = MeanCurvature(H=grid.constant(H), n=2)
     cfg = IterationConfig(h1_tol=1e-12, max_iters=80)
-    u, rep = dirichlet_iterate(grid, spec, cfg)
+    u, rep = dirichlet_iterate(spec, cfg)
     assert rep.outcome == "converged"
     cols = np.abs(grid.x) <= 4.0 / 3.0 + 1e-12
     err = np.max(np.abs(u.values[cols, :] - arc(grid.y)[None, :]))
@@ -189,7 +189,7 @@ def _mce_threshold(domain):
     spec = MeanCurvature(H=grid.constant(1.0), n=2)
     cfg = IterationConfig(h1_tol=1e-12, max_iters=60)
     values = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
-    sweep = run_sweep(grid, spec, cfg, "H_amplitude", values)
+    sweep = run_sweep(spec, cfg, "H_amplitude", values)
     return sweep["threshold"], [row[1] for row in sweep["rows"]]
 
 
@@ -235,12 +235,12 @@ def test_criterion_9_property_suites(name):
 
 def test_criterion_10_uniqueness_ball_rerun():
     grid, spec, cfg, u_ref, _, _ = criterion_4_run()
-    t_star = contraction_theory(grid, spec, AnalysisConfig(lambda_value=2.0))[0].C
+    t_star = contraction_theory(spec, AnalysisConfig(lambda_value=2.0))[0].C
     assert t_star is not None and t_star > 0
     bump = grid.field_from(
         lambda x, y: 0.1 * t_star * np.sin(np.pi * x) * np.sin(np.pi * y)
     )
-    u_alt, rep_alt = dirichlet_iterate(grid, spec, cfg, u0=bump)
+    u_alt, rep_alt = dirichlet_iterate(spec, cfg, u0=bump)
     assert rep_alt.outcome == "converged"
     gap = float(np.max(np.abs(u_alt.values - u_ref.values)))
     assert gap <= 1e-6

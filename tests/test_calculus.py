@@ -475,3 +475,9 @@ def test_sup_abs_is_bitwise_max_abs(rng):
     cases.append(both)
     for a in cases:
         assert _bits(calculus.sup_abs(a)) == _bits(np.max(np.abs(a)))
+
+
+def test_h1_difference_rejects_a_field_from_a_grid_of_the_same_shape(same_shape_pair):
+    rect, strip = same_shape_pair
+    with pytest.raises(ValueError, match="v lives on a different grid"):
+        norm_h1semi(strip.zeros(), rect.zeros())

@@ -543,7 +543,7 @@ def test_sweep_holds_one_scaled_data_field_at_a_time():
     peaks = {}
     for values in ([0.4], [0.04 * k for k in range(1, 11)]):
         peaks[len(values)] = traced_peak_fields(
-            grid, lambda: run_sweep(grid, spec, cfg, "H_amplitude", values)
+            grid, lambda: run_sweep(spec, cfg, "H_amplitude", values)
         )
     assert peaks[10] <= peaks[1] + 0.5
 
@@ -563,11 +563,12 @@ def test_sweep_checks_its_values_without_scaling_a_field(monkeypatch):
     spec = nonlinearity.MeanCurvature(H=grid.field_from(compile_expression("0.3 + 0.05*cos(x)")), n=2)
     cfg = IterationConfig(max_iters=60, h1_tol=1e-10)
     entry_peaks = []
-    apply, check_data = cli._apply_sweep_value, cli.check_finite_data
+    apply, check_data = cli._apply_sweep_value, cli.check_data
 
     def checked_data(spec):
-        check_data(spec)
+        grid = check_data(spec)
         tracemalloc.reset_peak()
+        return grid
 
     def traced_apply(*args):
         entry_peaks.append(tracemalloc.get_traced_memory()[1])
@@ -579,12 +580,12 @@ def test_sweep_checks_its_values_without_scaling_a_field(monkeypatch):
     def first_run(*args, **kwargs):
         raise FirstRun
 
-    monkeypatch.setattr(cli, "check_finite_data", checked_data)
+    monkeypatch.setattr(cli, "check_data", checked_data)
     monkeypatch.setattr(cli, "_apply_sweep_value", traced_apply)
     monkeypatch.setattr(cli, "dirichlet_iterate", first_run)
     values = [0.04 * k for k in range(1, 11)]
-    traced_peak_fields(grid, lambda: pytest.raises(FirstRun, run_sweep, grid, spec, cfg,
-                                                   "H_amplitude", values))
+    traced_peak_fields(grid, lambda: pytest.raises(FirstRun, run_sweep, spec, cfg, "H_amplitude",
+                                                   values))
     assert entry_peaks[-1] / (8 * grid.nx * grid.ny) <= 0.1
 
 

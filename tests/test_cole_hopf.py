@@ -20,7 +20,7 @@ CFG = IterationConfig(h1_tol=1e-12, max_iters=200)
 
 def _solve(domain, h):
     grid = build_grid(domain, h)
-    u, report = dirichlet_iterate(grid, GradLipschitz(h=grid.constant(C), K=K, m=2.0), CFG)
+    u, report = dirichlet_iterate(GradLipschitz(h=grid.constant(C), K=K, m=2.0), CFG)
     assert report.outcome == "converged"
     return u
 

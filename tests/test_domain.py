@@ -159,3 +159,25 @@ def test_constant_allocates_one_field_and_owns_it(unit_grid_32):
     f, g = unit_grid_32.constant(1.0), unit_grid_32.zeros()
     assert not (f.values.flags.writeable or np.shares_memory(f.values, g.values))
     assert np.array_equal(f.values, np.ones(unit_grid_32.shape)) and not g.values.any()
+
+
+def test_a_grid_is_its_domain_and_spacing(same_shape_pair):
+    rect, strip = same_shape_pair
+    twice = build_grid(Domain.rectangle(4.0, 1.0), 0.25)
+    assert twice is not rect and twice == rect and hash(twice) == hash(rect)
+    assert len({rect, twice, strip}) == 2
+    finer = build_grid(Domain.rectangle(2.0, 0.5), 0.125)  # 17 x 5 nodes too
+    for other in (strip, finer):
+        assert other.shape == rect.shape and other != rect
+    assert build_grid(Domain.rectangle(4.0, 1.0), 0.125) != rect
+
+
+@pytest.mark.parametrize("other", ["same_shape", "other_shape"])
+def test_is_conforming_rejects_phi_from_another_grid(same_shape_pair, other):
+    # a phi of another shape once failed to broadcast; one of the same shape
+    # was compared node by node
+    rect, strip = same_shape_pair
+    taller = build_grid(Domain.rectangle(4.0, 2.0), 0.25)
+    phi = (strip if other == "same_shape" else taller).zeros()
+    with pytest.raises(ValueError, match="phi lives on a different grid"):
+        rect.zeros().is_conforming(phi)

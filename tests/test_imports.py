@@ -5,7 +5,8 @@ property has a caller in the library, that the loop reads every field of its con
 and the analysis every field of its own, that every exception type is caught
 by name, that nothing is drawn at random, that no module builds a dense
 coordinate mesh or a grid-sized boolean mask, that each right-hand-side
-family carries its own formulas, and that the CLI names no family."""
+family carries its own formulas, that the CLI names no family, and that grid
+identity is grid equality, not a comparison of shapes or domains."""
 
 import ast
 import builtins
@@ -260,6 +261,20 @@ def test_every_analysis_config_field_is_read():
     read = _attributes_read({"iteration.py": ("contraction_theory",), "cli.py": ("cmd_solve",)})
     fields = {f.name for f in dataclasses.fields(AnalysisConfig)}
     assert sorted(fields - read) == []
+
+
+def test_grid_identity_is_grid_equality():
+    # a grid is its domain and spacing (Grid.__eq__): comparing shapes lets a
+    # same-shape grid on another domain through, and comparing domains alone
+    # another spacing
+    found = []
+    for path in sorted((SRC / "diriter").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                found += [f"{path.name}:{node.lineno}" for n in ast.walk(node)
+                          if isinstance(n, ast.Attribute) and n.attr in ("shape", "domain")
+                          and isinstance(n.value, ast.Attribute) and n.value.attr == "grid"]
+    assert found == []
 
 
 def _caught_names(handler: ast.ExceptHandler) -> set[str]:

@@ -42,7 +42,7 @@ def base_cfg(**kw):
 
 def test_pure_poisson_converges_immediately(unit_grid_32):
     spec = GradLipschitz(h=unit_grid_32.constant(1.0), K=0.0, m=2.0)
-    u, rep = dirichlet_iterate(unit_grid_32, spec, base_cfg())
+    u, rep = dirichlet_iterate(spec, base_cfg())
     assert rep.outcome == "converged"
     assert len(rep.rows) == 2
     assert rep.rows[-1].h1_diff == 0.0
@@ -54,7 +54,7 @@ def test_iterates_keep_boundary_values(unit_grid_16):
     phi = unit_grid_16.field_from(lambda x, y: 0.2 * x + 0.1 * y)
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.02, m=2.0)
     cfg = base_cfg(phi=phi, start="boundary-lift")
-    u, rep = dirichlet_iterate(unit_grid_16, spec, cfg)
+    u, rep = dirichlet_iterate(spec, cfg)
     assert rep.outcome == "converged"
     assert np.array_equal(u.boundary_values(), phi.boundary_values())
 
@@ -64,7 +64,7 @@ def test_contraction_chain(unit_grid_32, unit_square):
     spec = GradLipschitz(h=unit_grid_32.constant(1.0), K=K, m=2.0)
     cfg = base_cfg()
     estimates, observe = c2alpha_observer(ANALYSIS.norm_cfg)
-    u, rep = dirichlet_iterate(unit_grid_32, spec, cfg, observe=observe)
+    u, rep = dirichlet_iterate(spec, cfg, observe=observe)
     assert rep.outcome == "converged"
     kap = min(unit_square.kappa_volumetric, unit_square.kappa_slab) + 2 * unit_grid_32.h
     bound = 2.0 * max(estimates) * K * kap + 0.05
@@ -74,14 +74,14 @@ def test_contraction_chain(unit_grid_32, unit_square):
 
 def test_geometric_series_stop(unit_grid_32):
     spec = GradLipschitz(h=unit_grid_32.constant(1.0), K=0.05, m=2.0)
-    u, rep = dirichlet_iterate(unit_grid_32, spec, base_cfg(h1_tol=1e-10))
+    u, rep = dirichlet_iterate(spec, base_cfg(h1_tol=1e-10))
     rhos = [r.rho_i for r in rep.rows if r.rho_i is not None]
     rho_hat = max(rhos)
     assert rho_hat < 1.0
     # run further from the converged iterate: remaining distance obeys the tail bound
     spec2 = spec
     u_refined, _ = dirichlet_iterate(
-        unit_grid_32, spec2, base_cfg(h1_tol=1e-14), u0=u
+        spec2, base_cfg(h1_tol=1e-14), u0=u
     )
     gap = norm_h1semi(unit_grid_32.field(u_refined.values - u.values))
     last = rep.rows[-1].h1_diff
@@ -91,8 +91,8 @@ def test_geometric_series_stop(unit_grid_32):
 def test_linearity_at_k_zero(unit_grid_16):
     h = unit_grid_16.field_from(lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x))
     doubled = unit_grid_16.field(2.0 * h.values)
-    u1, _ = dirichlet_iterate(unit_grid_16, GradLipschitz(h=h, K=0.0), base_cfg())
-    u2, _ = dirichlet_iterate(unit_grid_16, GradLipschitz(h=doubled, K=0.0), base_cfg())
+    u1, _ = dirichlet_iterate(GradLipschitz(h=h, K=0.0), base_cfg())
+    u2, _ = dirichlet_iterate(GradLipschitz(h=doubled, K=0.0), base_cfg())
     assert np.allclose(u2.values, 2.0 * u1.values, rtol=0, atol=1e-13)
 
 
@@ -101,8 +101,8 @@ def test_report_is_deterministic(unit_grid_16):
     cfg = base_cfg()
     e1, o1 = c2alpha_observer(ANALYSIS.norm_cfg)
     e2, o2 = c2alpha_observer(ANALYSIS.norm_cfg)
-    _, r1 = dirichlet_iterate(unit_grid_16, spec, cfg, observe=o1)
-    _, r2 = dirichlet_iterate(unit_grid_16, spec, cfg, observe=o2)
+    _, r1 = dirichlet_iterate(spec, cfg, observe=o1)
+    _, r2 = dirichlet_iterate(spec, cfg, observe=o2)
     assert r1.rows == r2.rows
     assert e1 == e2
 
@@ -110,7 +110,7 @@ def test_report_is_deterministic(unit_grid_16):
 def test_mce_blowup_diverges(unit_grid_32):
     spec = MeanCurvature(H=unit_grid_32.constant(2.0), n=2)
     with pytest.raises(IterationFailure) as exc_info:
-        dirichlet_iterate(unit_grid_32, spec, base_cfg(max_iters=60))
+        dirichlet_iterate(spec, base_cfg(max_iters=60))
     rep = exc_info.value.report
     assert rep.outcome in ("diverged", "max_iters")
     tail = [r.h1_diff for r in rep.rows[-5:]]
@@ -126,7 +126,7 @@ def test_nan_iterate_diverges(unit_grid_16):
     # and the loop stops before solving with it
     spec = GradLipschitz(h=unit_grid_16.constant(100.0), K=0.0, m=400.0)
     with pytest.raises(IterationFailure) as exc_info:
-        dirichlet_iterate(unit_grid_16, spec, base_cfg(max_iters=20))
+        dirichlet_iterate(spec, base_cfg(max_iters=20))
     rows = exc_info.value.report.rows
     assert exc_info.value.report.outcome == "diverged"
     assert len(rows) == 1 and math.isfinite(rows[0].sup_u) and math.isnan(rows[0].residual_sup)
@@ -135,19 +135,19 @@ def test_nan_iterate_diverges(unit_grid_16):
 def test_rejects_nonconforming_start(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=2.0)
     with pytest.raises(DiriterError, match="u0 must carry the configured boundary values"):
-        dirichlet_iterate(unit_grid_16, spec, base_cfg(), u0=unit_grid_16.constant(1.0))
+        dirichlet_iterate(spec, base_cfg(), u0=unit_grid_16.constant(1.0))
 
 
 def test_perturbed_start_same_limit(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.05, m=2.0)
     cfg = base_cfg()
-    u_ref, _ = dirichlet_iterate(unit_grid_16, spec, cfg)
-    t_star = contraction_theory(unit_grid_16, spec, ANALYSIS)[0].C
+    u_ref, _ = dirichlet_iterate(spec, cfg)
+    t_star = contraction_theory(spec, ANALYSIS)[0].C
     assert t_star is not None
     bump = unit_grid_16.field_from(
         lambda x, y: 0.1 * t_star * np.sin(np.pi * x) * np.sin(np.pi * y)
     )
-    u_alt, _ = dirichlet_iterate(unit_grid_16, spec, cfg, u0=bump)
+    u_alt, _ = dirichlet_iterate(spec, cfg, u0=bump)
     assert np.max(np.abs(u_alt.values - u_ref.values)) <= 1e-6
 
 
@@ -163,7 +163,7 @@ def test_residual_zero_cases(unit_grid_16):
 def test_residual_of_converged_iterate(unit_grid_32):
     spec = GradLipschitz(h=unit_grid_32.constant(1.0), K=0.05, m=2.0)
     cfg = base_cfg()
-    u, rep = dirichlet_iterate(unit_grid_32, spec, cfg)
+    u, rep = dirichlet_iterate(spec, cfg)
     f_sup = 1.0 + 0.05 * np.max(np.hypot(*gradient(u)) ** 2)
     assert rep.rows[-1].residual_sup <= 10 * cfg.h1_tol * (1.0 + f_sup)
 
@@ -172,7 +172,7 @@ def test_reported_residual_matches_unfused_residual(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.field_from(lambda x, y: 1.0 + 0.3 * np.sin(np.pi * x)), K=0.2)
     cfg = base_cfg()
     estimates, observe = c2alpha_observer(ANALYSIS.norm_cfg)
-    u, rep = dirichlet_iterate(unit_grid_16, spec, cfg, observe=observe)
+    u, rep = dirichlet_iterate(spec, cfg, observe=observe)
     assert rep.outcome == "converged" and len(rep.rows) > 3
     # the loop reuses the f of the next solve; recomputed from u alone it is the same bits
     assert rep.rows[-1].residual_sup == float(np.max(np.abs(residual_field(u, spec).values)))
@@ -199,7 +199,7 @@ def test_uniform_bound_empty_rhs(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.zeros(), K=0.0, m=2.0)
     cfg = base_cfg()
     estimates, observe = c2alpha_observer(ANALYSIS.norm_cfg)
-    _, rep = dirichlet_iterate(unit_grid_16, spec, cfg, observe=observe)
+    _, rep = dirichlet_iterate(spec, cfg, observe=observe)
     assert len(estimates) == len(rep.rows)
     assert all(e == 0.0 for e in estimates)
     assert max(estimates) == 0.0
@@ -211,8 +211,8 @@ def test_uniform_bound_k_zero_vs_estimator(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.0, m=2.0)
     cfg, analysis = base_cfg(), AnalysisConfig()
     estimates, observe = c2alpha_observer(analysis.norm_cfg)
-    u, rep = dirichlet_iterate(unit_grid_16, spec, cfg, observe=observe)
-    theory, norms = contraction_theory(unit_grid_16, spec, analysis)
+    u, rep = dirichlet_iterate(spec, cfg, observe=observe)
+    theory, norms = contraction_theory(spec, analysis)
     c_theory = theory.C  # = Lambda_emp * h_alpha for K = 0
     assert c_theory is not None
     assert math.isclose(c_theory, theory.Lambda * norms["h_alpha"], rel_tol=1e-9)
@@ -228,7 +228,7 @@ def test_uniform_bound_fails_on_blowup(unit_grid_32):
     cfg = base_cfg(max_iters=40)
     estimates, observe = c2alpha_observer(ANALYSIS.norm_cfg)
     try:
-        dirichlet_iterate(unit_grid_32, spec, cfg, observe=observe)
+        dirichlet_iterate(spec, cfg, observe=observe)
         raise AssertionError("expected blow-up")
     except IterationFailure as exc:
         assert len(estimates) == len(exc.report.rows)
@@ -237,7 +237,7 @@ def test_uniform_bound_fails_on_blowup(unit_grid_32):
 
 def test_rows_well_formed(unit_grid_16):
     spec = GradLipschitz(h=unit_grid_16.constant(1.0), K=0.05, m=2.0)
-    _, rep = dirichlet_iterate(unit_grid_16, spec, base_cfg())
+    _, rep = dirichlet_iterate(spec, base_cfg())
     assert [r.i for r in rep.rows] == list(range(1, len(rep.rows) + 1))
     assert rep.rows[0].rho_i is None
     assert all(r.rho_i is not None for r in rep.rows[1:])
@@ -386,7 +386,7 @@ def test_loop_is_bitwise_equal_to_unfused_reference(case):
     ref_rows, ref_outcome, ref_u = _reference_iterate(grid, spec, cfg)
     estimates, observe = c2alpha_observer(ANALYSIS.norm_cfg)
     try:
-        u, rep = dirichlet_iterate(grid, spec, cfg, observe=observe)
+        u, rep = dirichlet_iterate(spec, cfg, observe=observe)
     except IterationFailure as exc:
         u, rep = exc.last_iterate, exc.report
     assert rep.outcome == ref_outcome
@@ -449,7 +449,7 @@ def test_one_laplacian_per_iterate(monkeypatch):
 
         monkeypatch.setattr(module, "laplacian_apply", counted)
     grid, spec, cfg = _strip_mean_curvature()
-    _, rep = dirichlet_iterate(grid, spec, cfg)
+    _, rep = dirichlet_iterate(spec, cfg)
     assert rep.outcome == "converged" and len(rep.rows) > 3
     assert len(calls) == len(rep.rows)
 
@@ -477,7 +477,7 @@ def test_skipping_the_estimate_changes_no_other_value(case, monkeypatch):
             _c2alpha(u)
 
         try:
-            u, rep = dirichlet_iterate(grid, spec, cfg, observe=observe if attach else None)
+            u, rep = dirichlet_iterate(spec, cfg, observe=observe if attach else None)
         except IterationFailure as exc:
             u, rep = exc.last_iterate, exc.report
         runs.append((u, rep, seen, estimates))
@@ -506,13 +506,13 @@ def test_boundary_lift_reuses_the_loops_solver(unit_grid_16, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(poisson.PoissonSolver, "__init__", counted)
-    _, rep = dirichlet_iterate(unit_grid_16, spec, cfg)
+    _, rep = dirichlet_iterate(spec, cfg)
     assert rep.outcome == "converged"
     assert len(built) == 1
     monkeypatch.undo()
 
     solver = PoissonSolver(unit_grid_16)
-    start = iteration._start_field(unit_grid_16, spec, cfg, solver)
+    start = iteration._start_field(spec, cfg, solver)
     lifted = PoissonSolver(unit_grid_16).solve(spec.h, phi)
     assert np.array_equal(start.values.view(np.int64), lifted.values.view(np.int64))
 
@@ -529,7 +529,7 @@ def test_strip_run_holds_at_most_seven_grid_fields():
         spec = MeanCurvature(H=grid.constant(0.4), n=2)
         # solve's path: the C^{2,alpha} estimate of every iterate
         estimates, observe = c2alpha_observer(ANALYSIS.norm_cfg)
-        _, rep = dirichlet_iterate(grid, spec, cfg, observe=observe)
+        _, rep = dirichlet_iterate(spec, cfg, observe=observe)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -538,16 +538,31 @@ def test_strip_run_holds_at_most_seven_grid_fields():
     assert peak <= 7 * 8 * grid.nx * grid.ny
 
 
-@pytest.mark.parametrize("shape", ["wider", "taller"])
-def test_data_on_another_grid_is_rejected_before_any_solve(unit_grid_16, monkeypatch, shape):
-    # a 33x17 field once ran on its first 17 rows; a 17x33 one failed to broadcast
-    a, b = (2.0, 1.0) if shape == "wider" else (1.0, 2.0)
-    other = build_grid(Domain.rectangle(a, b), 1 / 16)
-    spec = GradLipschitz(h=other.constant(1.0), K=0.05)
+@pytest.mark.parametrize("gamma_grid", ["same_shape", "other_shape"])
+def test_data_fields_on_two_grids_are_rejected_before_any_solve(same_shape_pair, monkeypatch,
+                                                                gamma_grid):
+    # h on the rectangle, gamma on the strip of its shape or on a taller rectangle
+    rect, strip = same_shape_pair
+    other = strip if gamma_grid == "same_shape" else build_grid(Domain.rectangle(4.0, 2.0), 0.25)
+    spec = GammaG(gamma=other.constant(1.0), h=rect.constant(1.0))
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran")
 
     monkeypatch.setattr(poisson.PoissonSolver, "solve", no_solve)
-    with pytest.raises(ValueError, match="data field 'h' lives on a different grid"):
-        dirichlet_iterate(unit_grid_16, spec, base_cfg())
+    with pytest.raises(ValueError, match="data field 'gamma' lives on a different grid"):
+        dirichlet_iterate(spec, base_cfg())
+
+
+@pytest.mark.parametrize("start", ["zero", "boundary-lift"])
+def test_u0_on_another_grid_is_rejected_before_any_solve(same_shape_pair, monkeypatch, start):
+    rect, strip = same_shape_pair
+    spec = GradLipschitz(h=rect.constant(1.0), K=0.05)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(poisson.PoissonSolver, "solve", no_solve)
+    for u0 in (strip.zeros(), strip.constant(1.0)):  # conforming or not
+        with pytest.raises(ValueError, match="u0 lives on a different grid"):
+            dirichlet_iterate(spec, base_cfg(start=start), u0=u0)

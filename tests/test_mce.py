@@ -136,7 +136,7 @@ def test_iterated_solution_matches_arc_middle_third():
         grid = build_grid(Domain.strip_truncation(d, n_trunc), 1.0 / 32)
         spec = MeanCurvature(H=grid.constant(H), n=2)
         cfg = IterationConfig(h1_tol=1e-12, max_iters=60)
-        u, rep = dirichlet_iterate(grid, spec, cfg)
+        u, rep = dirichlet_iterate(spec, cfg)
         assert rep.outcome == "converged"
         cols = np.abs(grid.x) <= n_trunc / 3.0 + 1e-12
         err = np.max(np.abs(u.values[cols, :] - arc(grid.y)[None, :]))
@@ -150,7 +150,7 @@ def test_converged_iterate_divergence_residual():
     grid = build_grid(Domain.strip_truncation(1.0, 3.0), 1.0 / 32)
     spec = MeanCurvature(H=grid.constant(0.2), n=2)
     cfg = IterationConfig(h1_tol=1e-12, max_iters=60)
-    u, _ = dirichlet_iterate(grid, spec, cfg)
+    u, _ = dirichlet_iterate(spec, cfg)
     res = np.max(np.abs(mc_divergence_residual(u, spec.H, 2).values))
     assert res <= 5 * grid.h**2
 

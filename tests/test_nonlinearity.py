@@ -572,7 +572,7 @@ def test_finite_data_check_allocates_no_grid():
     # on the 1025 x 129 strip a boolean isfinite grid alone is 0.125 fields
     grid = build_grid(Domain.strip_truncation(1.0, 4.0), 1.0 / 128)
     spec = GammaG(gamma=grid.constant(1.0), h=grid.constant(0.5))
-    assert traced_peak_fields(grid, lambda: nonlinearity.check_finite_data(spec)) <= 0.01
+    assert traced_peak_fields(grid, lambda: nonlinearity.check_data(spec)) <= 0.01
 
 
 def test_short_strip_kappa_is_its_slab_constant():
@@ -583,3 +583,12 @@ def test_short_strip_kappa_is_its_slab_constant():
     theory = analyze(spec, dom, {"h_alpha": 1.0}, lam=2.0)
     assert theory.kappa == 0.5 / math.sqrt(2.0)
     assert theory.rho == spec.rho(theory.C, 0.5 / math.sqrt(2.0))
+
+
+def test_evaluate_rhs_rejects_an_iterate_off_the_datas_grid(same_shape_pair):
+    # the strip's zeros once read the rectangle's h = x: 0, 0.25, 0.5, ...
+    rect, strip = same_shape_pair
+    spec = GradLipschitz(h=rect.field_from(lambda x, y: x + 0 * y), K=1.0)
+    assert np.array_equal(evaluate_rhs(spec, rect.zeros()).values[:, 0], rect.x)
+    with pytest.raises(ValueError, match="u lives on a different grid"):
+        evaluate_rhs(spec, strip.zeros())

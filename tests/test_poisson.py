@@ -264,3 +264,20 @@ def test_lift_constant_phi(unit_grid_16):
 def test_rhs_grid_mismatch(unit_grid_16, unit_grid_32):
     with pytest.raises(ValueError):
         PoissonSolver(unit_grid_16).solve(unit_grid_32.zeros())
+
+
+def test_solve_rejects_fields_from_a_grid_of_the_same_shape(same_shape_pair):
+    rect, strip = same_shape_pair
+    solver = PoissonSolver(strip)
+    with pytest.raises(ValueError, match="right-hand side lives on a different grid"):
+        solver.solve(rect.zeros())
+    with pytest.raises(ValueError, match="boundary field lives on a different grid"):
+        solver.solve(strip.zeros(), rect.zeros())
+
+
+def test_residual_sup_rejects_a_right_hand_side_from_a_grid_of_the_same_shape(same_shape_pair):
+    rect, strip = same_shape_pair
+    solver = PoissonSolver(strip)
+    u = solver.solve(strip.constant(1.0))
+    with pytest.raises(ValueError, match="right-hand side lives on a different grid"):
+        solver.residual_sup(u, rect.constant(1.0))

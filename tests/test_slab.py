@@ -36,10 +36,11 @@ def iteration_cfg():
 
 def _record_solves(monkeypatch):
     """Replace the truncations' solves with one that records its arguments and
-    returns zero: the list of (grid, spec, iteration config) it fills."""
+    returns zero: the list of (data grid, spec, iteration config) it fills."""
     seen = []
 
-    def solve(grid, spec, cfg):
+    def solve(spec, cfg):
+        grid = spec.h.grid
         seen.append((grid, spec, cfg))
         return grid.zeros(), IterationReport((), "converged")
 
@@ -58,20 +59,22 @@ def test_each_truncation_holds_the_largest_grids_values_at_its_nodes(monkeypatch
     assert [grid.x[-1] for grid, _, _ in seen] == [2.0, 3.0, 4.0]
     for grid, spec_n, cfg_n in seen:
         X, Y = grid.meshgrid()
-        assert spec_n.h.grid is grid and cfg_n.phi.grid is grid
+        assert cfg_n.phi.grid is grid
         assert np.array_equal(spec_n.h.values, X + 10 * Y)
         assert np.array_equal(cfg_n.phi.values, X - 10 * Y)
 
 
-@pytest.mark.parametrize("data_domain, phi_h", [
-    (Domain.rectangle(8.0, 1.0), None),  # the same shape as the strip's grid
-    (Domain.strip_truncation(1.0, 5), None),
-    (Domain.strip_truncation(1.0, 4), 0.125),
-], ids=["rectangle_of_the_same_shape", "strip_of_another_n_max", "phi_on_another_grid"])
+@pytest.mark.parametrize("data_domain, phi_domain, phi_h", [
+    (Domain.rectangle(8.0, 1.0), None, None),  # the same shape as the strip's grid
+    (Domain.strip_truncation(1.0, 5), None, None),
+    (Domain.strip_truncation(1.0, 4), Domain.strip_truncation(1.0, 4), 0.125),
+    (Domain.strip_truncation(1.0, 4), Domain.rectangle(8.0, 1.0), 0.25),
+], ids=["rectangle_of_the_same_shape", "strip_of_another_n_max", "phi_on_another_grid",
+        "phi_on_a_rectangle_of_the_same_shape"])
 def test_fields_off_the_largest_grid_are_rejected_before_any_solve(monkeypatch, data_domain,
-                                                                   phi_h):
+                                                                   phi_domain, phi_h):
     data_grid = build_grid(data_domain, 0.25)
-    phi = None if phi_h is None else build_grid(data_domain, phi_h).zeros()
+    phi = None if phi_h is None else build_grid(phi_domain, phi_h).zeros()
     seen = _record_solves(monkeypatch)
     cfg = ExhaustionConfig(d=1.0, n_start=3, n_max=4, compact_halfwidth=1.0,
                            iteration=IterationConfig(phi=phi))
