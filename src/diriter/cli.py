@@ -476,17 +476,12 @@ def cmd_exhaust(cfg: configparser.ConfigParser, out: Path) -> int:
     big = _build_grid(big_domain, h)
     spec = build_rhs(cfg, big)
     it_cfg = build_iteration_config(cfg, big)[0]
-    with _rejected_values("exhaustion"):
-        if not 0.0 <= compact_tol < math.inf:  # NaN fails
-            raise ValueError(f"compact_tol = {compact_tol} must be >= 0 and finite")
-        ex_cfg = ExhaustionConfig(d=d, n_start=n_start, n_max=n_max,
-                                  compact_halfwidth=halfwidth, iteration=it_cfg)
-        ex_cfg.check_spacing(h)
-    # check_spacing's tolerance lets an h just above 1 divide the gap 1, but
-    # the truncation n_start = 1 is only 2 long
-    _build_grid(Domain.strip_truncation(d, n_start), h)
     try:
-        result = exhaustion_solve(spec, ex_cfg)
+        with _rejected_values("exhaustion"):
+            if not 0.0 <= compact_tol < math.inf:  # NaN fails
+                raise ValueError(f"compact_tol = {compact_tol} must be >= 0 and finite")
+            result = exhaustion_solve(spec, ExhaustionConfig(
+                n_start=n_start, compact_halfwidth=halfwidth, iteration=it_cfg))
     except IterationFailure as exc:
         print(f"exhaustion failed: {exc}", file=sys.stderr)
         return _OUTCOME_EXIT[exc.report.outcome]

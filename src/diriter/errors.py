@@ -1,8 +1,9 @@
 """The package's exceptions: one type per ``except`` clause that names it.
 
-Every rejected input and every failed check is a DiriterError, which the CLI
-reports as one ``error:`` line; a subclass exists only where some caller
-handles that case apart from the rest.
+A ValueError is an argument a call cannot take (out of its range, a field on
+another grid); a DiriterError, a failed check on data or numbers (NaN or inf,
+a boundary, a solve's residual). The CLI reports each as one ``error:`` line;
+a subclass exists only where some caller handles that case apart from the rest.
 """
 
 

@@ -1,8 +1,10 @@
 """Strip exhaustion: solve on growing truncations, compare on a fixed compact.
 
-All truncations share the spacing and node alignment of the largest one, so
-solutions restrict to the compact window nodewise, without interpolation.
-Data fields are given on the largest truncation's grid and sliced down.
+The data's grid names the strip: its domain is the largest truncation
+[-n_max, n_max] x (-d/2, d/2) and its spacing is every truncation's. The
+truncations share that grid's node alignment, so data fields are sliced down
+to each one and solutions restrict to the compact window nodewise, without
+interpolation.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from .nonlinearity import RhsSpec, check_data
 
 @dataclass(frozen=True)
 class ExhaustionConfig:
-    d: float
     n_start: int
-    n_max: int
     compact_halfwidth: float
     iteration: IterationConfig = field(default_factory=IterationConfig)
 
@@ -35,22 +35,6 @@ class ExhaustionConfig:
             )
         if self.n_start < self.compact_halfwidth + 1:
             raise ValueError("n_start must be at least compact_halfwidth + 1")
-        if self.n_max < self.n_start:
-            raise ValueError("n_max must be >= n_start")
-
-    def check_spacing(self, h: float) -> None:
-        """Raise ValueError unless the spacing h puts the ends -n of every
-        truncation on nodes of the largest one: restricting data to a
-        truncation needs (n_max - n) / h to be an integer."""
-        if not 0.0 < h < math.inf:  # NaN fails
-            raise ValueError(f"spacing h = {h} must be positive and finite")
-        for gap in range(1, self.n_max - self.n_start + 1):
-            steps = gap / h
-            if not math.isfinite(steps):
-                raise ValueError(f"spacing h = {h} is too fine for the gap {gap} between truncations")
-            if abs(steps - round(steps)) > 1e-6:
-                raise ValueError(f"h = {h} does not divide {gap}, the gap between "
-                                 f"truncations n = {self.n_max - gap} and n_max = {self.n_max}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +46,9 @@ class ExhaustionResult:
 
 
 def _column_window(grid: Grid, halfwidth: float) -> slice:
-    """Columns of the grid with |x| <= halfwidth (x centred on 0)."""
+    """Columns from the node nearest -halfwidth to the node nearest halfwidth
+    (x centred on 0), clipped to the grid: at h = 0.25 and halfwidth 0.4,
+    the columns |x| <= 0.5."""
     i0 = int(round((-halfwidth - grid.x[0]) / grid.h))
     i1 = int(round((halfwidth - grid.x[0]) / grid.h))
     return slice(max(i0, 0), min(i1, grid.nx - 1) + 1)
@@ -72,22 +58,33 @@ def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig) -> ExhaustionResult:
     """Iterate on each truncation [-n, n] x (-d/2, d/2), n = n_start..n_max.
 
     The data fields of ``spec``, and a boundary field ``cfg.iteration.phi``,
-    live on one grid of the largest truncation; truncation n solves on its
-    centred columns. tail[j] is the sup over the compact window of the
-    difference between consecutive solutions. Raises ValueError, before any
-    solve, for fields on any other grid and where ``cfg.check_spacing`` does.
+    live on one grid: its domain is the largest truncation (a whole n_max),
+    its spacing h every truncation's, and truncation n solves on its centred
+    columns. tail[j] is the sup over the compact window of the difference
+    between consecutive solutions. Raises ValueError, before any solve, for
+    fields on any other grid, n_max < n_start, and an h that does not divide
+    every gap n_max - n or is too coarse for the truncation n_start.
     """
     phi = cfg.iteration.phi
     big = check_data(spec)
-    if big.domain != Domain.strip_truncation(cfg.d, cfg.n_max) or (phi and phi.grid != big):
-        raise ValueError(f"data and phi must live on one grid of the truncation n = {cfg.n_max}")
-    cfg.check_spacing(big.h)
-    ns = list(range(cfg.n_start, cfg.n_max + 1))
+    # the whole n >= 1 nearest half the grid's length: the grid must be that truncation
+    n_max, d = max(1, round(big.domain.extents[0] / 2.0)), big.domain.extents[1]
+    if big.domain != Domain.strip_truncation(d, n_max) or (phi and phi.grid != big):
+        raise ValueError("data and phi must live on one grid of a truncation "
+                         "[-n, n] x (-d/2, d/2) with a whole n")
+    if n_max < cfg.n_start:
+        raise ValueError("n_max must be >= n_start")
+    for gap in range(1, n_max - cfg.n_start + 1):
+        steps = gap / big.h  # finite: gap < 2 n_max, the grid's length
+        if abs(steps - round(steps)) > 1e-6:
+            raise ValueError(f"h = {big.h} does not divide {gap}, the gap between "
+                             f"truncations n = {n_max - gap} and n_max = {n_max}")
+    ladder = {n: build_grid(Domain.strip_truncation(d, n), big.h)
+              for n in range(cfg.n_start, n_max + 1)}
     reports: list[IterationReport] = []
     tail: list[float] = []
     window = None
-    for n in ns:
-        grid = build_grid(Domain.strip_truncation(cfg.d, n), big.h)
+    for n, grid in ladder.items():
         cols = slice((big.nx - grid.nx) // 2, (big.nx + grid.nx) // 2)
         spec_n = dataclasses.replace(spec, **{name: grid.field(f.values[cols])
                                               for name, f in spec.fields().items()})
@@ -103,9 +100,10 @@ def exhaustion_solve(spec: RhsSpec, cfg: ExhaustionConfig) -> ExhaustionResult:
         if previous is not None:
             tail.append(sup_abs(previous - window))
     return ExhaustionResult(u_final=u, tail=tuple(tail), reports=tuple(reports),
-                            truncations=tuple(ns))
+                            truncations=tuple(ladder))
 
 
 def compact_values(result_field: GridField, halfwidth: float) -> np.ndarray:
-    """Values of a strip solution on the compact window |x| <= halfwidth."""
+    """Values of a strip solution on the compact window, the columns of
+    ``_column_window``."""
     return result_field.values[_column_window(result_field.grid, halfwidth), :]

@@ -207,10 +207,10 @@ def test_criterion_8_exhaustion_tails():
 
     d, h = 1.0, 1.0 / 16
     cfg = ExhaustionConfig(
-        d=d, n_start=3, n_max=8, compact_halfwidth=2.0,
+        n_start=3, compact_halfwidth=2.0,
         iteration=IterationConfig(h1_tol=1e-12, max_iters=40),
     )
-    big = build_grid(Domain.strip_truncation(d, cfg.n_max), h)
+    big = build_grid(Domain.strip_truncation(d, 8), h)
     spec = GradLipschitz(h=big.constant(1.0), K=0.0, m=2.0)
     result = exhaustion_solve(spec, cfg)
     tail = result.tail

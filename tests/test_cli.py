@@ -433,14 +433,15 @@ def test_sweep_with_non_finite_phi_is_one_error_line(tmp_path, capsys):
     assert list((tmp_path / "o").iterdir()) == []
 
 
-def test_spacing_too_coarse_for_the_shortest_truncation_is_one_grid_error_line(tmp_path, capsys):
-    # h = 1 + 1e-7 divides the gap 1 within check_spacing's tolerance, but
-    # the truncation n = 1 is 2 long; the largest one, n = 2, takes the h
+def test_spacing_too_coarse_for_the_shortest_truncation_is_one_exhaustion_error_line(tmp_path,
+                                                                                      capsys):
+    # h = 1 + 1e-7 divides the gap 1 within the ladder's tolerance, but the
+    # truncation n = 1 is 2 long; the largest one, n = 2, takes the h
     text = BASE + "\n[exhaustion]\nd = 4\nn_start = 1\nn_max = 2\ncompact_halfwidth = 0\n"
     cfg = write_cfg(tmp_path, text.replace("h = 0.0625", "h = 1.0000001"))
     assert main(["exhaust", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: [grid] h = 1.0000001 exceeds half the smallest extent 2.0"]
+        "error: [exhaustion] h = 1.0000001 exceeds half the smallest extent 2.0"]
     assert list((tmp_path / "o").iterdir()) == []
 
 

@@ -263,6 +263,16 @@ def test_every_analysis_config_field_is_read():
     assert sorted(fields - read) == []
 
 
+def test_every_exhaustion_config_field_is_read_by_exhaustion_solve():
+    # the strip (d, n_max) and the spacing are the data's grid: a field that
+    # could only repeat it, or that nothing reads, has no place here
+    from diriter import ExhaustionConfig
+
+    read = _attributes_read({"slab.py": ("exhaustion_solve",)})
+    fields = {f.name for f in dataclasses.fields(ExhaustionConfig)}
+    assert sorted(fields - read) == []
+
+
 def test_grid_identity_is_grid_equality():
     # a grid is its domain and spacing (Grid.__eq__): comparing shapes lets a
     # same-shape grid on another domain through, and comparing domains alone

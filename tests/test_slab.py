@@ -54,7 +54,7 @@ def test_each_truncation_holds_the_largest_grids_values_at_its_nodes(monkeypatch
     phi = big.field_from(lambda x, y: x - 10 * y)
     spec = GradLipschitz(h=big.field_from(lambda x, y: x + 10 * y), K=0.0, m=2.0)
     seen = _record_solves(monkeypatch)
-    exhaustion_solve(spec, ExhaustionConfig(d=1.0, n_start=2, n_max=4, compact_halfwidth=1.0,
+    exhaustion_solve(spec, ExhaustionConfig(n_start=2, compact_halfwidth=1.0,
                                             iteration=IterationConfig(phi=phi)))
     assert [grid.x[-1] for grid, _, _ in seen] == [2.0, 3.0, 4.0]
     for grid, spec_n, cfg_n in seen:
@@ -64,32 +64,47 @@ def test_each_truncation_holds_the_largest_grids_values_at_its_nodes(monkeypatch
         assert np.array_equal(cfg_n.phi.values, X - 10 * Y)
 
 
+def test_the_datas_grid_names_the_largest_truncation(monkeypatch):
+    big = build_grid(Domain.strip_truncation(1.0, 5), 0.25)
+    seen = _record_solves(monkeypatch)
+    result = exhaustion_solve(GradLipschitz(h=big.constant(1.0), K=0.0, m=2.0),
+                              ExhaustionConfig(n_start=3, compact_halfwidth=1.0))
+    assert result.truncations == (3, 4, 5)
+    assert [grid for grid, _, _ in seen] == [
+        build_grid(Domain.strip_truncation(1.0, n), 0.25) for n in (3, 4, 5)]
+
+
 @pytest.mark.parametrize("data_domain, phi_domain, phi_h", [
     (Domain.rectangle(8.0, 1.0), None, None),  # the same shape as the strip's grid
-    (Domain.strip_truncation(1.0, 5), None, None),
+    (Domain.rectangle(0.5, 1.0), None, None),  # shorter than any truncation
+    (Domain.strip_truncation(1.0, 4.5), None, None),
     (Domain.strip_truncation(1.0, 4), Domain.strip_truncation(1.0, 4), 0.125),
     (Domain.strip_truncation(1.0, 4), Domain.rectangle(8.0, 1.0), 0.25),
-], ids=["rectangle_of_the_same_shape", "strip_of_another_n_max", "phi_on_another_grid",
-        "phi_on_a_rectangle_of_the_same_shape"])
+], ids=["rectangle_of_the_same_shape", "rectangle_shorter_than_any_truncation",
+        "strip_of_a_half_length", "phi_on_another_grid", "phi_on_a_rectangle_of_the_same_shape"])
 def test_fields_off_the_largest_grid_are_rejected_before_any_solve(monkeypatch, data_domain,
                                                                    phi_domain, phi_h):
     data_grid = build_grid(data_domain, 0.25)
     phi = None if phi_h is None else build_grid(phi_domain, phi_h).zeros()
     seen = _record_solves(monkeypatch)
-    cfg = ExhaustionConfig(d=1.0, n_start=3, n_max=4, compact_halfwidth=1.0,
-                           iteration=IterationConfig(phi=phi))
-    with pytest.raises(ValueError, match="one grid of the truncation n = 4"):
+    cfg = ExhaustionConfig(n_start=1, compact_halfwidth=0.0, iteration=IterationConfig(phi=phi))
+    with pytest.raises(ValueError, match="one grid of a truncation .* with a whole n"):
         exhaustion_solve(GradLipschitz(h=data_grid.constant(1.0), K=0.0, m=2.0), cfg)
+    assert seen == []
+
+
+def test_n_start_beyond_the_datas_truncation_is_rejected_before_any_solve(monkeypatch):
+    seen = _record_solves(monkeypatch)
+    with pytest.raises(ValueError, match="n_max must be >= n_start"):
+        exhaustion_solve(y_only_spec(1.0, 4, 0.25),
+                         ExhaustionConfig(n_start=5, compact_halfwidth=1.0))
     assert seen == []
 
 
 def test_exhaustion_y_only_profile_and_tails():
     d = 1.0
-    cfg = ExhaustionConfig(
-        d=d, n_start=3, n_max=8, compact_halfwidth=2.0,
-        iteration=iteration_cfg(),
-    )
-    spec = y_only_spec(d, cfg.n_max, H_GRID)
+    cfg = ExhaustionConfig(n_start=3, compact_halfwidth=2.0, iteration=iteration_cfg())
+    spec = y_only_spec(d, 8, H_GRID)
     result = exhaustion_solve(spec, cfg)
     tail = result.tail
     assert len(tail) == 5
@@ -104,10 +119,8 @@ def test_exhaustion_y_only_profile_and_tails():
 
 
 def test_exhaustion_zero_data_zero_tail():
-    cfg = ExhaustionConfig(
-        d=1.0, n_start=3, n_max=5, compact_halfwidth=2.0, iteration=iteration_cfg()
-    )
-    grid = build_grid(Domain.strip_truncation(1.0, cfg.n_max), H_GRID)
+    cfg = ExhaustionConfig(n_start=3, compact_halfwidth=2.0, iteration=iteration_cfg())
+    grid = build_grid(Domain.strip_truncation(1.0, 5), H_GRID)
     spec = GradLipschitz(h=grid.zeros(), K=0.0, m=2.0)
     result = exhaustion_solve(spec, cfg)
     assert np.max(np.abs(result.u_final.values)) == 0.0
@@ -115,9 +128,7 @@ def test_exhaustion_zero_data_zero_tail():
 
 
 def test_exhaustion_single_truncation_empty_tail():
-    cfg = ExhaustionConfig(
-        d=1.0, n_start=3, n_max=3, compact_halfwidth=2.0, iteration=iteration_cfg()
-    )
+    cfg = ExhaustionConfig(n_start=3, compact_halfwidth=2.0, iteration=iteration_cfg())
     spec = y_only_spec(1.0, 3, H_GRID)
     result = exhaustion_solve(spec, cfg)
     assert result.tail == ()
@@ -127,10 +138,8 @@ def test_exhaustion_single_truncation_empty_tail():
 def test_exhaustion_mce_converges_to_arc():
     d, H = 1.0, 0.2
     h = 1.0 / 32
-    cfg = ExhaustionConfig(
-        d=d, n_start=3, n_max=5, compact_halfwidth=2.0, iteration=iteration_cfg()
-    )
-    grid = build_grid(Domain.strip_truncation(d, cfg.n_max), h)
+    cfg = ExhaustionConfig(n_start=3, compact_halfwidth=2.0, iteration=iteration_cfg())
+    grid = build_grid(Domain.strip_truncation(d, 5), h)
     spec = MeanCurvature(H=grid.constant(H), n=2)
     result = exhaustion_solve(spec, cfg)
     arc = ArcSolution(d, H)
@@ -144,8 +153,7 @@ def test_exhaustion_with_x_varying_curvature_converges_on_every_truncation():
     grid = build_grid(Domain.strip_truncation(d, 5), h)
     spec = MeanCurvature(H=grid.field_from(lambda x, y: 0.3 + 0.05 * np.cos(x)), n=2)
     result = exhaustion_solve(spec, ExhaustionConfig(
-        d=d, n_start=3, n_max=5, compact_halfwidth=2.0, iteration=iteration_cfg()
-    ))
+        n_start=3, compact_halfwidth=2.0, iteration=iteration_cfg()))
     assert result.truncations == (3, 4, 5)
     assert all(r.outcome == "converged" for r in result.reports)
     # the tail decays like exp(-mu n) with mu near 3 per unit of n
@@ -161,26 +169,29 @@ def test_compact_restriction_commutes_with_scaling():
 
 
 def test_exhaustion_config_validation():
-    with pytest.raises(ValueError):
-        ExhaustionConfig(d=1.0, n_start=2, n_max=5, compact_halfwidth=2.0)
-    with pytest.raises(ValueError):
-        ExhaustionConfig(d=1.0, n_start=4, n_max=3, compact_halfwidth=2.0)
+    with pytest.raises(ValueError, match="n_start must be at least compact_halfwidth"):
+        ExhaustionConfig(n_start=2, compact_halfwidth=2.0)
+    for halfwidth in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be >= 0 and finite"):
+            ExhaustionConfig(n_start=2, compact_halfwidth=halfwidth)
 
 
-def test_exhaustion_rejects_a_spacing_off_the_largest_grid():
+def test_exhaustion_rejects_a_spacing_off_the_largest_grid(monkeypatch):
     # with h = 0.3, x = -3 is no node of the n = 4 grid, which starts at -4
-    cfg = ExhaustionConfig(d=1.0, n_start=3, n_max=4, compact_halfwidth=1.0, iteration=iteration_cfg())
-    with pytest.raises(ValueError, match="does not divide 1"):
+    seen = _record_solves(monkeypatch)
+    cfg = ExhaustionConfig(n_start=3, compact_halfwidth=1.0)
+    with pytest.raises(ValueError, match="h = 0.3 does not divide 1, the gap between "
+                                         "truncations n = 3 and n_max = 4"):
         exhaustion_solve(y_only_spec(1.0, 4, 0.3), cfg)
-    for h in (0.0, -0.25, math.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
-            cfg.check_spacing(h)
-    cfg.check_spacing(0.25)
-    # 1 / 5e-324 is inf, whose round() would raise OverflowError
-    with pytest.raises(ValueError, match="too fine"):
-        cfg.check_spacing(5e-324)
+    # h = 1 + 1e-7 divides the gap 1 within the tolerance, but the truncation
+    # n = 1 is 2 long; the largest one, n = 2, takes the h
+    with pytest.raises(ValueError, match="exceeds half the smallest extent 2.0"):
+        exhaustion_solve(y_only_spec(4.0, 2, 1.0000001),
+                         ExhaustionConfig(n_start=1, compact_halfwidth=0.0))
+    assert seen == []
     # a single truncation has no gap to divide
-    dataclasses.replace(cfg, n_start=4).check_spacing(0.3)
+    result = exhaustion_solve(y_only_spec(1.0, 4, 0.3), dataclasses.replace(cfg, n_start=4))
+    assert result.truncations == (4,)
 
 
 # --- the schauder command's probe: Λ estimates across truncations --------------
